@@ -1,9 +1,12 @@
 """Command line: parameter sweeps to CSV/JSON and the verification gate.
 
 Subcommands:
-    qsatom xsection --config cfg.json [--format csv|json] [--out f] [--threads N]
+    qsatom xsection --config cfg.json [--format csv|json] [--out f]
     qsatom spectrum --config cfg.json [...]
     qsatom verify   [--config cfg.json] [...]
+
+Sweeps walk the (eta2, ztilde) grid once, in sorted order, in one
+thread; ``--threads N`` is still accepted, for old scripts, and ignored.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 config error.
 All numbers are reduced units; CSV rows carry 17 significant digits so
@@ -16,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,74 +130,54 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
-def _sweep(points, worker, threads: int):
-    """Evaluate sweep points in deterministic order regardless of scheduling."""
-    if threads <= 1:
-        return [worker(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, points))
-
-
-def run_xsection_sweep(cfg: RunConfig, threads: int = 1):
-    """Rows (eta2, ztilde, sigma_tot, sigma_el, sigma_inel), ordered."""
+def _drive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
+    """The (eta2, ztilde) sweep points, in sorted grid order."""
     if not cfg.eta2:
         raise ConfigError("'eta2' sweep list must be non-empty")
     if not cfg.ztilde:
         raise ConfigError("'ztilde' sweep list must be non-empty")
+    return [(e2, zt) for e2 in sorted(cfg.eta2) for zt in sorted(cfg.ztilde)]
+
+
+def run_xsection_sweep(cfg: RunConfig):
+    """Rows (eta2, ztilde, sigma_tot, sigma_el, sigma_inel), ordered."""
+    points = _drive_grid(cfg)
     sc = cfg.scattering_scalars()
-    points = [(e2, zt) for e2 in sorted(cfg.eta2) for zt in sorted(cfg.ztilde)]
-
-    def worker(point):
-        e2, zt = point
-        dc = DriveConfig(math.sqrt(e2), zt, cfg.gammatilde)
-        triple = xsection.cross_sections(sc, dc)
-        return (e2, zt, triple.total, triple.elastic, triple.inelastic)
-
-    columns = ["eta2", "ztilde", "sigma_tot", "sigma_el", "sigma_inel"]
-    return columns, _sweep(points, worker, threads)
+    rows = []
+    for e2, zt in points:
+        triple = xsection.cross_sections(sc, DriveConfig(math.sqrt(e2), zt, cfg.gammatilde))
+        rows.append((e2, zt, triple.total, triple.elastic, triple.inelastic))
+    return ["eta2", "ztilde", "sigma_tot", "sigma_el", "sigma_inel"], rows
 
 
-def run_spectrum_sweep(cfg: RunConfig, threads: int = 1):
+def run_spectrum_sweep(cfg: RunConfig):
     """Rows (eta2, ztilde, x, Sigma_tot, Sigma_inel, Sigma_el_lorentzian),
     plus the no-direct-scattering reference when requested."""
-    if not cfg.eta2:
-        raise ConfigError("'eta2' sweep list must be non-empty")
-    if not cfg.ztilde:
-        raise ConfigError("'ztilde' sweep list must be non-empty")
+    points = _drive_grid(cfg)
     if not cfg.x_grid:
         raise ConfigError("'x_grid' sweep list must be non-empty")
     if cfg.gammatilde <= 0:
         raise ConfigError("spectrum sweeps need gammatilde > 0")
     sc = cfg.scattering_scalars()
-    points = [(e2, zt) for e2 in sorted(cfg.eta2) for zt in sorted(cfg.ztilde)]
     xs = np.asarray(sorted(cfg.x_grid), dtype=float)
-
-    def worker(point):
-        e2, zt = point
-        eta = math.sqrt(e2)
-        dc = DriveConfig(eta, zt, cfg.gammatilde)
-        inel = np.atleast_1d(spectrum.sigma_inel_x(sc, dc, xs))
-        weight, _ = spectrum.elastic_line(sc, dc)
-        lor = weight * (cfg.gammatilde / (2.0 * math.pi)) \
-            / (xs ** 2 + (cfg.gammatilde / 2.0) ** 2)
-        rows = []
-        if cfg.mollow_reference:
-            m_inel = np.atleast_1d(spectrum.mollow_inel_x(zt, eta, cfg.gammatilde, xs))
-            m_el = xsection.mollow_xsections(zt, eta).elastic
-            m_tot = m_inel + m_el * (cfg.gammatilde / (2.0 * math.pi)) \
-                / (xs ** 2 + (cfg.gammatilde / 2.0) ** 2)
-        for i, x in enumerate(xs):
-            row = (e2, zt, float(x), float(lor[i] + inel[i]), float(inel[i]), float(lor[i]))
-            if cfg.mollow_reference:
-                row = row + (float(m_tot[i]),)
-            rows.append(row)
-        return rows
-
+    gt = cfg.gammatilde
     columns = ["eta2", "ztilde", "x", "Sigma_tot", "Sigma_inel", "Sigma_el_lorentzian"]
     if cfg.mollow_reference:
         columns.append("Sigma_tot_mollow")
-    nested = _sweep(points, worker, threads)
-    return columns, [row for chunk in nested for row in chunk]
+    rows = []
+    for e2, zt in points:
+        eta = math.sqrt(e2)
+        dc = DriveConfig(eta, zt, gt)
+        inel = spectrum.sigma_inel_x(sc, dc, xs)
+        weight, _ = spectrum.elastic_line(sc, dc)
+        lor = spectrum.elastic_lorentzian(weight, gt, xs)
+        cols = [xs, lor + inel, inel, lor]
+        if cfg.mollow_reference:
+            m_inel = spectrum.mollow_inel_x(zt, eta, gt, xs)
+            m_el = xsection.mollow_xsections(zt, eta).elastic
+            cols.append(m_inel + spectrum.elastic_lorentzian(m_el, gt, xs))
+        rows.extend((e2, zt) + r for r in zip(*(c.tolist() for c in cols)))
+    return columns, rows
 
 
 def run_verify(cfg: RunConfig | None):
@@ -263,7 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=need_cfg, help="JSON run configuration")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored; sweeps run serially")
     return parser
 
 
@@ -283,9 +266,9 @@ def main(argv=None) -> int:
             _emit(text, args.out)
             return code
         if args.command == "xsection":
-            columns, rows = run_xsection_sweep(cfg, threads=args.threads)
+            columns, rows = run_xsection_sweep(cfg)
         else:
-            columns, rows = run_spectrum_sweep(cfg, threads=args.threads)
+            columns, rows = run_spectrum_sweep(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -29,12 +29,15 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 _TRIANGLE_TOL = 1e-9
 
 
-def legendre_table(lmax: int, x: float) -> np.ndarray:
+def legendre_table(lmax: int, x) -> np.ndarray:
     """P_0(x) .. P_lmax(x) by the upward three-term recurrence.
 
-    Stable on [-1, 1] for the channel counts used here (l up to ~100).
+    ``x`` may be a scalar or an array; the result has shape
+    (lmax + 1, *x.shape).  Stable on [-1, 1] for the channel counts used
+    here (l up to ~100).
     """
-    p = np.empty(lmax + 1)
+    x = np.asarray(x, dtype=float)
+    p = np.empty((lmax + 1,) + x.shape)
     p[0] = 1.0
     if lmax >= 1:
         p[1] = x

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bloch import BlochVector, DriftMatrix, build_drift, equilibrium
 from .model import (DriveConfig, PhaseShiftTable, ScatteringScalars,
-                    reduced_scalars, scalars_from_phase_shifts)
+                    legendre_table, reduced_scalars, scalars_from_phase_shifts)
 from .spectrum import (build_spectral_drift, mollow_inel_x, resolvent,
                        sigma_inel_x, sigma_tot_x, spectral_coefficients)
 from .xsection import sigma_el, sigma_inel, sigma_tot
@@ -250,13 +250,7 @@ def beam_overlaps(lmax: int, dtheta: float, nodes: int = 64) -> np.ndarray:
     a = math.cos(dtheta)
     xi = 0.5 * (xg + 1.0) * (1.0 - a) + a
     ww = 0.5 * (1.0 - a) * wg
-    p = np.zeros((lmax + 1, nodes))
-    p[0] = 1.0
-    if lmax >= 1:
-        p[1] = xi
-    for l in range(1, lmax):
-        p[l + 1] = ((2 * l + 1) * xi * p[l] - l * p[l - 1]) / (l + 1)
-    integrals = p @ ww
+    integrals = legendre_table(lmax, xi) @ ww
     pref = 2.0 * math.pi / (dtheta * math.sqrt(2.0 * math.pi * (1.0 - a)))
     ls = np.arange(lmax + 1)
     return pref * np.sqrt((2.0 * ls + 1.0) / (4.0 * math.pi)) * integrals
@@ -441,6 +435,18 @@ def _random_drive(rng, gamma_positive=False) -> DriveConfig:
     return DriveConfig(rng.uniform(0.0, 6.0), rng.uniform(-8.0, 8.0), gt)
 
 
+def _total_form_gap(sc: ScatteringScalars, dc: DriveConfig) -> float:
+    """|compact - expanded| total cross section over the largest term of
+    the expanded form (norm of g- plus the s-wave interference terms)."""
+    rs = reduced_scalars(sc, dc)
+    den = rs.z ** 2 + rs.zeta2
+    terms = (sc.norm2_g_minus,
+             rs.kappa2 * (1.0 + dc.eta ** 2 * (sc.norm2_g_plus - sc.norm2_g_minus)) / den,
+             -rs.y * math.sin(2.0 * sc.delta0_minus) / den,
+             -2.0 * rs.kappa2 * math.sin(sc.delta0_minus) ** 2 / den)
+    return abs(sigma_tot(sc, dc) - sum(terms)) / max(abs(t) for t in terms)
+
+
 def run_verification(table: PhaseShiftTable | None = None,
                      scalars: ScatteringScalars | None = None,
                      drives=None, seed: int = _RNG_SEED) -> list[VerificationCheck]:
@@ -509,15 +515,25 @@ def run_verification(table: PhaseShiftTable | None = None,
             td = max(td, abs(a - b) / max(abs(b), 1e-30))
     checks.append(VerificationCheck("time-domain spectrum vs resolvent", 1e-6, td))
 
-    # integral sum rule and the two total forms
-    sr, pos = 0.0, 0.0
+    # integral sum rule and the two total forms, on the same random points
+    sr, forms = 0.0, 0.0
     for _ in range(300):
         sc = _random_scalars(rng)
         dc = _random_drive(rng)
-        tot = sigma_tot(sc, dc)  # the compact/expanded assertion runs inside
+        tot = sigma_tot(sc, dc)
         gap = abs(sigma_el(sc, dc) + sigma_inel(sc, dc) - tot)
         sr = max(sr, gap / max(abs(tot), 1e-30))
+        forms = max(forms, _total_form_gap(sc, dc))
     checks.append(VerificationCheck("cross-section sum rule", 1e-12, sr))
+    # plus a fixed set around the Fano zero z = cot(delta_0^-), where the
+    # compact form vanishes and the expanded one cancels
+    for d0m in (0.13, 0.3, -0.2):
+        sc = ScatteringScalars(0.0, d0m, 0.0, 0.0, 0.0, 0.0)
+        for eta2 in (0.0, 1e-8, 1e-4, 0.01, 1.0, 18.0):
+            for off in np.linspace(-0.05, 0.05, 21):
+                dc = DriveConfig(math.sqrt(eta2), 0.5 / math.tan(d0m) + float(off))
+                forms = max(forms, _total_form_gap(sc, dc))
+    checks.append(VerificationCheck("total cross-section forms", 1e-12, forms))
 
     # spectral normalization for the configured drives
     norm_res = 0.0
@@ -582,8 +598,7 @@ def run_verification(table: PhaseShiftTable | None = None,
                 else:
                     integral = (p[l - 1] - p[l + 1]) / (2 * l + 1)
                 exact = pref * math.sqrt((2 * l + 1) / (4.0 * math.pi)) * integral
-                if l <= 12:
-                    ov_res = max(ov_res, abs(ov[l] - exact) / max(abs(exact), 1e-30))
+                ov_res = max(ov_res, abs(ov[l] - exact) / max(abs(exact), 1e-30))
         checks.append(VerificationCheck("beam overlap quadrature", 1e-12, ov_res))
 
     return checks

@@ -7,9 +7,9 @@ section.  For strong drive and weak direct scattering the familiar
 Mollow triplet appears; direct scattering distorts it and makes the
 spectrum asymmetric in x.
 
-Resolvent entries are evaluated from the closed adjugate expressions
-for rows 1 and 3 (row 2 never enters a spectrum); the generic inverse
-and the cofactor row 2 exist only for verification.
+Both the angle-integrated and the angle-resolved spectrum evaluate the
+resolvent from the closed adjugate rows 1 and 3 (row 2 never enters a
+spectrum); the generic inverse and cofactor row 2 are for verification.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
                     ScatteringScalars, delta_g, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
 from .xsection import sigma_el
-from .bloch import build_drift
 
 _DET_FLOOR = 1e-280
 
@@ -79,8 +78,9 @@ class SpectralDrift:
 @dataclass(frozen=True)
 class AngularSpectralData:
     """Angle-resolved spectral ingredients at one polar angle: the
-    elastic amplitude a(theta), the bilinear vectors c(theta), d(theta)
-    and the mixing amplitude m(theta)."""
+    elastic amplitude a(theta), the mixing amplitude m(theta) and the
+    bilinear vectors c(theta) = (dg, 0, e^{2i delta_0^-}/sqrt(4 pi)) and
+    d(theta), both in the frame of Gtilde (see :func:`spectral_diff`)."""
 
     a_theta: complex
     c_theta: np.ndarray
@@ -217,6 +217,11 @@ def elastic_line(sc: ScatteringScalars, dc: DriveConfig) -> tuple[float, float]:
     return sigma_el(sc, dc), 0.0
 
 
+def elastic_lorentzian(weight, gammatilde: float, x):
+    """Lorentzian line of integral ``weight`` and full width gammatilde at x."""
+    return weight * (gammatilde / (2.0 * math.pi)) / (x ** 2 + (gammatilde / 2.0) ** 2)
+
+
 def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
     """Total spectral density: elastic Lorentzian of width gammatilde
     plus the inelastic density.  Refuses gammatilde = 0, where the
@@ -226,8 +231,7 @@ def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
         raise ValueError("sigma_tot_x needs gammatilde > 0; "
                          "at zero width use elastic_line for the delta part")
     weight, _ = elastic_line(sc, dc)
-    lorentz = weight * (gt / (2.0 * math.pi)) / (np.asarray(x, dtype=float) ** 2
-                                                 + (gt / 2.0) ** 2)
+    lorentz = elastic_lorentzian(weight, gt, np.asarray(x, dtype=float))
     out = lorentz + sigma_inel_x(sc, dc, x)
     return float(out) if (np.isscalar(x) or np.ndim(x) == 0) else out
 
@@ -289,14 +293,13 @@ def angular_spectral_data(table: PhaseShiftTable, dc: DriveConfig,
     dg = delta_g(table, theta)
     e2 = np.exp(2j * sc.delta0_minus)
     a = gm + dg * eta ** 2 * k2 / den - e2 * complex(k2, y) / (SQRT_4PI * den)
-    c = np.array([eta * dg, 0.0, -e2 / SQRT_4PI], dtype=complex)
+    c = np.array([dg, 0.0, e2 / SQRT_4PI], dtype=complex)
     m = dg * (1.0 - eta ** 2 * k2 / den) + e2 * complex(k2, y) / (SQRT_4PI * den)
-    d3 = -(eta ** 2 / den ** 2) * (
-        e2 / SQRT_4PI * (rs.norm2_dg * (y ** 2 + k2 ** 2)
-                         + k2 * y * math.sin(2.0 * sc.s)
-                         + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2)
-        + dg * k2 * complex(k2, -y))
-    d = np.array([eta * k2 * m / den, m * complex(k2, y) / den, d3], dtype=complex)
+    d3 = (e2 / SQRT_4PI * (rs.norm2_dg * (y ** 2 + k2 ** 2)
+                           + k2 * y * math.sin(2.0 * sc.s)
+                           + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2)
+          + dg * k2 * complex(k2, -y)) / den ** 2
+    d = np.array([k2 * m / den, m * complex(k2, y) / den, d3], dtype=complex)
     return AngularSpectralData(a_theta=complex(a), c_theta=c, d_theta=d,
                                m_theta=complex(m))
 
@@ -306,21 +309,22 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     """Angle-resolved spectral densities (elastic, inelastic) at (theta, x).
 
     Elastic density: |a(theta)|^2 times the unit Lorentzian of width
-    gammatilde.  Inelastic density:
-    (2/pi) Re[c(theta)^dag (G' + gammatilde + 2ix)^{-1} d(theta)], whose
-    integral over solid angle reproduces the angle-integrated spectrum.
+    gammatilde.  Inelastic density, from the same adjugate rows as
+    :func:`sigma_inel_x`: (2/pi) eta^2 Re[c(theta)^dag (Gtilde + 2ix)^{-1}
+    d(theta)], whose integral over solid angle reproduces the
+    angle-integrated spectrum.
     """
     if dc.gammatilde <= 0:
         raise ValueError("spectral_diff needs gammatilde > 0 for the elastic density")
     sc = scalars_from_phase_shifts(table)
     rs = reduced_scalars(sc, dc)
     ang = angular_spectral_data(table, dc, theta)
-    gt = dc.gammatilde
-    el = abs(ang.a_theta) ** 2 * (gt / (2.0 * math.pi)) / (x ** 2 + (gt / 2.0) ** 2)
-    gp = build_drift(rs, dc.eta, sc.s).matrix
-    shifted = gp + (gt + 2j * x) * np.eye(3)
-    sol = np.linalg.solve(shifted, ang.d_theta)
-    inel = (2.0 / math.pi) * float((np.conj(ang.c_theta) @ sol).real)
+    el = elastic_lorentzian(abs(ang.a_theta) ** 2, dc.gammatilde, x)
+    sd = build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
+    det, row1, row3 = _det_and_rows(sd, x)
+    c, d = ang.c_theta, ang.d_theta
+    bilinear = (np.conj(c[0]) * (row1 @ d) + np.conj(c[2]) * (row3 @ d)) / det
+    inel = (2.0 / math.pi) * dc.eta ** 2 * float(bilinear.real)
     return el, inel
 
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qsatom
 import qsatom.spectrum
 from qsatom import mollow_xsections
 from qsatom.cli import (ConfigError, format_csv, main, parse_config,
@@ -104,6 +108,30 @@ def test_output_byte_stable_and_thread_independent(tmp_path):
     b1 = open(out1, "rb").read()
     assert b1 == open(out2, "rb").read()
     assert b1 == open(out4, "rb").read()
+
+
+def test_xsection_at_fano_zero_exits_0_with_and_without_optimisation(tmp_path):
+    # z = cot(delta0_minus) ~ 7.66 is the Fano zero: the compact total
+    # vanishes there while the expanded form cancels, so the two forms may
+    # differ by far more than 1e-12 relative.  The sweep must still run,
+    # identically under -O, and keep its sum rule.
+    doc = {"mode": "scalars", "scalars": dict(MOLLOW_BLOCK, delta0_minus=0.13),
+           "eta2": [0, 1e-6, 0.01], "ztilde": [3.8, 3.83, 3.85]}
+    cfg = _write(tmp_path, "fano_zero.json", doc)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsatom.__file__)))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "qsatom.cli", "xsection",
+                               "--config", cfg], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    rows = [[float(v) for v in line.split(",")]
+            for line in outs[0].decode().splitlines()[1:]]
+    assert len(rows) == 9
+    for _, _, tot, el, inel in rows:
+        assert abs(el + inel - tot) <= 1e-12 * abs(tot)
 
 
 def test_spectrum_json_round_trip(tmp_path, capsys):

@@ -44,6 +44,14 @@ def test_legendre_recurrence_matches_explicit_polynomials():
             assert p[l] == pytest.approx(_legendre_explicit(l, x), abs=1e-14)
 
 
+def test_legendre_table_vectorised_over_x():
+    xs = np.array([[-1.0, -0.37], [0.61, 1.0]])
+    p = legendre_table(9, xs)
+    assert p.shape == (10, 2, 2)
+    for idx in np.ndindex(xs.shape):
+        assert np.array_equal(p[(slice(None),) + idx], legendre_table(9, float(xs[idx])))
+
+
 def test_scalars_identity_matrices():
     sc = scalars_from_phase_shifts(PhaseShiftTable([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
     assert sc.s == 0.0

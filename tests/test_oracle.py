@@ -5,11 +5,12 @@ import pytest
 
 from helpers import random_drive, random_scalars
 from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
-                    beam_overlaps, build_drift, build_finite_beam, equilibrium,
-                    evolve, finite_beam_balance, finite_beam_equilibrium,
-                    ode_evolve, quad_sum_rules, reduced_scalars,
-                    run_verification, scalars_from_phase_shifts, sigma_inel,
-                    sigma_inel_x, sigma_tot, spectrum_time_domain)
+                    ScatteringScalars, beam_overlaps, build_drift,
+                    build_finite_beam, equilibrium, evolve, finite_beam_balance,
+                    finite_beam_equilibrium, ode_evolve, quad_sum_rules,
+                    reduced_scalars, run_verification, scalars_from_phase_shifts,
+                    sigma_inel, sigma_inel_x, sigma_tot, spectrum_time_domain)
+from qsatom import oracle
 from qsatom.oracle import SumRuleReport, adaptive_simpson, integrate_line
 
 
@@ -205,9 +206,20 @@ def test_finite_beam_balance_rejects_mismatched_drive(dwave_table):
         finite_beam_balance(fb, dwave_table, DriveConfig(2.0, 0.0))
 
 
+def test_total_form_gap_small_at_fano_zero_and_sees_a_wrong_total(monkeypatch):
+    sc = ScatteringScalars(0.0, 0.13, 0.0, 0.0, 0.0, 0.0)
+    zero = DriveConfig(0.0, 0.5 / math.tan(0.13))
+    assert sigma_tot(sc, zero) < 1e-20
+    assert oracle._total_form_gap(sc, zero) <= 1e-12
+    true_tot = oracle.sigma_tot
+    monkeypatch.setattr(oracle, "sigma_tot", lambda sc, dc: true_tot(sc, dc) + 1e-9)
+    assert oracle._total_form_gap(sc, zero) > 1e-12
+
+
 def test_run_verification_all_pass():
     checks = run_verification()
     names = [c.name for c in checks]
     assert "finite-beam photon balance" in names
+    assert names.index("total cross-section forms") == names.index("cross-section sum rule") + 1
     assert all(c.passed for c in checks), \
         [f"{c.name}: {c.residual:.2e} > {c.tolerance:.2e}" for c in checks if not c.passed]

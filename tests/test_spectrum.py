@@ -278,6 +278,32 @@ def test_angular_elastic_weight_isotropic_for_pure_swave():
     assert max(vals) - min(vals) < 1e-15
 
 
+# (theta, eta^2, ztilde, gammatilde, x, elastic, inelastic) as computed by
+# np.linalg.solve on (G' + gammatilde + 2ix) before spectral_diff moved to
+# the closed adjugate rows of (Gtilde + 2ix)
+SPECTRAL_DIFF_GOLDEN = (
+    (0.3, 0.0, 0.7, 0.6, -6.0, 9.535352058105e-06, 0.0),
+    (0.3, 0.0, 0.7, 0.6, 0.8, 0.0004714121312013828, 0.0),
+    (1.6, 0.0, 0.7, 0.6, -6.0, 1.0795880751964844e-05, 0.0),
+    (1.6, 0.0, 0.7, 0.6, 0.8, 0.0005337305977238509, 0.0),
+    (2.9, 0.0, 0.7, 0.6, -6.0, 4.6627264410188994e-05, 0.0),
+    (2.9, 0.0, 0.7, 0.6, 0.8, 0.002305175304881809, 0.0),
+    (0.3, 18.0, -1.5, 0.4, -6.0, 3.461555931091465e-05, 0.000503747454367951),
+    (0.3, 18.0, -1.5, 0.4, 0.8, 0.001834624643478476, 0.007396923995112811),
+    (1.6, 18.0, -1.5, 0.4, -6.0, 8.421320893098939e-06, 0.00010034003918269132),
+    (1.6, 18.0, -1.5, 0.4, 0.8, 0.00044633000733424366, 0.0014527841318496464),
+    (2.9, 18.0, -1.5, 0.4, -6.0, 1.5869372368514634e-05, 0.00025713439163827347),
+    (2.9, 18.0, -1.5, 0.4, 0.8, 0.0008410767355312755, 0.0036676364422043063),
+)
+
+
+@pytest.mark.parametrize("theta, eta2, zt, gt, x, el_ref, inel_ref", SPECTRAL_DIFF_GOLDEN)
+def test_spectral_diff_matches_recorded_values(theta, eta2, zt, gt, x, el_ref, inel_ref):
+    el, inel = spectral_diff(MIXED_TABLE, DriveConfig(math.sqrt(eta2), zt, gt), theta, x)
+    assert abs(el - el_ref) <= 1e-12 * el_ref
+    assert abs(inel - inel_ref) <= 1e-12 * inel_ref
+
+
 def test_spectral_diff_requires_width():
     with pytest.raises(ValueError):
         spectral_diff(MIXED_TABLE, DriveConfig(1.0, 0.0, 0.0), 1.0, 0.5)

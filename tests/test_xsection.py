@@ -118,6 +118,12 @@ def test_sigma_el_against_independent_transcription(fano_scalars):
             _sigma_el_transcribed(fano_scalars, dc), rel=1e-12)
 
 
+def test_cross_sections_are_python_floats(fano_scalars):
+    dc = DriveConfig(math.sqrt(18.0), 0.7)
+    for f in (sigma_tot, sigma_el, sigma_inel):
+        assert type(f(fano_scalars, dc)) is float
+
+
 def test_mirror_invariance_of_all_three():
     rng = np.random.default_rng(55)
     for _ in range(50):
