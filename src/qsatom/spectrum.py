@@ -285,8 +285,14 @@ def angular_spectral_data(table: PhaseShiftTable, dc: DriveConfig,
                           theta: float) -> AngularSpectralData:
     """Angle-resolved spectral ingredients at polar angle theta."""
     sc = scalars_from_phase_shifts(table)
-    rs = reduced_scalars(sc, dc)
-    eta = dc.eta
+    return _angular_data(table, sc, reduced_scalars(sc, dc), dc.eta, theta)
+
+
+def _angular_data(table: PhaseShiftTable, sc: ScatteringScalars,
+                  rs: ReducedScalars, eta: float,
+                  theta: float) -> AngularSpectralData:
+    """:func:`angular_spectral_data` from scalars the caller has already
+    reduced."""
     k2, y = rs.kappa2, rs.y
     den = rs.z ** 2 + rs.zeta2
     _, gm = g_pm(table, theta)
@@ -318,7 +324,7 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
         raise ValueError("spectral_diff needs gammatilde > 0 for the elastic density")
     sc = scalars_from_phase_shifts(table)
     rs = reduced_scalars(sc, dc)
-    ang = angular_spectral_data(table, dc, theta)
+    ang = _angular_data(table, sc, rs, dc.eta, theta)
     el = elastic_lorentzian(abs(ang.a_theta) ** 2, dc.gammatilde, x)
     sd = build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
     det, row1, row3 = _det_and_rows(sd, x)

@@ -26,9 +26,11 @@ def test_ode_evolve_reaches_equilibrium(fano_scalars):
     rs = reduced_scalars(fano_scalars, dc)
     g = build_drift(rs, dc.eta, fano_scalars.s)
     eq = equilibrium(rs, dc.eta)
-    out = ode_evolve(g, dc.eta, BlochVector(0.0, 0.0), 200.0)
-    assert out.u == pytest.approx(eq.u_inf, abs=1e-8)
-    assert out.v == pytest.approx(eq.v_inf, abs=1e-8)
+    # 1e5 is 1e8 RK4 steps, affordable only as a power of the step matrix
+    for tau in (200.0, 1e5):
+        out = ode_evolve(g, dc.eta, BlochVector(0.0, 0.0), tau)
+        assert out.u == pytest.approx(eq.u_inf, abs=1e-8)
+        assert out.v == pytest.approx(eq.v_inf, abs=1e-8)
 
 
 def test_ode_evolve_agrees_with_matrix_exponential():
@@ -46,6 +48,41 @@ def test_ode_evolve_agrees_with_matrix_exponential():
         b = ode_evolve(g, dc.eta, x0, tau)
         worst = max(worst, abs(a.u - b.u), abs(a.v - b.v))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_rk4_step_matrix_is_one_four_stage_step(dim):
+    rng = np.random.default_rng(dim)
+    for h in (1e-3, 0.05, 0.3):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        k1 = m @ y
+        k2 = m @ (y + 0.5 * h * k1)
+        k3 = m @ (y + 0.5 * h * k2)
+        k4 = m @ (y + h * k3)
+        stages = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = oracle._rk4_step(m, h) @ y
+        assert np.linalg.norm(got - stages) <= 1e-14 * np.linalg.norm(stages)
+
+
+@pytest.mark.parametrize("tau, step", [(math.inf, 1e-3), (-math.inf, 1e-3),
+                                       (math.nan, 1e-3), (1.0, 0.0),
+                                       (1.0, -1e-3), (1.0, math.nan)])
+def test_ode_evolve_rejects_non_finite_tau_and_bad_step(fano_scalars, tau, step):
+    rs = reduced_scalars(fano_scalars, DriveConfig(1.0, 0.0))
+    g = build_drift(rs, 1.0, fano_scalars.s)
+    with pytest.raises(ValueError, match="tau|step"):
+        ode_evolve(g, 1.0, BlochVector(0.0, 0.0), tau, step)
+
+
+@pytest.mark.parametrize("x, tau_max", [(math.nan, 500.0), (math.inf, 500.0),
+                                        (-math.inf, 500.0), (0.5, math.inf),
+                                        (0.5, math.nan)])
+def test_time_domain_rejects_non_finite_inputs(fano_scalars, x, tau_max):
+    for eta in (2.0, 0.0):
+        with pytest.raises(ValueError, match="finite"):
+            spectrum_time_domain(fano_scalars, DriveConfig(eta, 0.0, 0.6), x,
+                                 tau_max=tau_max)
 
 
 def test_adaptive_simpson_polynomial_and_gaussian():
@@ -82,6 +119,28 @@ def test_time_domain_matches_resolvent_reference_set(fano_scalars):
         a = spectrum_time_domain(fano_scalars, dc, float(x))
         b = sigma_inel_x(fano_scalars, dc, float(x))
         assert a == pytest.approx(b, rel=1e-6)
+
+
+# At the Fano zero the right vector d' cancels to rounding and the spectrum
+# is ~1e-21; both routes are linear in that same d', so the relative gap
+# still measures the propagation.
+HARD_CORNERS = {
+    "strong drive": (None, DriveConfig(10.0, 0.0, 0.6)),
+    "far detuning": (None, DriveConfig(2.0, 30.0, 0.6)),
+    "Fano zero": (ScatteringScalars(0.0, 0.13, 0.0, 0.0, 0.0, 0.0),
+                  DriveConfig(2.0, 0.5 / math.tan(0.13), 0.6)),
+    "narrow detector": (None, DriveConfig(2.0, 0.0, 1e-3)),
+}
+
+
+@pytest.mark.parametrize("x", [0.0, 1.3, -7.0, 25.0])
+@pytest.mark.parametrize("corner", list(HARD_CORNERS))
+def test_time_domain_matches_resolvent_hard_corners(fano_scalars, corner, x):
+    sc, dc = HARD_CORNERS[corner]
+    sc = fano_scalars if sc is None else sc
+    a = spectrum_time_domain(sc, dc, x)
+    b = sigma_inel_x(sc, dc, x)
+    assert a == pytest.approx(b, rel=1e-6)
 
 
 def test_time_domain_signals_stalled_decay(fano_scalars):
