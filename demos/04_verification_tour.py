@@ -44,7 +44,7 @@ def main():
     # equilibrium) holds at every beam width; the residual is numerics
     dc = DriveConfig(2.0, 0.5)
     rs = reduced_scalars(scalars_from_phase_shifts(TABLE), dc)
-    u_limit = equilibrium(rs, dc.eta).u_inf
+    u_limit = equilibrium(rs).u
     print("  half-angle   balance residual   excited population   (collimated limit "
           f"{u_limit:.8f})")
     for dtheta in (0.2, 0.1, 0.05, 0.01):

@@ -9,12 +9,12 @@ reduced units, with an independent numerical oracle for every formula.
 from .model import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable, ReducedScalars,
                     ScatteringScalars, delta_g, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
-from .bloch import (BlochVector, DriftMatrix, EquilibriumState, GROUND_STATE,
-                    build_drift, equilibrium, evolve, propagate_deviation)
+from .bloch import (BlochVector, DriftMatrix, GROUND_STATE, build_drift,
+                    equilibrium, evolve, propagate_deviation)
 from .xsection import (CrossSectionTriple, cross_sections, low_intensity_tot,
                        mollow_xsections, sigma_diff, sigma_el, sigma_inel,
                        sigma_tot)
-from .spectrum import (AngularSpectralData, SpectralCoefficients, SpectralDrift,
+from .spectrum import (AngularSpectralData, SpectralCoefficients,
                        build_spectral_drift, elastic_line, local_maxima,
                        low_intensity_x, mollow_inel_x, resolvent, sigma_inel_x,
                        sigma_tot_x, spectral_coefficients, spectral_diff)
@@ -27,11 +27,11 @@ __all__ = [
     "DriveConfig", "MOLLOW_SCALARS", "PhaseShiftTable", "ReducedScalars",
     "ScatteringScalars", "delta_g", "g_pm", "reduced_scalars",
     "scalars_from_phase_shifts",
-    "BlochVector", "DriftMatrix", "EquilibriumState", "GROUND_STATE",
+    "BlochVector", "DriftMatrix", "GROUND_STATE",
     "build_drift", "equilibrium", "evolve", "propagate_deviation",
     "CrossSectionTriple", "cross_sections", "low_intensity_tot",
     "mollow_xsections", "sigma_diff", "sigma_el", "sigma_inel", "sigma_tot",
-    "AngularSpectralData", "SpectralCoefficients", "SpectralDrift",
+    "AngularSpectralData", "SpectralCoefficients",
     "build_spectral_drift", "elastic_line", "local_maxima", "low_intensity_x",
     "mollow_inel_x", "resolvent", "sigma_inel_x", "sigma_tot_x",
     "spectral_coefficients", "spectral_diff",

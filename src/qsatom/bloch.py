@@ -9,6 +9,10 @@ In reduced time tau (natural-line-width units) the state obeys
 with the 3x3 complex drift matrix G' built here.  The stated factor of
 one half is kept inside :func:`evolve` so the stored matrix is directly
 comparable entry by entry with the closed forms used elsewhere.
+
+:func:`build_drift` and :func:`equilibrium` take the reduced scalars
+alone, which carry the eta and s they were dressed with; the stationary
+state is a plain :class:`BlochVector`.
 """
 
 from __future__ import annotations
@@ -76,27 +80,11 @@ class DriftMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class EquilibriumState:
-    """Stationary state (u_inf, v_inf) of the driven atom."""
-
-    u_inf: float
-    v_inf: complex
-
-    def __post_init__(self):
-        BlochVector(self.u_inf, self.v_inf)  # reuse the state validation
-
-    def as_bloch(self) -> BlochVector:
-        return BlochVector(self.u_inf, self.v_inf)
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.u_inf, self.v_inf, np.conj(self.v_inf)], dtype=complex)
-
-
-def build_drift(rs: ReducedScalars, eta: float, s: float) -> DriftMatrix:
-    """Assemble G' from the reduced scalars and the s-wave shift difference."""
-    eis = np.exp(1j * s)
-    cs = math.cos(s)
+def build_drift(rs: ReducedScalars) -> DriftMatrix:
+    """Assemble G' from the reduced scalars and the drive they carry."""
+    eta = rs.eta
+    eis = np.exp(1j * rs.s)
+    cs = math.cos(rs.s)
     m = np.array([
         [2.0, -eta, -eta],
         [2.0 * eta * eis * cs, rs.bprime, 0.0],
@@ -105,18 +93,15 @@ def build_drift(rs: ReducedScalars, eta: float, s: float) -> DriftMatrix:
     return DriftMatrix(m)
 
 
-def equilibrium(rs: ReducedScalars, eta: float) -> EquilibriumState:
+def equilibrium(rs: ReducedScalars) -> BlochVector:
     """Closed-form stationary state.
 
     u_inf = eta^2 kappa^2 / (z^2 + zeta^2),
     v_inf = eta (kappa^2 + i y) / (z^2 + zeta^2);
     the denominator never vanishes since zeta^2 >= 1.
     """
-    den = rs.z ** 2 + rs.zeta2
-    return EquilibriumState(
-        u_inf=eta ** 2 * rs.kappa2 / den,
-        v_inf=eta * complex(rs.kappa2, rs.y) / den,
-    )
+    return BlochVector(rs.eta ** 2 * rs.kappa2 / rs.den,
+                       rs.eta * complex(rs.kappa2, rs.y) / rs.den)
 
 
 def char_poly(drift: DriftMatrix) -> np.ndarray:

@@ -56,7 +56,7 @@ class RunConfig:
 def _finite_list(raw, key) -> list[float]:
     if raw is None:
         return []
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or any(isinstance(v, bool) for v in raw):
         raise ConfigError(f"'{key}' must be a list of numbers")
     try:
         vals = [float(v) for v in raw]
@@ -106,16 +106,22 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("'gammatilde' must be a number") from exc
     if not math.isfinite(gammatilde) or gammatilde < 0:
         raise ConfigError("'gammatilde' must be finite and nonnegative")
+    eta2 = _finite_list(doc.get("eta2"), "eta2")
+    if any(v < 0 for v in eta2):
+        raise ConfigError("'eta2' is an intensity and must be nonnegative")
+    mollow_reference = doc.get("mollow_reference", False)
+    if not isinstance(mollow_reference, bool):
+        raise ConfigError("'mollow_reference' must be true or false")
 
     return RunConfig(
         mode=mode,
         scalars=scalars,
         table=table,
-        eta2=_finite_list(doc.get("eta2"), "eta2"),
+        eta2=eta2,
         ztilde=_finite_list(doc.get("ztilde"), "ztilde"),
         x_grid=_finite_list(doc.get("x_grid"), "x_grid"),
         gammatilde=gammatilde,
-        mollow_reference=bool(doc.get("mollow_reference", False)),
+        mollow_reference=mollow_reference,
     )
 
 
@@ -176,6 +182,8 @@ def run_spectrum_sweep(cfg: RunConfig):
             m_inel = spectrum.mollow_inel_x(zt, eta, gt, xs)
             m_el = xsection.mollow_xsections(zt, eta).elastic
             cols.append(m_inel + spectrum.elastic_lorentzian(m_el, gt, xs))
+        if not np.isfinite(cols).all():
+            raise ArithmeticError(f"non-finite spectrum at (eta2, ztilde) = ({e2}, {zt})")
         rows.extend((e2, zt) + r for r in zip(*(c.tolist() for c in cols)))
     return columns, rows
 

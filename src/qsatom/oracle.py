@@ -95,9 +95,8 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
     if dc.eta == 0.0:
         return 0.0
     rs = reduced_scalars(sc, dc)
-    sd = build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
-    co = spectral_coefficients(rs, dc.eta, sc.s)
-    a = sd.matrix + 2j * x * np.eye(3)
+    co = spectral_coefficients(rs)
+    a = build_spectral_drift(rs) + 2j * x * np.eye(3)
     lam = float(np.linalg.norm(a, 2))
     h = min(1e-3, (3e-7 / lam ** 5) ** 0.25)
     # one augmented block per bilinear: d(q, I)/dtau = (-A q, c^dag q)
@@ -105,7 +104,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
     big[0:3, 0:3] = -a
     big[4:7, 4:7] = -a
     big[3, 0:3] = np.conj(co.cprime)
-    big[7, 4:7] = np.conj(co.cdoubleprime)
+    big[7, 4] = 1.0  # the left vector of the second bilinear is (1, 0, 0)
     y = np.zeros(8, dtype=complex)
     y[0:3] = co.dprime
     y[4:7] = co.ddoubleprime
@@ -121,8 +120,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
         raise RuntimeError("time-domain kernel did not decay below the "
                            f"threshold within tau = {tau_max}")
     bilinear = y[3] + sc.norm2_pdg * y[7]
-    return float(dc.eta ** 2 / (math.pi * (rs.z ** 2 + rs.zeta2) ** 2)
-                 * 2.0 * bilinear.real)
+    return float(dc.eta ** 2 / (math.pi * rs.den ** 2) * 2.0 * bilinear.real)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +456,7 @@ def _total_form_gap(sc: ScatteringScalars, dc: DriveConfig) -> float:
     """|compact - expanded| total cross section over the largest term of
     the expanded form (norm of g- plus the s-wave interference terms)."""
     rs = reduced_scalars(sc, dc)
-    den = rs.z ** 2 + rs.zeta2
+    den = rs.den
     terms = (sc.norm2_g_minus,
              rs.kappa2 * (1.0 + dc.eta ** 2 * (sc.norm2_g_plus - sc.norm2_g_minus)) / den,
              -rs.y * math.sin(2.0 * sc.delta0_minus) / den,
@@ -483,10 +481,10 @@ def run_verification(table: PhaseShiftTable | None = None,
         sc = _random_scalars(rng)
         dc = _random_drive(rng)
         rs = reduced_scalars(sc, dc)
-        g = build_drift(rs, dc.eta, sc.s)
-        target = 2.0 * (rs.z ** 2 + rs.zeta2)
+        g = build_drift(rs)
+        target = 2.0 * rs.den
         det_res = max(det_res, abs(np.linalg.det(g.matrix) - target) / abs(target))
-        eq = equilibrium(rs, dc.eta)
+        eq = equilibrium(rs)
         resid = g.matrix @ eq.vector() - np.array([0.0, dc.eta, dc.eta])
         eq_res = max(eq_res, float(np.max(np.abs(resid))) / max(1.0, dc.eta))
     checks.append(VerificationCheck("drift determinant identity", 1e-12, det_res))
@@ -499,7 +497,7 @@ def run_verification(table: PhaseShiftTable | None = None,
         sc = _random_scalars(rng)
         dc = _random_drive(rng)
         rs = reduced_scalars(sc, dc)
-        g = build_drift(rs, dc.eta, sc.s)
+        g = build_drift(rs)
         u0 = rng.uniform(0.0, 1.0)
         vmax = math.sqrt(max(u0 - u0 ** 2, 0.0))
         v0 = vmax * rng.uniform(0.0, 1.0) * np.exp(2j * math.pi * rng.uniform())
@@ -516,10 +514,9 @@ def run_verification(table: PhaseShiftTable | None = None,
         sc = _random_scalars(rng)
         dc = _random_drive(rng)
         rs = reduced_scalars(sc, dc)
-        sd = build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
         x = rng.uniform(-20.0, 20.0)
-        adj = resolvent(sd, x)
-        gen = np.linalg.inv(sd.matrix + 2j * x * np.eye(3))
+        adj = resolvent(rs, x)
+        gen = np.linalg.inv(build_spectral_drift(rs) + 2j * x * np.eye(3))
         ro = max(ro, float(np.max(np.abs(adj - gen))))
     checks.append(VerificationCheck("adjugate resolvent vs generic inverse", 1e-12, ro))
 

@@ -10,6 +10,10 @@ spectrum asymmetric in x.
 Both the angle-integrated and the angle-resolved spectrum evaluate the
 resolvent from the closed adjugate rows 1 and 3 (row 2 never enters a
 spectrum); the generic inverse and cofactor row 2 are for verification.
+
+Every builder takes one :class:`~qsatom.model.ReducedScalars`, which
+carries the eta, s and gammatilde it was dressed with; the spectra read
+those scalars, and Gtilde is built only for verification.
 """
 
 from __future__ import annotations
@@ -31,83 +35,60 @@ _DET_FLOOR = 1e-280
 class SpectralCoefficients:
     """Left/right vectors of the two resolvent bilinears.
 
-    ``cdoubleprime`` is structurally (1, 0, 0); the other three encode
-    the dressed scalars.
+    The left vector of the second bilinear is structurally (1, 0, 0), so
+    only c' is stored; d' and d'' encode the dressed scalars.
     """
 
     cprime: np.ndarray
-    cdoubleprime: np.ndarray
     dprime: np.ndarray
     ddoubleprime: np.ndarray
 
     def __post_init__(self):
-        for name in ("cprime", "cdoubleprime", "dprime", "ddoubleprime"):
+        for name in ("cprime", "dprime", "ddoubleprime"):
             v = np.asarray(getattr(self, name), dtype=complex)
             if v.shape != (3,):
                 raise ValueError(f"{name} must be a complex 3-vector")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        if not np.array_equal(self.cdoubleprime, np.array([1.0, 0.0, 0.0])):
-            raise ValueError("cdoubleprime must be (1, 0, 0)")
-
-
-@dataclass(frozen=True)
-class SpectralDrift:
-    """Shifted drift matrix Gtilde whose resolvent generates the spectrum.
-
-    Similar to G' + gammatilde via diag(eta, 1, -eta^2), so its
-    eigenvalues are those of G' shifted by gammatilde.  The scalars the
-    closed adjugate expressions need are kept alongside the matrix.
-    """
-
-    matrix: np.ndarray
-    kappa2: float
-    w: float
-    s: float
-    eta: float
-    gammatilde: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-            raise ValueError("spectral drift matrix must be a finite 3x3")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
 class AngularSpectralData:
     """Angle-resolved spectral ingredients at one polar angle: the
-    elastic amplitude a(theta), the mixing amplitude m(theta) and the
-    bilinear vectors c(theta) = (dg, 0, e^{2i delta_0^-}/sqrt(4 pi)) and
-    d(theta), both in the frame of Gtilde (see :func:`spectral_diff`)."""
+    elastic amplitude a(theta) and the bilinear vectors
+    c(theta) = (dg, 0, e^{2i delta_0^-}/sqrt(4 pi)) and d(theta), both in
+    the frame of Gtilde (see :func:`spectral_diff`)."""
 
     a_theta: complex
     c_theta: np.ndarray
     d_theta: np.ndarray
-    m_theta: complex
 
 
-def build_spectral_drift(rs: ReducedScalars, eta: float, s: float,
-                         gammatilde: float) -> SpectralDrift:
-    """Assemble Gtilde from the reduced scalars."""
-    eis = np.exp(1j * s)
-    cs = math.cos(s)
+def build_spectral_drift(rs: ReducedScalars) -> np.ndarray:
+    """Read-only shifted drift matrix Gtilde, whose resolvent generates
+    the spectrum.  Similar to G' + gammatilde via diag(eta, 1, -eta^2),
+    so its eigenvalues are those of G' shifted by gammatilde.
+    """
+    eta, gammatilde = rs.eta, rs.gammatilde
+    eis = np.exp(1j * rs.s)
+    cs = math.cos(rs.s)
     b = rs.bprime
     m = np.array([
         [2.0 + gammatilde, -1.0, eta ** 2],
         [2.0 * eta ** 2 * eis * cs, b + gammatilde, 0.0],
         [-2.0 * np.conj(eis) * cs, 0.0, np.conj(b) + gammatilde],
     ], dtype=complex)
-    return SpectralDrift(m, rs.kappa2, rs.w, s, eta, gammatilde)
+    m.setflags(write=False)
+    return m
 
 
-def spectral_coefficients(rs: ReducedScalars, eta: float, s: float) -> SpectralCoefficients:
+def spectral_coefficients(rs: ReducedScalars) -> SpectralCoefficients:
     """Bilinear vectors of the inelastic spectrum."""
+    eta, s = rs.eta, rs.s
     eis = np.exp(1j * s)
     sins = math.sin(s)
     k2, y = rs.kappa2, rs.y
-    den = rs.z ** 2 + rs.zeta2
+    den = rs.den
     mprime = k2 + 1j * y + 1j * (den - eta ** 2 * k2) * eis * sins
     dprime = np.array([
         k2 * mprime,
@@ -123,20 +104,19 @@ def spectral_coefficients(rs: ReducedScalars, eta: float, s: float) -> SpectralC
     ], dtype=complex)
     return SpectralCoefficients(
         cprime=np.array([1j * eis * sins, 0.0, 1.0], dtype=complex),
-        cdoubleprime=np.array([1.0, 0.0, 0.0], dtype=complex),
         dprime=dprime,
         ddoubleprime=ddoubleprime,
     )
 
 
-def _det_and_rows(sd: SpectralDrift, x):
+def _det_and_rows(rs: ReducedScalars, x):
     """Determinant and adjugate rows 1 and 3 of (Gtilde + 2ix).
 
     Closed expressions in the scalars; vectorized over x.
     """
     x = np.asarray(x, dtype=float)
-    k2, w, s, gt = sd.kappa2, sd.w, sd.s, sd.gammatilde
-    eta2 = sd.eta ** 2
+    k2, w, s, gt = rs.kappa2, rs.w, rs.s, rs.gammatilde
+    eta2 = rs.eta ** 2
     cs, sins = math.cos(s), math.sin(s)
     khat = k2 + gt + 2j * x
     det = (2.0 + gt + 2j * x) * (khat ** 2 + w ** 2) \
@@ -153,13 +133,13 @@ def _det_and_rows(sd: SpectralDrift, x):
     return det, row1, row3
 
 
-def _row2_cofactors(sd: SpectralDrift, x: float) -> np.ndarray:
+def _row2_cofactors(rs: ReducedScalars, x: float) -> np.ndarray:
     """Adjugate row 2 of (Gtilde + 2ix) by cofactor expansion.
 
     Kept out of the production spectrum path; only the full-inverse
     verification needs it.
     """
-    a = sd.matrix + 2j * x * np.eye(3)
+    a = build_spectral_drift(rs) + 2j * x * np.eye(3)
 
     def minor(i, j):
         rows = [r for r in range(3) if r != i]
@@ -170,7 +150,7 @@ def _row2_cofactors(sd: SpectralDrift, x: float) -> np.ndarray:
     return np.array([-minor(0, 1), minor(1, 1), -minor(2, 1)], dtype=complex)
 
 
-def resolvent(sd: SpectralDrift, x: float) -> np.ndarray:
+def resolvent(rs: ReducedScalars, x: float) -> np.ndarray:
     """Full 3x3 inverse of (Gtilde + 2ix).
 
     Rows 1 and 3 come from the closed adjugate expressions, row 2 from
@@ -178,10 +158,10 @@ def resolvent(sd: SpectralDrift, x: float) -> np.ndarray:
     which is only possible at gammatilde = 0 on the boundary of the
     spectrum.
     """
-    det, row1, row3 = _det_and_rows(sd, float(x))
+    det, row1, row3 = _det_and_rows(rs, float(x))
     if abs(det) < _DET_FLOOR:
         raise ArithmeticError(f"resolvent singular at x = {x}")
-    row2 = _row2_cofactors(sd, float(x))
+    row2 = _row2_cofactors(rs, float(x))
     return np.stack([row1, row2, row3]) / det
 
 
@@ -195,10 +175,9 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
     over the whole line equals the inelastic cross section.
     """
     rs = reduced_scalars(sc, dc)
-    sd = build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
-    co = spectral_coefficients(rs, dc.eta, sc.s)
+    co = spectral_coefficients(rs)
     scalar_in = np.isscalar(x) or np.ndim(x) == 0
-    det, row1, row3 = _det_and_rows(sd, x)
+    det, row1, row3 = _det_and_rows(rs, x)
     if np.any(np.abs(det) < _DET_FLOOR):
         raise ArithmeticError("resolvent singular inside the requested grid")
     r1d1 = np.tensordot(co.dprime, row1, axes=(0, 0))
@@ -206,7 +185,7 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
     r1d2 = np.tensordot(co.ddoubleprime, row1, axes=(0, 0))
     bilinear = (np.conj(co.cprime[0]) * r1d1 + np.conj(co.cprime[2]) * r3d1
                 + sc.norm2_pdg * r1d2) / det
-    out = dc.eta ** 2 / (math.pi * (rs.z ** 2 + rs.zeta2) ** 2) * 2.0 * bilinear.real
+    out = dc.eta ** 2 / (math.pi * rs.den ** 2) * 2.0 * bilinear.real
     return float(out) if scalar_in else out
 
 
@@ -281,33 +260,24 @@ def low_intensity_x(sc: ScatteringScalars, ztilde: float, gammatilde: float,
     return float(out) if np.ndim(x) == 0 else out
 
 
-def angular_spectral_data(table: PhaseShiftTable, dc: DriveConfig,
-                          theta: float) -> AngularSpectralData:
-    """Angle-resolved spectral ingredients at polar angle theta."""
-    sc = scalars_from_phase_shifts(table)
-    return _angular_data(table, sc, reduced_scalars(sc, dc), dc.eta, theta)
-
-
 def _angular_data(table: PhaseShiftTable, sc: ScatteringScalars,
-                  rs: ReducedScalars, eta: float,
-                  theta: float) -> AngularSpectralData:
-    """:func:`angular_spectral_data` from scalars the caller has already
-    reduced."""
+                  rs: ReducedScalars, theta: float) -> AngularSpectralData:
+    """Angle-resolved spectral ingredients at polar angle theta, from
+    scalars the caller has already reduced."""
     k2, y = rs.kappa2, rs.y
-    den = rs.z ** 2 + rs.zeta2
+    den = rs.den
     _, gm = g_pm(table, theta)
     dg = delta_g(table, theta)
     e2 = np.exp(2j * sc.delta0_minus)
-    a = gm + dg * eta ** 2 * k2 / den - e2 * complex(k2, y) / (SQRT_4PI * den)
+    a = gm + dg * rs.eta ** 2 * k2 / den - e2 * complex(k2, y) / (SQRT_4PI * den)
     c = np.array([dg, 0.0, e2 / SQRT_4PI], dtype=complex)
-    m = dg * (1.0 - eta ** 2 * k2 / den) + e2 * complex(k2, y) / (SQRT_4PI * den)
+    m = dg * (1.0 - rs.eta ** 2 * k2 / den) + e2 * complex(k2, y) / (SQRT_4PI * den)
     d3 = (e2 / SQRT_4PI * (rs.norm2_dg * (y ** 2 + k2 ** 2)
                            + k2 * y * math.sin(2.0 * sc.s)
                            + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2)
           + dg * k2 * complex(k2, -y)) / den ** 2
     d = np.array([k2 * m / den, m * complex(k2, y) / den, d3], dtype=complex)
-    return AngularSpectralData(a_theta=complex(a), c_theta=c, d_theta=d,
-                               m_theta=complex(m))
+    return AngularSpectralData(a_theta=complex(a), c_theta=c, d_theta=d)
 
 
 def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
@@ -324,10 +294,9 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
         raise ValueError("spectral_diff needs gammatilde > 0 for the elastic density")
     sc = scalars_from_phase_shifts(table)
     rs = reduced_scalars(sc, dc)
-    ang = _angular_data(table, sc, rs, dc.eta, theta)
+    ang = _angular_data(table, sc, rs, theta)
     el = elastic_lorentzian(abs(ang.a_theta) ** 2, dc.gammatilde, x)
-    sd = build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
-    det, row1, row3 = _det_and_rows(sd, x)
+    det, row1, row3 = _det_and_rows(rs, x)
     c, d = ang.c_theta, ang.d_theta
     bilinear = (np.conj(c[0]) * (row1 @ d) + np.conj(c[2]) * (row3 @ d)) / det
     inel = (2.0 / math.pi) * dc.eta ** 2 * float(bilinear.real)

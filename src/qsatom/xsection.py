@@ -37,9 +37,9 @@ class CrossSectionTriple:
             raise ValueError(f"elastic + inelastic != total (gap {gap:.3e})")
 
 
-def _fano_coefficients(sc: ScatteringScalars, rs: ReducedScalars, eta: float):
+def _fano_coefficients(sc: ScatteringScalars, rs: ReducedScalars):
     """The two auxiliary combinations entering the compact total form."""
-    eta2 = eta ** 2
+    eta2 = rs.eta ** 2
     a = (math.sin(sc.delta0_plus) ** 2 + rs.kappa2 * sc.norm2_g_plus
          + sc.norm2_pdg * (1.0 + eta2 * (1.0 + sc.norm2_pdg)
                            * math.sin(sc.delta0_minus) ** 2))
@@ -60,11 +60,10 @@ def sigma_tot(sc: ScatteringScalars, dc: DriveConfig) -> float:
     which cancels there, is the "total cross-section forms" verify check.
     """
     rs = reduced_scalars(sc, dc)
-    eta = dc.eta
-    a, b = _fano_coefficients(sc, rs, eta)
-    den = rs.z ** 2 + rs.zeta2
+    a, b = _fano_coefficients(sc, rs)
+    den = rs.den
     return ((rs.z * math.sin(sc.delta0_minus) - math.cos(sc.delta0_minus)) ** 2
-            + eta ** 2 * a) / den + sc.norm2_pg_minus * (rs.z ** 2 + b) / den
+            + dc.eta ** 2 * a) / den + sc.norm2_pg_minus * (rs.z ** 2 + b) / den
 
 
 def sigma_el(sc: ScatteringScalars, dc: DriveConfig) -> float:
@@ -76,8 +75,8 @@ def sigma_el(sc: ScatteringScalars, dc: DriveConfig) -> float:
     """
     rs = reduced_scalars(sc, dc)
     eta2 = dc.eta ** 2
-    _, b = _fano_coefficients(sc, rs, dc.eta)
-    den = rs.z ** 2 + rs.zeta2
+    _, b = _fano_coefficients(sc, rs)
+    den = rs.den
     zb = rs.z ** 2 + b
     perp = (zb ** 2 * sc.norm2_pg_minus
             + eta2 ** 2 * rs.kappa2 ** 2 * sc.norm2_pg_plus
@@ -94,7 +93,7 @@ def sigma_inel(sc: ScatteringScalars, dc: DriveConfig) -> float:
     rs = reduced_scalars(sc, dc)
     e = ((rs.y * math.sin(sc.s) + rs.kappa2 * math.cos(sc.s)) ** 2
          + sc.norm2_pdg * (rs.y ** 2 + rs.kappa2 ** 2))
-    return dc.eta ** 2 * (1.0 + rs.kappa2) * e / (rs.z ** 2 + rs.zeta2) ** 2
+    return dc.eta ** 2 * (1.0 + rs.kappa2) * e / rs.den ** 2
 
 
 def cross_sections(sc: ScatteringScalars, dc: DriveConfig) -> CrossSectionTriple:
@@ -111,7 +110,7 @@ def sigma_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float) -> float:
     sc = scalars_from_phase_shifts(table)
     rs = reduced_scalars(sc, dc)
     gp, gm = g_pm(table, theta)
-    den = rs.z ** 2 + rs.zeta2
+    den = rs.den
     interference = (np.exp(-2j * sc.delta0_minus) * gm
                     * complex(rs.kappa2, -rs.y)).real
     return (abs(gm) ** 2

@@ -143,7 +143,7 @@ def test_criterion_06_single_to_triple_peak_threshold():
     def discriminant(eta2):
         eta = math.sqrt(eta2)
         rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(eta, 0.0))
-        return cubic_discriminant(char_poly(build_drift(rs, eta, 0.0)))
+        return cubic_discriminant(char_poly(build_drift(rs)))
 
     lo, hi = 0.01, 0.2
     assert discriminant(lo) > 0.0 > discriminant(hi)
@@ -165,7 +165,7 @@ def test_criterion_07_oracle_equivalence():
     for _ in range(20):
         sc, dc = random_scalars(rng), random_drive(rng)
         rs = reduced_scalars(sc, dc)
-        g = build_drift(rs, dc.eta, sc.s)
+        g = build_drift(rs)
         u0 = rng.uniform(0.0, 1.0)
         r = rng.uniform(0.0, 0.95) * math.sqrt(max(u0 - u0 ** 2, 0.0))
         x0 = BlochVector(u0, r * np.exp(2j * math.pi * rng.uniform()))
@@ -178,11 +178,11 @@ def test_criterion_07_oracle_equivalence():
     for _ in range(100):
         sc, dc = random_scalars(rng), random_drive(rng)
         rs = reduced_scalars(sc, dc)
-        sd = build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
+        sd = build_spectral_drift(rs)
         x = rng.uniform(-20.0, 20.0)
-        gap = np.abs(resolvent(sd, x) - np.linalg.inv(sd.matrix + 2j * x * np.eye(3)))
+        gap = np.abs(resolvent(rs, x) - np.linalg.inv(sd + 2j * x * np.eye(3)))
         worst_res = max(worst_res, float(np.max(gap)))
-        g = build_drift(rs, dc.eta, sc.s)
+        g = build_drift(rs)
         target = 2.0 * (rs.z ** 2 + rs.zeta2)
         worst_det = max(worst_det, abs(np.linalg.det(g.matrix) - target) / abs(target))
 

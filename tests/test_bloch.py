@@ -11,7 +11,7 @@ from qsatom.bloch import DriftMatrix, char_poly, cubic_discriminant
 
 def _drift(sc, dc):
     rs = reduced_scalars(sc, dc)
-    return rs, build_drift(rs, dc.eta, sc.s)
+    return rs, build_drift(rs)
 
 
 def _det3(m):
@@ -36,7 +36,7 @@ def _rk4_deviation(g, gammatilde, d0, tau, n=40000):
 
 def test_build_drift_undriven():
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(0.0, 0.0))
-    g = build_drift(rs, 0.0, 0.0)
+    g = build_drift(rs)
     assert np.allclose(g.matrix, np.diag([2.0, 1.0, 1.0]))
 
 
@@ -49,7 +49,7 @@ def test_build_drift_mollow_entries():
         [2.0 * eta, 1.0 - 1j * z, 0.0],
         [2.0 * eta, 0.0, 1.0 + 1j * z],
     ])
-    assert np.allclose(build_drift(rs, eta, 0.0).matrix, expected, atol=1e-15)
+    assert np.allclose(build_drift(rs).matrix, expected, atol=1e-15)
 
 
 def test_drift_determinant_identity(fano_scalars):
@@ -83,24 +83,24 @@ def test_spectral_abscissa_positive():
 
 def test_equilibrium_undriven(fano_scalars):
     rs = reduced_scalars(fano_scalars, DriveConfig(0.0, 0.3))
-    eq = equilibrium(rs, 0.0)
-    assert eq.u_inf == 0.0 and eq.v_inf == 0.0
+    eq = equilibrium(rs)
+    assert eq.u == 0.0 and eq.v == 0.0
 
 
 def test_equilibrium_mollow_resonant():
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(1.0, 0.0))
-    eq = equilibrium(rs, 1.0)
-    assert eq.u_inf == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert eq.v_inf == pytest.approx(1.0 / 3.0, rel=1e-15)
+    eq = equilibrium(rs)
+    assert eq.u == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert eq.v == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_equilibrium_against_linear_solve(fano_scalars):
     dc = DriveConfig(math.sqrt(28.0), 3.0)
     rs, g = _drift(fano_scalars, dc)
-    eq = equilibrium(rs, dc.eta)
+    eq = equilibrium(rs)
     solved = np.linalg.solve(g.matrix, np.array([0.0, dc.eta, dc.eta]))
-    assert eq.u_inf == pytest.approx(solved[0].real, rel=1e-12)
-    assert eq.v_inf == pytest.approx(solved[1], rel=1e-12)
+    assert eq.u == pytest.approx(solved[0].real, rel=1e-12)
+    assert eq.v == pytest.approx(solved[1], rel=1e-12)
     assert abs(solved[0].imag) < 1e-15
 
 
@@ -109,7 +109,7 @@ def test_equilibrium_stationarity_residual_grid():
     for _ in range(100):
         sc, dc = random_scalars(rng), random_drive(rng)
         rs, g = _drift(sc, dc)
-        eq = equilibrium(rs, dc.eta)
+        eq = equilibrium(rs)
         resid = g.matrix @ eq.vector() - np.array([0.0, dc.eta, dc.eta])
         assert np.max(np.abs(resid)) <= 1e-12 * max(1.0, dc.eta)
 
@@ -129,16 +129,16 @@ def test_evolve_rejects_negative_tau(fano_scalars):
 def test_evolve_reaches_equilibrium(fano_scalars):
     dc = DriveConfig(math.sqrt(18.0), -2.0)
     rs, g = _drift(fano_scalars, dc)
-    eq = equilibrium(rs, dc.eta)
+    eq = equilibrium(rs)
     out = evolve(g, BlochVector(0.0, 0.0), dc.eta, 200.0)
-    assert out.u == pytest.approx(eq.u_inf, abs=1e-10)
-    assert out.v == pytest.approx(eq.v_inf, abs=1e-10)
+    assert out.u == pytest.approx(eq.u, abs=1e-10)
+    assert out.v == pytest.approx(eq.v, abs=1e-10)
 
 
 def test_equilibrium_is_fixed_point(fano_scalars):
     dc = DriveConfig(2.0, 0.7)
     rs, g = _drift(fano_scalars, dc)
-    eq = equilibrium(rs, dc.eta).as_bloch()
+    eq = equilibrium(rs)
     for tau in (0.3, 2.0, 17.0):
         out = evolve(g, eq, dc.eta, tau)
         assert out.u == pytest.approx(eq.u, abs=1e-12)
@@ -190,7 +190,7 @@ def test_propagate_deviation_linear_in_d0(fano_scalars):
 def _mollow_drift(eta2):
     eta = math.sqrt(eta2)
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(eta, 0.0))
-    return build_drift(rs, eta, 0.0)
+    return build_drift(rs)
 
 
 def test_mollow_eigenvalues_real_below_threshold():

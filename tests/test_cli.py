@@ -68,6 +68,35 @@ def test_spectrum_rejects_zero_width(tmp_path, capsys):
     assert main(["spectrum", "--config", cfg]) == 2
 
 
+def test_negative_intensity_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "neg.json", _fano_config(eta2=[4.0, -1.0]))
+    for command in ("xsection", "spectrum", "verify"):
+        assert main([command, "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over", [{"mollow_reference": "no"}, {"eta2": [True]},
+                                  {"x_grid": [0.0, False]}])
+def test_config_types_are_strict(tmp_path, capsys, over):
+    # bool("no") is True and float(True) is 1.0; neither may slip through
+    cfg = _write(tmp_path, "types.json", _fano_config(**over))
+    assert main(["spectrum", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over", [{"x_grid": [1e160]}, {"gammatilde": 1e-300}])
+def test_spectrum_refuses_non_finite_rows(tmp_path, capsys, over):
+    # det overflows far out in x; the elastic Lorentzian is inf at x = 0
+    # for a vanishing width.  Neither may be written as a number.
+    cfg = _write(tmp_path, "nonfinite.json", _fano_config(**over))
+    out = tmp_path / "out.csv"
+    with np.errstate(all="ignore"):
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "(eta2, ztilde) = (10.0, -4.0)" in err
+    assert not out.exists()
+
+
 def test_xsection_sweep_rows_and_plateau(tmp_path):
     doc = _fano_config(eta2=[10.0], ztilde=[-1e4, 0.0, 1e4])
     cfg = parse_config(doc)
@@ -193,16 +222,17 @@ def test_verify_scalars_mode_skips_finite_beam(tmp_path, capsys):
 
 
 def test_verify_detects_injected_coherence_sign_error(monkeypatch, capsys):
-    # flip the sign of the coherence rotation inside the spectral drift.
-    # The full-line integral of the resolvent is drift-independent
-    # (residues), so the normalization sum rule cannot see this bug;
-    # the closed-form, positivity and time-domain checks must.
-    true_build = qsatom.spectrum.build_spectral_drift
+    # flip the sign of the coherence rotation in the scalars the spectrum
+    # is built from.  The full-line integral of the resolvent is
+    # drift-independent (residues), so the normalization sum rule cannot
+    # see this bug; the closed-form, positivity and time-domain checks must.
+    true_reduce = qsatom.spectrum.reduced_scalars
 
-    def flawed(rs, eta, s, gammatilde):
-        return true_build(replace(rs, bprime=np.conj(rs.bprime)), eta, s, gammatilde)
+    def flawed(sc, dc):
+        rs = true_reduce(sc, dc)
+        return replace(rs, bprime=np.conj(rs.bprime))
 
-    monkeypatch.setattr(qsatom.spectrum, "build_spectral_drift", flawed)
+    monkeypatch.setattr(qsatom.spectrum, "reduced_scalars", flawed)
     assert main(["verify", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     failed = {c["check"] for c in doc["checks"] if not c["passed"]}
@@ -216,8 +246,8 @@ def test_verify_detects_injected_weight_sign_error(monkeypatch, capsys):
     # quadrature itself, which is reported as its own failure)
     true_co = qsatom.spectrum.spectral_coefficients
 
-    def flawed(rs, eta, s):
-        co = true_co(rs, eta, s)
+    def flawed(rs):
+        co = true_co(rs)
         bad = co.dprime.copy()
         bad[2] = np.conj(bad[2])
         return replace(co, dprime=bad)

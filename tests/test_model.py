@@ -204,6 +204,15 @@ def test_reduced_scalars_reference_set(fano_scalars):
     assert rs.norm2_dg == pytest.approx(ndg, rel=1e-14)
 
 
+def test_reduced_scalars_carry_the_drive(fano_scalars):
+    for dc in (DriveConfig(0.0, 1.7), DriveConfig(math.sqrt(10.0), -2.5, 0.6)):
+        rs = reduced_scalars(fano_scalars, dc)
+        assert rs.eta == dc.eta
+        assert rs.s == fano_scalars.s
+        assert rs.gammatilde == dc.gammatilde
+        assert rs.den == rs.z ** 2 + rs.zeta2
+
+
 def test_reduced_scalars_continuous_at_zero_drive(fano_scalars):
     tiny = reduced_scalars(fano_scalars, DriveConfig(1e-8, 0.4))
     zero = reduced_scalars(fano_scalars, DriveConfig(0.0, 0.4))

@@ -19,7 +19,7 @@ MIXED_TABLE = PhaseShiftTable([-0.2, 0.15, 0.05, -0.3], [0.4, -0.1, 0.02, 0.11])
 
 def _spectral_drift(sc, dc):
     rs = reduced_scalars(sc, dc)
-    return rs, build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
+    return rs, build_spectral_drift(rs)
 
 
 def test_resolvent_decoupled_diagonal():
@@ -27,9 +27,9 @@ def test_resolvent_decoupled_diagonal():
     # resolvent diagonal is the reciprocal of the shifted decay rates
     sc = MOLLOW_SCALARS
     dc = DriveConfig(0.0, 0.6, 0.4)
-    rs, sd = _spectral_drift(sc, dc)
+    rs, _ = _spectral_drift(sc, dc)
     x = 0.9
-    r = resolvent(sd, x)
+    r = resolvent(rs, x)
     gt = dc.gammatilde
     assert r[0, 0] == pytest.approx(1.0 / (2.0 + gt + 2j * x), rel=1e-14)
     assert r[1, 1] == pytest.approx(1.0 / (rs.bprime + gt + 2j * x), rel=1e-14)
@@ -37,9 +37,9 @@ def test_resolvent_decoupled_diagonal():
 
 
 def test_resolvent_decays_at_large_frequency(fano_scalars):
-    _, sd = _spectral_drift(fano_scalars, DriveConfig(2.0, 0.5, 0.3))
+    rs, _ = _spectral_drift(fano_scalars, DriveConfig(2.0, 0.5, 0.3))
     for x in (1e3, -1e4):
-        r = resolvent(sd, x)
+        r = resolvent(rs, x)
         assert np.max(np.abs(r)) <= 1.0 / abs(x)
 
 
@@ -48,10 +48,10 @@ def test_resolvent_matches_generic_inverse():
     worst = 0.0
     for _ in range(100):
         sc, dc = random_scalars(rng), random_drive(rng)
-        _, sd = _spectral_drift(sc, dc)
+        rs, sd = _spectral_drift(sc, dc)
         x = rng.uniform(-20.0, 20.0)
-        adj = resolvent(sd, x)
-        gen = np.linalg.inv(sd.matrix + 2j * x * np.eye(3))
+        adj = resolvent(rs, x)
+        gen = np.linalg.inv(sd + 2j * x * np.eye(3))
         worst = max(worst, float(np.max(np.abs(adj - gen))))
     assert worst <= 1e-12
 
@@ -59,13 +59,13 @@ def test_resolvent_matches_generic_inverse():
 def test_row2_only_from_cofactors(fano_scalars):
     # the closed production rows never include row 2; the cofactor row
     # must complete the adjugate so that A @ inv = identity
-    _, sd = _spectral_drift(fano_scalars, DriveConfig(2.0, -1.0, 0.5))
+    rs, sd = _spectral_drift(fano_scalars, DriveConfig(2.0, -1.0, 0.5))
     x = 1.7
-    full = resolvent(sd, x)
-    a = sd.matrix + 2j * x * np.eye(3)
+    full = resolvent(rs, x)
+    a = sd + 2j * x * np.eye(3)
     assert np.max(np.abs(a @ full - np.eye(3))) < 1e-13
     det = np.linalg.det(a)
-    assert np.max(np.abs(_row2_cofactors(sd, x) / det - full[1])) < 1e-15
+    assert np.max(np.abs(_row2_cofactors(rs, x) / det - full[1])) < 1e-15
 
 
 def test_spectral_drift_eigenvalues_shift_by_width():
@@ -76,18 +76,17 @@ def test_spectral_drift_eigenvalues_shift_by_width():
         if dc.eta == 0.0:
             continue
         rs = reduced_scalars(sc, dc)
-        sd = build_spectral_drift(rs, dc.eta, sc.s, dc.gammatilde)
-        gp = build_drift(rs, dc.eta, sc.s)
+        sd = build_spectral_drift(rs)
+        gp = build_drift(rs)
         shifted = np.linalg.eigvals(gp.matrix) + dc.gammatilde
-        for lam in np.linalg.eigvals(sd.matrix):
+        for lam in np.linalg.eigvals(sd):
             assert np.min(np.abs(shifted - lam)) < 1e-10
 
 
 def test_spectral_coefficients_structure(fano_scalars):
     dc = DriveConfig(2.0, 1.0, 0.6)
     rs = reduced_scalars(fano_scalars, dc)
-    co = spectral_coefficients(rs, dc.eta, fano_scalars.s)
-    assert np.array_equal(co.cdoubleprime, [1.0, 0.0, 0.0])
+    co = spectral_coefficients(rs)
     assert co.cprime[1] == 0.0 and co.cprime[2] == 1.0
     # d'' encodes the dressed decay scalars directly
     den = rs.z ** 2 + rs.zeta2
@@ -302,6 +301,28 @@ def test_spectral_diff_matches_recorded_values(theta, eta2, zt, gt, x, el_ref, i
     el, inel = spectral_diff(MIXED_TABLE, DriveConfig(math.sqrt(eta2), zt, gt), theta, x)
     assert abs(el - el_ref) <= 1e-12 * el_ref
     assert abs(inel - inel_ref) <= 1e-12 * inel_ref
+
+
+# (eta^2, ztilde, gammatilde, x, Sigma_inel) for the direct-scattering
+# reference set, recorded before the builders took the reduced scalars
+# alone; away from the Fano zero z = cot(delta_0^-)
+SIGMA_INEL_X_GOLDEN = (
+    (4.0, 0.0, 0.6, -6.0, 0.00047039087872403993),
+    (4.0, 0.0, 0.6, 0.0, 0.02668988998315738),
+    (4.0, 0.0, 0.6, 0.8, 0.01767505656948699),
+    (18.0, 1.5, 0.6, -6.0, 0.00043538364319157044),
+    (18.0, 1.5, 0.6, 0.0, 0.0017693133177321717),
+    (18.0, 1.5, 0.6, 0.8, 0.001249941574482398),
+    (40.0, -3.0, 0.3, -6.0, 0.0004856746687920587),
+    (40.0, -3.0, 0.3, 0.0, 0.005606185551433333),
+    (40.0, -3.0, 0.3, 0.8, 0.002896000369173023),
+)
+
+
+@pytest.mark.parametrize("eta2, zt, gt, x, ref", SIGMA_INEL_X_GOLDEN)
+def test_sigma_inel_x_matches_recorded_values(fano_scalars, eta2, zt, gt, x, ref):
+    got = sigma_inel_x(fano_scalars, DriveConfig(math.sqrt(eta2), zt, gt), x)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_spectral_diff_requires_width():
