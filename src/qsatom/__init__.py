@@ -7,13 +7,13 @@ reduced units, with an independent numerical oracle for every formula.
 """
 
 from .model import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, delta_g, g_pm, reduced_scalars,
+                    ScatteringScalars, delta_g, dress, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
 from .bloch import (BlochVector, DriftMatrix, GROUND_STATE, build_drift,
                     equilibrium, evolve, propagate_deviation)
-from .xsection import (CrossSectionTriple, cross_sections, low_intensity_tot,
-                       mollow_xsections, sigma_diff, sigma_el, sigma_inel,
-                       sigma_tot)
+from .xsection import (CrossSectionTriple, cross_section_grid, cross_sections,
+                       low_intensity_tot, mollow_xsections, sigma_diff, sigma_el,
+                       sigma_inel, sigma_tot)
 from .spectrum import (AngularSpectralData, SpectralCoefficients,
                        build_spectral_drift, elastic_line, local_maxima,
                        low_intensity_x, mollow_inel_x, resolvent, sigma_inel_x,
@@ -25,11 +25,11 @@ from .oracle import (FiniteBeamModel, SumRuleReport, beam_overlaps,
 
 __all__ = [
     "DriveConfig", "MOLLOW_SCALARS", "PhaseShiftTable", "ReducedScalars",
-    "ScatteringScalars", "delta_g", "g_pm", "reduced_scalars",
+    "ScatteringScalars", "delta_g", "dress", "g_pm", "reduced_scalars",
     "scalars_from_phase_shifts",
     "BlochVector", "DriftMatrix", "GROUND_STATE",
     "build_drift", "equilibrium", "evolve", "propagate_deviation",
-    "CrossSectionTriple", "cross_sections", "low_intensity_tot",
+    "CrossSectionTriple", "cross_section_grid", "cross_sections", "low_intensity_tot",
     "mollow_xsections", "sigma_diff", "sigma_el", "sigma_inel", "sigma_tot",
     "AngularSpectralData", "SpectralCoefficients",
     "build_spectral_drift", "elastic_line", "local_maxima", "low_intensity_x",

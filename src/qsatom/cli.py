@@ -5,17 +5,25 @@ Subcommands:
     qsatom spectrum --config cfg.json [...]
     qsatom verify   [--config cfg.json] [...]
 
-Sweeps walk the (eta2, ztilde) grid once, in sorted order, in one
-thread; ``--threads N`` is still accepted, for old scripts, and ignored.
+Sweeps are columnar: ``run_*_sweep`` return (names, axes, columns), the
+sorted sweep lists and one 1-D array per quantity over their product,
+computed and checked before the output is opened (xsection in one numpy
+pass, ``xsection.cross_section_grid``).  The formatters write blocks of
+rows sharing all but the last axis value (one drive point of a
+spectrum), spelling each axis value once.  The bytes are those of
+per-point floats: the grid squares through ``float_power`` and takes
+moduli through ``hypot``, which round as CPython's ``**`` and ``abs``.
+``--threads N`` is accepted, for old scripts, and ignored.
 
-Exit codes: 0 success, 1 numerical or check failure, 2 config error.
-All numbers are reduced units; CSV rows carry 17 significant digits so
-output is byte-stable across runs.
+Exit codes: 0 success, 1 numerical or check failure, 2 config error or
+unwritable output.  All numbers are reduced units; CSV rows carry 17
+significant digits so output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -38,8 +46,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    mode: str
-    scalars: ScatteringScalars | None
+    scalars: ScatteringScalars       # derived from the table in phase_shifts mode
     table: PhaseShiftTable | None
     eta2: list[float]
     ztilde: list[float]
@@ -47,21 +54,23 @@ class RunConfig:
     gammatilde: float
     mollow_reference: bool
 
-    def scattering_scalars(self) -> ScatteringScalars:
-        if self.mode == "scalars":
-            return self.scalars
-        return scalars_from_phase_shifts(self.table)
+
+def _number(raw, key) -> float:
+    """``float(raw)``, refusing booleans (``float(True)`` is 1.0)."""
+    try:
+        if not isinstance(raw, bool):
+            return float(raw)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"'{key}' must be a number, not {raw!r}")
 
 
 def _finite_list(raw, key) -> list[float]:
     if raw is None:
         return []
-    if not isinstance(raw, list) or any(isinstance(v, bool) for v in raw):
+    if not isinstance(raw, list):
         raise ConfigError(f"'{key}' must be a list of numbers")
-    try:
-        vals = [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' must contain only numbers") from exc
+    vals = [_number(v, key) for v in raw]
     if not all(math.isfinite(v) for v in vals):
         raise ConfigError(f"'{key}' must contain only finite numbers")
     return vals
@@ -80,30 +89,26 @@ def parse_config(doc: dict) -> RunConfig:
     if (mode == "scalars") != has_scalars:
         raise ConfigError(f"mode '{mode}' does not match the supplied parameter block")
 
-    scalars = table = None
+    table = None
     if has_scalars:
         block = doc["scalars"]
-        missing = [k for k in _SCALAR_KEYS if k not in block]
+        missing = [k for k in _SCALAR_KEYS if not isinstance(block, dict) or k not in block]
         if missing:
             raise ConfigError(f"scalars block is missing {missing}")
         try:
-            scalars = ScatteringScalars(**{k: float(block[k]) for k in _SCALAR_KEYS})
+            scalars = ScatteringScalars(**{k: _number(block[k], k) for k in _SCALAR_KEYS})
         except ValueError as exc:
             raise ConfigError(f"invalid scalars: {exc}") from exc
     else:
         block = doc["phase_shifts"]
         try:
-            table = PhaseShiftTable(
-                delta_plus=np.asarray(block["delta_plus"], dtype=float),
-                delta_minus=np.asarray(block["delta_minus"], dtype=float))
+            table = PhaseShiftTable(*(_finite_list(block[k], k)
+                                      for k in ("delta_plus", "delta_minus")))
+            scalars = scalars_from_phase_shifts(table)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid phase_shifts block: {exc}") from exc
 
-    gammatilde = doc.get("gammatilde", 0.0)
-    try:
-        gammatilde = float(gammatilde)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'gammatilde' must be a number") from exc
+    gammatilde = _number(doc.get("gammatilde", 0.0), "gammatilde")
     if not math.isfinite(gammatilde) or gammatilde < 0:
         raise ConfigError("'gammatilde' must be finite and nonnegative")
     eta2 = _finite_list(doc.get("eta2"), "eta2")
@@ -113,16 +118,8 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(mollow_reference, bool):
         raise ConfigError("'mollow_reference' must be true or false")
 
-    return RunConfig(
-        mode=mode,
-        scalars=scalars,
-        table=table,
-        eta2=eta2,
-        ztilde=_finite_list(doc.get("ztilde"), "ztilde"),
-        x_grid=_finite_list(doc.get("x_grid"), "x_grid"),
-        gammatilde=gammatilde,
-        mollow_reference=mollow_reference,
-    )
+    return RunConfig(scalars, table, eta2, _finite_list(doc.get("ztilde"), "ztilde"),
+                     _finite_list(doc.get("x_grid"), "x_grid"), gammatilde, mollow_reference)
 
 
 def load_config(path: str) -> RunConfig:
@@ -136,90 +133,97 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
-def _drive_grid(cfg: RunConfig) -> list[tuple[float, float]]:
-    """The (eta2, ztilde) sweep points, in sorted grid order."""
-    if not cfg.eta2:
-        raise ConfigError("'eta2' sweep list must be non-empty")
-    if not cfg.ztilde:
-        raise ConfigError("'ztilde' sweep list must be non-empty")
-    return [(e2, zt) for e2 in sorted(cfg.eta2) for zt in sorted(cfg.ztilde)]
+def _axes(cfg: RunConfig, *keys) -> list[list[float]]:
+    """The sorted sweep lists named by ``keys``; the grid is their product."""
+    for key in keys:
+        if not getattr(cfg, key):
+            raise ConfigError(f"'{key}' sweep list must be non-empty")
+    return [sorted(getattr(cfg, key)) for key in keys]
 
 
 def run_xsection_sweep(cfg: RunConfig):
-    """Rows (eta2, ztilde, sigma_tot, sigma_el, sigma_inel), ordered."""
-    points = _drive_grid(cfg)
-    sc = cfg.scattering_scalars()
-    rows = []
-    for e2, zt in points:
-        triple = xsection.cross_sections(sc, DriveConfig(math.sqrt(e2), zt, cfg.gammatilde))
-        rows.append((e2, zt, triple.total, triple.elastic, triple.inelastic))
-    return ["eta2", "ztilde", "sigma_tot", "sigma_el", "sigma_inel"], rows
+    """(names, axes, columns) of sigma_tot, sigma_el, sigma_inel over the
+    (eta2, ztilde) grid; see :func:`run_spectrum_sweep`."""
+    axes = e2s, zts = _axes(cfg, "eta2", "ztilde")
+    t = xsection.cross_section_grid(cfg.scalars, np.repeat(e2s, len(zts)),
+                                    np.tile(zts, len(e2s)))
+    return (["eta2", "ztilde", "sigma_tot", "sigma_el", "sigma_inel"], axes,
+            [t.total, t.elastic, t.inelastic])
 
 
 def run_spectrum_sweep(cfg: RunConfig):
-    """Rows (eta2, ztilde, x, Sigma_tot, Sigma_inel, Sigma_el_lorentzian),
-    plus the no-direct-scattering reference when requested."""
-    points = _drive_grid(cfg)
-    if not cfg.x_grid:
-        raise ConfigError("'x_grid' sweep list must be non-empty")
+    """(names, axes, columns) of Sigma_tot, Sigma_inel,
+    Sigma_el_lorentzian (plus the no-direct-scattering reference when
+    requested): the sorted eta2, ztilde and x lists, and one column per
+    quantity over their product (x fastest), each checked finite."""
+    axes = _axes(cfg, "eta2", "ztilde", "x_grid")
     if cfg.gammatilde <= 0:
         raise ConfigError("spectrum sweeps need gammatilde > 0")
-    sc = cfg.scattering_scalars()
-    xs = np.asarray(sorted(cfg.x_grid), dtype=float)
-    gt = cfg.gammatilde
-    columns = ["eta2", "ztilde", "x", "Sigma_tot", "Sigma_inel", "Sigma_el_lorentzian"]
+    sc, gt, xs = cfg.scalars, cfg.gammatilde, np.array(axes[-1])
+    names = ["eta2", "ztilde", "x", "Sigma_tot", "Sigma_inel", "Sigma_el_lorentzian"]
     if cfg.mollow_reference:
-        columns.append("Sigma_tot_mollow")
-    rows = []
-    for e2, zt in points:
-        eta = math.sqrt(e2)
-        dc = DriveConfig(eta, zt, gt)
-        inel = spectrum.sigma_inel_x(sc, dc, xs)
-        weight, _ = spectrum.elastic_line(sc, dc)
-        lor = spectrum.elastic_lorentzian(weight, gt, xs)
-        cols = [xs, lor + inel, inel, lor]
-        if cfg.mollow_reference:
-            m_inel = spectrum.mollow_inel_x(zt, eta, gt, xs)
-            m_el = xsection.mollow_xsections(zt, eta).elastic
-            cols.append(m_inel + spectrum.elastic_lorentzian(m_el, gt, xs))
-        if not np.isfinite(cols).all():
-            raise ArithmeticError(f"non-finite spectrum at (eta2, ztilde) = ({e2}, {zt})")
-        rows.extend((e2, zt) + r for r in zip(*(c.tolist() for c in cols)))
-    return columns, rows
+        names.append("Sigma_tot_mollow")
+    blocks = []
+    with np.errstate(all="ignore"):  # overflow shows as inf/nan, refused below
+        for e2, zt in itertools.product(*axes[:2]):
+            eta = math.sqrt(e2)
+            dc = DriveConfig(eta, zt, gt)
+            inel = spectrum.sigma_inel_x(sc, dc, xs)
+            weight, _ = spectrum.elastic_line(sc, dc)
+            lor = spectrum.elastic_lorentzian(weight, gt, xs)
+            cols = [lor + inel, inel, lor]
+            if cfg.mollow_reference:
+                m_inel = spectrum.mollow_inel_x(zt, eta, gt, xs)
+                m_el = xsection.mollow_xsections(zt, eta).elastic
+                cols.append(m_inel + spectrum.elastic_lorentzian(m_el, gt, xs))
+            if not np.isfinite(cols).all():
+                raise ArithmeticError(f"non-finite spectrum at (eta2, ztilde) = ({e2}, {zt})")
+            blocks.append(cols)
+    return names, axes, [np.concatenate(c) for c in zip(*blocks)]
 
 
 def run_verify(cfg: RunConfig | None):
     """Full oracle and invariant suite; returns (checks, exit_code)."""
-    table = scalars = None
-    drives = None
-    if cfg is not None:
-        if cfg.mode == "phase_shifts":
-            table = cfg.table
-        else:
-            scalars = cfg.scalars
-        if cfg.eta2 and cfg.ztilde:
-            gt = cfg.gammatilde if cfg.gammatilde > 0 else 0.6
-            drives = [DriveConfig(math.sqrt(e2), zt, gt)
-                      for e2 in sorted(cfg.eta2)[:2] for zt in sorted(cfg.ztilde)[:1]]
+    table, scalars, drives = (cfg.table, cfg.scalars, None) if cfg else (None, None, None)
+    if cfg and cfg.eta2 and cfg.ztilde:
+        gt = cfg.gammatilde if cfg.gammatilde > 0 else 0.6
+        drives = [DriveConfig(math.sqrt(e2), zt, gt)
+                  for e2 in sorted(cfg.eta2)[:2] for zt in sorted(cfg.ztilde)[:1]]
     checks = oracle.run_verification(table=table, scalars=scalars, drives=drives)
     code = 0 if all(c.passed for c in checks) else 1
     return checks, code
 
 
-def format_csv(columns, rows) -> str:
-    lines = [f"# {SCHEMA}, reduced units (alpha2=1), columns: " + ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(f"{v:.16e}" for v in row))
-    return "\n".join(lines) + "\n"
+def _write_rows(out, axes, columns, num, sep, row_open="", row_close="", row_sep="\n"):
+    """Write the rows, one block of rows sharing all but the last axis
+    value at a time; ``num`` spells a float, and each axis value is
+    spelled once per block or once in all, never once per row."""
+    *lead, last = axes
+    n = len(last)
+    last = [num % v for v in last]
+    for k, values in enumerate(itertools.product(*lead)):
+        row = (row_open + "".join(num % v + sep for v in values) + "%s"
+               + (sep + num) * len(columns) + row_close)
+        block = [c[k * n:(k + 1) * n].tolist() for c in columns]
+        out.write((row_sep if k else "") + row_sep.join(map(row.__mod__, zip(last, *block))))
 
 
-def format_json(columns, rows) -> str:
-    doc = {"schema": SCHEMA, "units": "reduced (alpha2=1)",
-           "columns": list(columns), "rows": [list(r) for r in rows]}
-    return json.dumps(doc, indent=1) + "\n"
+def format_csv(out, names, axes, columns) -> None:
+    out.write(f"# {SCHEMA}, reduced units (alpha2=1), columns: " + ",".join(names) + "\n")
+    _write_rows(out, axes, columns, "%.16e", ",")
+    out.write("\n")
 
 
-def format_verify_text(checks) -> str:
+def format_json(out, names, axes, columns) -> None:
+    """The bytes of ``json.dumps(doc, indent=1)``, written in blocks."""
+    head = json.dumps({"schema": SCHEMA, "units": "reduced (alpha2=1)",
+                       "columns": list(names)}, indent=1)
+    out.write(head[:-2] + ',\n "rows": [\n')
+    _write_rows(out, axes, columns, "%r", ",\n   ", "  [\n   ", "\n  ]", ",\n")
+    out.write("\n ]\n}\n")
+
+
+def format_verify_text(out, checks) -> None:
     width = max(len(c.name) for c in checks) + 2
     lines = [f"{'check'.ljust(width)} tolerance   residual    status"]
     for c in checks:
@@ -228,21 +232,13 @@ def format_verify_text(checks) -> str:
     n_pass = sum(c.passed for c in checks)
     lines.append(f"overall: {'PASS' if n_pass == len(checks) else 'FAIL'} "
                  f"({n_pass}/{len(checks)})")
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
 
 
-def format_verify_json(checks) -> str:
+def format_verify_json(out, checks) -> None:
     doc = {"schema": SCHEMA, "checks": [c.to_dict() for c in checks],
            "passed": all(c.passed for c in checks)}
-    return json.dumps(doc, indent=1) + "\n"
-
-
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    out.write(json.dumps(doc, indent=1) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -262,31 +258,30 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "verify":
             checks, code = run_verify(cfg)
-            text = format_verify_json(checks) if args.format == "json" \
-                else format_verify_text(checks)
-            _emit(text, args.out)
-            return code
-        if args.command == "xsection":
-            columns, rows = run_xsection_sweep(cfg)
+            result = [checks]
+            fmt = format_verify_json if args.format == "json" else format_verify_text
         else:
-            columns, rows = run_spectrum_sweep(cfg)
+            run = run_xsection_sweep if args.command == "xsection" else run_spectrum_sweep
+            result, code = run(cfg), 0
+            fmt = format_json if args.format == "json" else format_csv
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-
-    text = format_json(columns, rows) if args.format == "json" else format_csv(columns, rows)
-    _emit(text, args.out)
-    return 0
+    try:  # nothing is opened before every value is computed and checked
+        if args.out is None:
+            fmt(sys.stdout, *result)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fmt(fh, *result)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def entry():

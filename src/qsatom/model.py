@@ -29,6 +29,18 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 _TRIANGLE_TOL = 1e-9
 
 
+def _sq(v):
+    """``v ** 2`` of a float or an array, rounded alike: CPython squares a
+    float through libm ``pow``, numpy's ``a ** 2`` is ``a * a`` (off by
+    one bit for a few values in a thousand), ``float_power`` is ``pow``."""
+    return np.float_power(v, 2.0) if isinstance(v, np.ndarray) else v ** 2
+
+
+def _any(flags) -> bool:
+    """A check's verdict on a float (a bool) or on columns (any element)."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
+
+
 def legendre_table(lmax: int, x) -> np.ndarray:
     """P_0(x) .. P_lmax(x) by the upward three-term recurrence.
 
@@ -173,6 +185,7 @@ class ReducedScalars:
     is -(z + (eta^2/2) sin 2s).  ``eta``, ``s`` and ``gammatilde`` are
     the drive amplitude, s-wave shift difference and detector width they
     were dressed with, so every builder downstream takes this one object.
+    From :func:`dress` on a grid, the per-point fields are columns.
     """
 
     z: float
@@ -186,9 +199,11 @@ class ReducedScalars:
     gammatilde: float
 
     def __post_init__(self):
-        if self.kappa2 < 1.0 - 1e-12 or self.zeta2 < 1.0 - 1e-12:
+        if _any((self.kappa2 < 1.0 - 1e-12) | (self.zeta2 < 1.0 - 1e-12)):
             raise ValueError("kappa2 and zeta2 cannot drop below 1")
-        if abs(self.bprime.real - self.kappa2) > 1e-12 * max(1.0, self.kappa2):
+        gap = abs(self.bprime.real - self.kappa2)
+        # gap > 1e-12 * max(1, kappa2), written so that it also runs on columns
+        if _any((gap > 1e-12) & (gap > 1e-12 * self.kappa2)):
             raise ValueError("Re(bprime) must equal kappa2")
 
     @property
@@ -199,7 +214,7 @@ class ReducedScalars:
     @property
     def den(self) -> float:
         """Common denominator z^2 + zeta^2; never below 1."""
-        return self.z ** 2 + self.zeta2
+        return _sq(self.z) + self.zeta2
 
 
 def scalars_from_phase_shifts(table: PhaseShiftTable) -> ScatteringScalars:
@@ -250,16 +265,23 @@ def delta_g(table: PhaseShiftTable, theta: float) -> complex:
 
 def reduced_scalars(sc: ScatteringScalars, dc: DriveConfig) -> ReducedScalars:
     """Dress the scattering scalars with the drive intensity and detuning."""
-    eta2 = dc.eta ** 2
+    return dress(sc, dc.eta, dc.ztilde, dc.gammatilde)
+
+
+def dress(sc: ScatteringScalars, eta, ztilde, gammatilde: float = 0.0) -> ReducedScalars:
+    """:func:`reduced_scalars` for a float drive, or for equal-length
+    columns of ``eta`` and ``ztilde`` (one grid point per element)."""
+    eta2 = _sq(eta)
     s = sc.s
     norm2_dg = math.sin(s) ** 2 + sc.norm2_pdg
     kappa2 = 1.0 + eta2 * norm2_dg
-    zeta2 = (1.0 + eta2 * sc.norm2_pdg) ** 2 \
+    zeta2 = _sq(1.0 + eta2 * sc.norm2_pdg) \
         + eta2 * (1.0 + kappa2 + eta2 * sc.norm2_pdg)
-    z = 2.0 * dc.ztilde - 2.0 * eta2 * sc.eps_r
+    z = 2.0 * ztilde - 2.0 * eta2 * sc.eps_r
     half_sin2s = 0.5 * eta2 * math.sin(2.0 * s)
+    w = z + half_sin2s
+    bprime = kappa2 - 1j * w if isinstance(w, np.ndarray) else complex(kappa2, -w)
     # positional, in field order: on this per-point path, matching nine
     # keywords made each call about 20% slower (CPython 3.11)
-    return ReducedScalars(z, z - half_sin2s, kappa2, zeta2,
-                          complex(kappa2, -(z + half_sin2s)), norm2_dg,
-                          dc.eta, s, dc.gammatilde)
+    return ReducedScalars(z, z - half_sin2s, kappa2, zeta2, bprime, norm2_dg,
+                          eta, s, gammatilde)

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 import os
@@ -84,6 +86,87 @@ def test_config_types_are_strict(tmp_path, capsys, over):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, over", [
+    ("top", {"gammatilde": True}),
+    ("scalars", {"eps_r": True}),
+    ("phase_shifts", {"delta_plus": [True, 0.0]}),
+    ("phase_shifts", {"delta_minus": [0.13, False]}),
+])
+def test_config_booleans_are_never_numbers(tmp_path, capsys, block, over):
+    # float(True) is 1.0: a JSON boolean must not pass for a number anywhere
+    doc = _fano_config()
+    if block == "phase_shifts":
+        del doc["scalars"]
+        doc.update(mode="phase_shifts", phase_shifts=dict(
+            {"delta_plus": [-0.03, 0.0], "delta_minus": [0.13, 0.0]}, **over))
+    elif block == "scalars":
+        doc["scalars"].update(over)
+    else:
+        doc.update(over)
+    cfg = _write(tmp_path, "bools.json", doc)
+    assert main(["xsection", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["xsection", "spectrum", "verify"])
+def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "fano.json", _fano_config())
+    out = tmp_path / "no" / "such" / "dir" / "f.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write output: ")
+
+
+@pytest.mark.parametrize("command, over, point", [
+    ("xsection", {"eta2": [1e200]}, "(1e+200, -4.0)"),
+    ("spectrum", {"x_grid": [1e160]}, "(10.0, -4.0)"),
+    ("spectrum", {"gammatilde": 1e-300}, "(10.0, -4.0)"),
+])
+def test_numerical_failure_is_one_stderr_line(tmp_path, command, over, point):
+    # numpy overflow warnings must not reach the user ahead of the one
+    # "numerical failure" line; the default warning filters are in force
+    cfg = _write(tmp_path, "nonfinite.json", _fano_config(**over))
+    out = tmp_path / "out.csv"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsatom.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qsatom.cli", command, "--config", cfg,
+                           "--out", str(out)], capture_output=True, env=env)
+    assert proc.returncode == 1
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: "), err
+    assert f"(eta2, ztilde) = {point}" in err[0]
+    assert not out.exists()
+
+
+# Recorded before the sweeps became columnar, from the per-point path.
+# The Fano zero of delta0_minus = 0.13 (ztilde = 0.5 cot 0.13 = 3.83 at
+# eta2 -> 0) with ||P g-||^2 = 0 so nothing hides it, ||P dg||^2 on the
+# triangle bound, eta2 from 0 to 1e3, ztilde = +-1e4, a narrow detector
+# and the Mollow reference column.
+HARD_CORNERS = {
+    "mode": "scalars",
+    "scalars": {"delta0_plus": -0.03, "delta0_minus": 0.13, "norm2_pg_plus": 0.005,
+                "norm2_pg_minus": 0.0, "norm2_pdg": 0.005, "eps_r": -0.001},
+    "eta2": [1e3, 0, 1e-6, 4.0], "ztilde": [3.85, 3.8, 3.83, 3.8325, -1e4, 1e4, 0.0],
+    "x_grid": [-40.0, -3.0, 0.0, 0.5, 3.0, 40.0], "gammatilde": 0.001,
+    "mollow_reference": True}
+HARD_CORNER_SHA256 = {
+    ("xsection", "csv"): "8fa3898bf2b7dc0aeb86cd8accb2215fd289c2cdaa637c5bf10204cb0614810f",
+    ("xsection", "json"): "b61d8a28cdaa08559fbf032b9255c3acb78dc95337a6889478fc53d2809d0d44",
+    ("spectrum", "csv"): "4a61387c1a302ac530c17e7e62f34d5f2e81b78cff3c4b4caad6239cc21aef2b",
+    ("spectrum", "json"): "be829f7710721d190094f78d38bcc71e302f128ef5477f80745b0a4fcec7f813",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(HARD_CORNER_SHA256))
+def test_sweep_bytes_match_the_recorded_golden_output(tmp_path, command, fmt):
+    cfg = _write(tmp_path, "corners.json", HARD_CORNERS)
+    out = tmp_path / f"out.{fmt}"
+    assert main([command, "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == HARD_CORNER_SHA256[command, fmt]
+
+
 @pytest.mark.parametrize("over", [{"x_grid": [1e160]}, {"gammatilde": 1e-300}])
 def test_spectrum_refuses_non_finite_rows(tmp_path, capsys, over):
     # det overflows far out in x; the elastic Lorentzian is inf at x = 0
@@ -100,30 +183,29 @@ def test_spectrum_refuses_non_finite_rows(tmp_path, capsys, over):
 def test_xsection_sweep_rows_and_plateau(tmp_path):
     doc = _fano_config(eta2=[10.0], ztilde=[-1e4, 0.0, 1e4])
     cfg = parse_config(doc)
-    columns, rows = run_xsection_sweep(cfg)
-    assert columns == ["eta2", "ztilde", "sigma_tot", "sigma_el", "sigma_inel"]
-    assert [r[1] for r in rows] == [-1e4, 0.0, 1e4]
+    names, axes, (tot, el, inel) = run_xsection_sweep(cfg)
+    assert names == ["eta2", "ztilde", "sigma_tot", "sigma_el", "sigma_inel"]
+    assert axes == [[10.0], [-1e4, 0.0, 1e4]]
     plateau = 0.005 + math.sin(0.13) ** 2
-    assert rows[0][2] == pytest.approx(plateau, abs=5e-4)
-    assert rows[2][2] == pytest.approx(plateau, abs=5e-4)
-    for r in rows:
-        assert r[3] + r[4] == pytest.approx(r[2], rel=1e-12)
+    assert tot[0] == pytest.approx(plateau, abs=5e-4)
+    assert tot[2] == pytest.approx(plateau, abs=5e-4)
+    assert el + inel == pytest.approx(tot, rel=1e-12)
 
 
 def test_xsection_sweep_mollow_symmetric_lorentzian(tmp_path):
     doc = {"mode": "scalars", "scalars": dict(MOLLOW_BLOCK),
            "eta2": [4.0], "ztilde": [-2.0, -1.0, 0.0, 1.0, 2.0]}
-    columns, rows = run_xsection_sweep(parse_config(doc))
-    for r in rows:
-        ref = mollow_xsections(r[1], 2.0)
-        assert r[2] == pytest.approx(ref.total, rel=1e-14)
-    by_z = {r[1]: r[2] for r in rows}
+    _, (_, zts), (tot, _, _) = run_xsection_sweep(parse_config(doc))
+    for zt, t in zip(zts, tot):
+        assert t == pytest.approx(mollow_xsections(zt, 2.0).total, rel=1e-14)
+    by_z = dict(zip(zts, tot))
     assert by_z[2.0] == by_z[-2.0] and by_z[1.0] == by_z[-1.0]
 
 
 def test_csv_header_carries_schema_and_columns():
-    text = format_csv(["a", "b"], [(1.0, 2.0)])
-    first = text.splitlines()[0]
+    buf = io.StringIO()
+    format_csv(buf, ["a", "b"], [[1.0]], [np.array([2.0])])
+    first = buf.getvalue().splitlines()[0]
     assert first.startswith("# qsatom v1, reduced units (alpha2=1), columns: ")
     assert first.endswith("a,b")
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import mirror, random_drive, random_scalars
 from qsatom import (CrossSectionTriple, DriveConfig, MOLLOW_SCALARS,
-                    PhaseShiftTable, ScatteringScalars, g_pm,
+                    PhaseShiftTable, ScatteringScalars, cross_section_grid,
+                    cross_sections, g_pm,
                     low_intensity_tot, mollow_xsections, reduced_scalars,
                     scalars_from_phase_shifts, sigma_diff, sigma_el,
                     sigma_inel, sigma_tot)
@@ -207,3 +208,44 @@ def test_cross_section_triple_validation():
     with pytest.raises(ValueError):
         CrossSectionTriple(0.2, 0.4, -0.2)
     CrossSectionTriple(0.8, 0.5, 0.3)
+
+
+def test_cross_section_triple_validation_on_columns():
+    # the grid's checks are the scalar checks, elementwise, same messages
+    ok = np.array([0.8, 1e-30])
+    CrossSectionTriple(ok, ok / 2, ok / 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        CrossSectionTriple(ok, np.array([0.5, -0.2]), np.array([0.3, 0.2]))
+    with pytest.raises(ValueError, match=r"gap 2\.000e-01"):
+        CrossSectionTriple(ok, np.array([0.4, 0.0]), np.array([0.2, 0.0]))
+
+
+_NORM2 = st.floats(0.0, 0.1)
+
+
+@given(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), _NORM2, _NORM2,
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.floats(-0.01, 0.01),
+       st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8),
+       st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_cross_section_grid_is_bitwise_the_scalar_path(d0p, d0m, pgp, pgm, t, eps_r,
+                                                       eta2s, zts):
+    # t = 0 and t = 1 put ||P dg||^2 on the triangle bound, other t inside it
+    lo = (math.sqrt(pgp) - math.sqrt(pgm)) ** 2
+    hi = (math.sqrt(pgp) + math.sqrt(pgm)) ** 2
+    sc = ScatteringScalars(d0p, d0m, pgp, pgm, lo + t * (hi - lo), eps_r)
+    eta2 = np.repeat(eta2s, len(zts))
+    ztilde = np.tile(zts, len(eta2s))
+    grid = cross_section_grid(sc, eta2, ztilde)
+    for name in ("total", "elastic", "inelastic"):
+        want = [getattr(cross_sections(sc, DriveConfig(math.sqrt(e2), zt)), name)
+                for e2, zt in zip(eta2.tolist(), ztilde.tolist())]
+        assert getattr(grid, name).tobytes() == np.array(want).tobytes(), name
+
+
+def test_cross_section_grid_names_the_first_overflowing_point(fano_scalars):
+    # a float ** 2 raises OverflowError here; the columns carry inf/nan
+    # instead, which must not pass as numbers
+    with pytest.raises(ArithmeticError, match=r"\(eta2, ztilde\) = \(1e\+200, 0\.5\)"):
+        cross_section_grid(fano_scalars, np.array([4.0, 1e200]), np.array([0.5, 0.5]))
