@@ -27,9 +27,6 @@ from .model import ReducedScalars
 
 _STATE_TOL = 1e-9
 _STRUCTURE_TOL = 1e-12
-# Above this eigenvector condition estimate the eigendecomposition is not
-# trusted and the Pade scaling-and-squaring route is taken instead.
-_EIG_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -129,32 +126,20 @@ def cubic_discriminant(coeffs: np.ndarray) -> float:
             - 4.0 * a * c ** 3 - 27.0 * a ** 2 * d ** 2)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """e^A for a small dense matrix.
-
-    Eigendecomposition is the primary route; when the eigenvector basis
-    is ill-conditioned (repeated eigenvalues, e.g. at the Mollow
-    triplet threshold) it silently falls back to scaling and squaring.
-    """
-    lam, vec = np.linalg.eig(a)
-    cond = np.linalg.cond(vec)
-    if not np.isfinite(cond) or cond > _EIG_COND_LIMIT:
-        return scipy.linalg.expm(a)
-    return (vec * np.exp(lam)) @ np.linalg.inv(vec)
-
-
 def evolve(drift: DriftMatrix, x0: BlochVector, eta: float, tau: float) -> BlochVector:
     """Propagate a state forward by reduced time tau.
 
     Uses the exact affine solution u(tau) = u_eq + e^{-G' tau/2}(u_0 - u_eq)
     with u_eq obtained from the stationarity system G' u_eq = (0, eta, eta).
+    The propagator is scipy's Pade scaling and squaring, accurate also
+    where G' is defective (the Mollow triplet threshold).
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if tau == 0:
         return x0
     ueq = np.linalg.solve(drift.matrix, np.array([0.0, eta, eta], dtype=complex))
-    prop = _expm(-0.5 * tau * drift.matrix)
+    prop = scipy.linalg.expm(-0.5 * tau * drift.matrix)
     out = ueq + prop @ (x0.vector() - ueq)
     return BlochVector(float(out[0].real), complex(out[1]))
 
@@ -172,4 +157,4 @@ def propagate_deviation(drift: DriftMatrix, gammatilde: float,
     if tau == 0:
         return d0.copy()
     damping = math.exp(-0.5 * gammatilde * tau)
-    return damping * (_expm(-0.5 * tau * drift.matrix) @ d0)
+    return damping * (scipy.linalg.expm(-0.5 * tau * drift.matrix) @ d0)

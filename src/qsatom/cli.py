@@ -168,14 +168,17 @@ def run_spectrum_sweep(cfg: RunConfig):
         for e2, zt in itertools.product(*axes[:2]):
             eta = math.sqrt(e2)
             dc = DriveConfig(eta, zt, gt)
-            inel = spectrum.sigma_inel_x(sc, dc, xs)
-            weight, _ = spectrum.elastic_line(sc, dc)
-            lor = spectrum.elastic_lorentzian(weight, gt, xs)
-            cols = [lor + inel, inel, lor]
-            if cfg.mollow_reference:
-                m_inel = spectrum.mollow_inel_x(zt, eta, gt, xs)
-                m_el = xsection.mollow_xsections(zt, eta).elastic
-                cols.append(m_inel + spectrum.elastic_lorentzian(m_el, gt, xs))
+            try:  # the per-point scalars are Python floats, which raise on overflow
+                inel = spectrum.sigma_inel_x(sc, dc, xs)
+                weight, _ = spectrum.elastic_line(sc, dc)
+                lor = spectrum.elastic_lorentzian(weight, gt, xs)
+                cols = [lor + inel, inel, lor]
+                if cfg.mollow_reference:
+                    m_inel = spectrum.mollow_inel_x(zt, eta, gt, xs)
+                    m_el = xsection.mollow_xsections(zt, eta).elastic
+                    cols.append(m_inel + spectrum.elastic_lorentzian(m_el, gt, xs))
+            except OverflowError:
+                cols = [math.inf]
             if not np.isfinite(cols).all():
                 raise ArithmeticError(f"non-finite spectrum at (eta2, ztilde) = ({e2}, {zt})")
             blocks.append(cols)

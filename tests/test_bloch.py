@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -219,14 +220,47 @@ def test_cubic_discriminant_sign_tracks_root_reality():
 
 
 def test_evolve_accurate_at_defective_threshold():
-    # repeated eigenvalues: the eigenvector route is ill-conditioned and the
-    # propagator must come from the scaling-and-squaring fallback
+    # repeated eigenvalues: G' is defective here, so no eigenvector basis
+    # exists, and the Pade scaling-and-squaring propagator must still agree
     from qsatom.oracle import ode_evolve
     g = _mollow_drift(1.0 / 16.0)
     x0 = BlochVector(0.3, 0.1 - 0.2j)
     a = evolve(g, x0, 0.25, 8.0)
     b = ode_evolve(g, 0.25, x0, 8.0)
     assert abs(a.u - b.u) < 1e-8 and abs(a.v - b.v) < 1e-8
+
+
+def _mp_propagator(g: np.ndarray, tau: float) -> np.ndarray:
+    """e^{-G' tau/2} by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(g.tolist()) * (-mpmath.mpf(tau) / 2))
+        return np.array(e.tolist(), dtype=complex)
+
+
+def _propagator(g: DriftMatrix, tau: float) -> np.ndarray:
+    return np.column_stack([propagate_deviation(g, 0.0, e, tau) for e in np.eye(3)])
+
+
+@pytest.mark.parametrize("eta", [0.25, 0.2499, 0.2501])
+def test_propagator_matches_mpmath_on_the_mollow_threshold(eta):
+    # at eta = 1/4 an eigenvector basis has condition number ~6e7 and an
+    # eigendecomposition route lands 4.6e-10 off
+    g = build_drift(reduced_scalars(MOLLOW_SCALARS, DriveConfig(eta, 0.0)))
+    ref = _mp_propagator(g.matrix, 3.0)
+    assert np.max(np.abs(_propagator(g, 3.0) - ref)) <= 1e-14
+    x0 = BlochVector(0.3, 0.1 - 0.2j)
+    ueq = np.linalg.solve(g.matrix, np.array([0.0, eta, eta], dtype=complex))
+    want = ueq + ref @ (x0.vector() - ueq)
+    got = evolve(g, x0, eta, 3.0)
+    assert abs(got.u - want[0]) <= 1e-14 and abs(got.v - want[1]) <= 1e-14
+
+
+def test_propagator_matches_mpmath_on_random_drifts():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        _, g = _drift(random_scalars(rng), random_drive(rng))
+        tau = rng.uniform(0.1, 20.0)
+        assert np.max(np.abs(_propagator(g, tau) - _mp_propagator(g.matrix, tau))) <= 1e-14
 
 
 def test_bloch_vector_validation():

@@ -121,6 +121,7 @@ def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys, command
     ("xsection", {"eta2": [1e200]}, "(1e+200, -4.0)"),
     ("spectrum", {"x_grid": [1e160]}, "(10.0, -4.0)"),
     ("spectrum", {"gammatilde": 1e-300}, "(10.0, -4.0)"),
+    ("spectrum", {"eta2": [1e200]}, "(1e+200, -4.0)"),
 ])
 def test_numerical_failure_is_one_stderr_line(tmp_path, command, over, point):
     # numpy overflow warnings must not reach the user ahead of the one
