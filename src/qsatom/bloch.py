@@ -13,6 +13,10 @@ comparable entry by entry with the closed forms used elsewhere.
 :func:`build_drift` and :func:`equilibrium` take the reduced scalars
 alone, which carry the eta and s they were dressed with; the stationary
 state is a plain :class:`BlochVector`.
+
+The propagators :func:`evolve` and :func:`propagate_deviation` are the
+only users of ``scipy.linalg``; it loads through the ``scipy`` package
+on their first call, so the sweeps, which never propagate, never load it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .model import ReducedScalars
 
@@ -132,7 +136,8 @@ def evolve(drift: DriftMatrix, x0: BlochVector, eta: float, tau: float) -> Bloch
     Uses the exact affine solution u(tau) = u_eq + e^{-G' tau/2}(u_0 - u_eq)
     with u_eq obtained from the stationarity system G' u_eq = (0, eta, eta).
     The propagator is scipy's Pade scaling and squaring, accurate also
-    where G' is defective (the Mollow triplet threshold).
+    where G' is defective (the Mollow triplet threshold); ``scipy.linalg``
+    loads on the first propagator call in a process.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")

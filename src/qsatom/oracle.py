@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, DriftMatrix, build_drift, equilibrium
+from .bloch import BlochVector, DriftMatrix, build_drift, equilibrium, evolve
 from .model import (DriveConfig, PhaseShiftTable, ScatteringScalars,
                     legendre_table, reduced_scalars, scalars_from_phase_shifts)
 from .spectrum import (build_spectral_drift, mollow_inel_x, resolvent,
@@ -84,12 +84,14 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
     under d'(tau) = -(Gtilde + 2ix) d(tau) with fixed-step RK4 (RK4 as a
     precomputed step matrix) and accumulates the Laplace integrals as
     augmented components of the same RK4 state, until the kernel norm
-    drops below ``tail``.  The state advances by the 25th power of the
-    8x8 step matrix between decay checks.  The step shrinks with the
-    spectral radius so the O(h^4) error stays below the comparison
-    tolerances.  Raises ValueError for a non-finite ``x`` or
-    ``tau_max`` and RuntimeError when the kernel has not decayed by
-    ``tau_max``.
+    drops below ``tail``.  The first stride is the 25th power of the 8x8
+    step matrix, squared after each failed decay check, so the checks
+    grow with the log of the decay time; every stride is a power of the
+    one RK4 step.  The step shrinks with the spectral radius so the
+    O(h^4) error stays below the comparison tolerances.  Raises
+    ValueError for a non-finite ``x`` or ``tau_max`` and RuntimeError
+    when the kernel has not decayed by ``tau_max`` (the last stride, as
+    long as all before it plus 25 steps, ends before 2 tau_max + 25 h).
     """
     if not (math.isfinite(x) and math.isfinite(tau_max)):
         raise ValueError("x and tau_max must be finite")
@@ -117,6 +119,8 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
         tau += steps_per_check * h
         if max(np.linalg.norm(y[0:3]), np.linalg.norm(y[4:7])) < tail:
             break
+        stride = stride @ stride
+        steps_per_check *= 2
     else:
         raise RuntimeError("time-domain kernel did not decay below the "
                            f"threshold within tau = {tau_max}")
@@ -466,7 +470,6 @@ def run_verification(table: PhaseShiftTable | None = None,
     checks.append(VerificationCheck("equilibrium stationarity", 1e-12, eq_res))
 
     # matrix exponential against RK4
-    from .bloch import evolve  # local import keeps module init light
     eo = 0.0
     for _ in range(6):
         sc = _random_scalars(rng)

@@ -139,6 +139,35 @@ def test_numerical_failure_is_one_stderr_line(tmp_path, command, over, point):
     assert not out.exists()
 
 
+# The sweeps never propagate a state, so they must not pay for loading
+# scipy.linalg; the first propagator call loads it through the scipy
+# package.  Module sets, not times, so the test cannot flake.
+_FOOTPRINT = """
+import json, sys
+from qsatom import MOLLOW_SCALARS, DriveConfig, bloch, cli, reduced_scalars
+loaded = lambda: ["scipy" in sys.modules, "scipy.linalg" in sys.modules]
+codes = [cli.main([c, "--config", sys.argv[1], "--out", sys.argv[2]])
+         for c in ("xsection", "spectrum")]
+after_sweeps = loaded()
+rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(1.0, 0.0))
+bloch.evolve(bloch.build_drift(rs), bloch.GROUND_STATE, 1.0, 0.5)
+print(json.dumps([codes, after_sweeps, loaded()]))
+"""
+
+
+def test_sweeps_leave_scipy_linalg_unloaded(tmp_path):
+    cfg = _write(tmp_path, "small.json", _fano_config())
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsatom.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, cfg, str(tmp_path / "out")],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    codes, after_sweeps, after_evolve = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert after_sweeps == [True, False]
+    assert after_evolve == [True, True]
+
+
 # Recorded before the sweeps became columnar, from the per-point path.
 # The Fano zero of delta0_minus = 0.13 (ztilde = 0.5 cot 0.13 = 3.83 at
 # eta2 -> 0) with ||P g-||^2 = 0 so nothing hides it, ||P dg||^2 on the

@@ -158,6 +158,19 @@ def test_time_domain_matches_resolvent_hard_corners(fano_scalars, corner, x):
     assert a == pytest.approx(b, rel=1e-6)
 
 
+# The stride doubles after every failed decay check, so a strong drive
+# costs a few more checks rather than ~|A|^(5/4) times the steps.
+@pytest.mark.parametrize("x", [0.0, 1.3, -2.7])
+@pytest.mark.parametrize("eta2", [1e3, 1e4])
+def test_time_domain_cost_is_flat_in_intensity(fano_scalars, eta2, x):
+    dc = DriveConfig(math.sqrt(eta2), 0.0, 0.6)
+    start = time.perf_counter()
+    a = spectrum_time_domain(fano_scalars, dc, x)
+    elapsed = time.perf_counter() - start
+    assert a == pytest.approx(sigma_inel_x(fano_scalars, dc, x), rel=1e-6)
+    assert elapsed < 1.0
+
+
 def test_time_domain_signals_stalled_decay(fano_scalars):
     # an absurdly small horizon cannot reach the decay threshold
     with pytest.raises(RuntimeError):
