@@ -14,9 +14,8 @@ comparable entry by entry with the closed forms used elsewhere.
 alone, which carry the eta and s they were dressed with; the stationary
 state is a plain :class:`BlochVector`.
 
-The propagators :func:`evolve` and :func:`propagate_deviation` are the
-only users of ``scipy.linalg``; it loads through the ``scipy`` package
-on their first call, so the sweeps, which never propagate, never load it.
+The propagators :func:`evolve` and :func:`propagate_deviation` share one
+numpy [13/13] Pade scaling and squaring; no part of the package calls scipy.
 """
 
 from __future__ import annotations
@@ -25,12 +24,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
+import scipy  # noqa: F401  kept only for the benchmark worker's version record
 
 from .model import ReducedScalars
 
 _STATE_TOL = 1e-9
 _STRUCTURE_TOL = 1e-12
+# Pade [13/13] b_j = (2m-j)! m! / ((2m)! j! (m-j)!), m = 13, and theta_13, the largest
+# 1-norm it holds to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+_PADE13 = [math.comb(13, j) * math.factorial(26 - j) / math.factorial(26) for j in range(14)]
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -130,22 +133,39 @@ def cubic_discriminant(coeffs: np.ndarray) -> float:
             - 4.0 * a * c ** 3 - 27.0 * a ** 2 * d ** 2)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by [13/13] Pade scaling and squaring (Higham 2005; Moler and Van Loan, SIAM
+    Rev. 45, 3 (2003)): r(a / 2^k)^(2^k), k the fewest halvings to ||a||_1 <= theta_13."""
+    norm = np.linalg.norm(a, 1)
+    k = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0 ** k
+    b, eye, a2 = _PADE13, np.eye(len(a)), a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(k):
+        r = r @ r
+    return r
+
+
 def evolve(drift: DriftMatrix, x0: BlochVector, eta: float, tau: float) -> BlochVector:
     """Propagate a state forward by reduced time tau.
 
     Uses the exact affine solution u(tau) = u_eq + e^{-G' tau/2}(u_0 - u_eq)
     with u_eq obtained from the stationarity system G' u_eq = (0, eta, eta).
-    The propagator is scipy's Pade scaling and squaring, accurate also
-    where G' is defective (the Mollow triplet threshold); ``scipy.linalg``
-    loads on the first propagator call in a process.
+    The propagator is the [13/13] Pade scaling and squaring of
+    :func:`_expm`, accurate also where G' is defective (the Mollow triplet
+    threshold).  Raises ValueError for a negative or non-finite ``tau``.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not math.isfinite(tau) or tau < 0:
+        raise ValueError("tau must be finite and nonnegative")
     if tau == 0:
         return x0
     ueq = np.linalg.solve(drift.matrix, np.array([0.0, eta, eta], dtype=complex))
-    prop = scipy.linalg.expm(-0.5 * tau * drift.matrix)
-    out = ueq + prop @ (x0.vector() - ueq)
+    out = ueq + _expm(-0.5 * tau * drift.matrix) @ (x0.vector() - ueq)
     return BlochVector(float(out[0].real), complex(out[1]))
 
 
@@ -154,12 +174,12 @@ def propagate_deviation(drift: DriftMatrix, gammatilde: float,
     """Propagate a traceless deviation 3-vector: d(tau) = e^{-G' tau/2} d(0),
     with the extra detector damping e^{-gammatilde tau/2} used in spectral
     integrands.  Linear in d0."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not math.isfinite(tau) or tau < 0:
+        raise ValueError("tau must be finite and nonnegative")
     d0 = np.asarray(d0, dtype=complex)
     if d0.shape != (3,):
         raise ValueError("deviation must be a complex 3-vector")
     if tau == 0:
         return d0.copy()
     damping = math.exp(-0.5 * gammatilde * tau)
-    return damping * (scipy.linalg.expm(-0.5 * tau * drift.matrix) @ d0)
+    return damping * (_expm(-0.5 * tau * drift.matrix) @ d0)

@@ -312,34 +312,30 @@ def build_finite_beam(table: PhaseShiftTable, dc: DriveConfig, dtheta: float,
     )
 
 
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-_P_PLUS = np.diag([1.0, 0.0]).astype(complex)
-_P_MINUS = np.diag([0.0, 1.0]).astype(complex)
 _SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 
-def _channel_operators(fb: FiniteBeamModel) -> list[np.ndarray]:
-    ops = []
-    for l in range(fb.lmax + 1):
-        r = (fb.plus_couplings[l] * _P_PLUS + fb.minus_couplings[l] * _P_MINUS)
-        if l == 0:
-            r = r + fb.sigma_minus_amp * _SIGMA_MINUS
-        ops.append(r)
-    return ops
+def _channel_stack(fb: FiniteBeamModel) -> np.ndarray:
+    """The channel operators R_l stacked as one (lmax + 1, 2, 2) array: the
+    P+ and P- couplings on the diagonal, sigma_minus in channel 0 only."""
+    r = np.zeros((fb.lmax + 1, 2, 2), dtype=complex)
+    r[:, 0, 0], r[:, 1, 1] = fb.plus_couplings, fb.minus_couplings
+    r[0, 1, 0] = fb.sigma_minus_amp
+    return r
 
 
 def _beam_liouvillian(fb: FiniteBeamModel, dc: DriveConfig) -> np.ndarray:
-    """4x4 superoperator of the rotated master equation, column-stacked."""
+    """4x4 superoperator of the rotated master equation, column-stacked;
+    each sum over channels is one contraction of the channel stack."""
     rabi_half = dc.eta * fb.overlaps[0]  # |<alpha|S- lambda>|
     h = 0.5 * (-dc.ztilde) * _SIGMA_Z - 0.5 * rabi_half * _SIGMA_Y
     eye = np.eye(2, dtype=complex)
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for r in _channel_operators(fb):
-        rd = r.conj().T
-        rdr = rd @ r
-        m += np.kron(r.conj(), r) - 0.5 * (np.kron(eye, rdr) + np.kron(rdr.T, eye))
-    return m
+    r = _channel_stack(fb)
+    rdr = np.einsum('lji,ljk->ik', r.conj(), r)
+    jump = np.einsum('lij,lkm->ikjm', r.conj(), r).reshape(4, 4)
+    return (jump - 1j * (np.kron(eye, h) - np.kron(h.T, eye))
+            - 0.5 * (np.kron(eye, rdr) + np.kron(rdr.T, eye)))
 
 
 def finite_beam_equilibrium(fb: FiniteBeamModel, dc: DriveConfig) -> np.ndarray:
@@ -379,9 +375,8 @@ def finite_beam_balance(fb: FiniteBeamModel, table: PhaseShiftTable,
         raise ValueError("finite-beam model was built for a different drive")
     rho = finite_beam_equilibrium(fb, dc)
     influx = dc.eta ** 2 / fb.dtheta ** 2
-    outflux = 0.0
-    for r in _channel_operators(fb):
-        outflux += float(np.trace(r.conj().T @ r @ rho).real)
+    r = _channel_stack(fb)
+    outflux = float(np.einsum('lji,ljk,ki->', r.conj(), r, rho).real)
     outflux += dc.eta ** 2 * (1.0 / fb.dtheta ** 2 - float(np.sum(fb.overlaps ** 2)))
     if influx == 0.0:
         return abs(outflux)

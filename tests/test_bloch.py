@@ -263,6 +263,27 @@ def test_propagator_matches_mpmath_on_random_drifts():
         assert np.max(np.abs(_propagator(g, tau) - _mp_propagator(g.matrix, tau))) <= 1e-14
 
 
+def test_propagator_matches_mpmath_under_strong_drive():
+    # eta up to 60 and |ztilde| up to 50 put ||G' tau/2||_1 in the hundreds,
+    # so the short tau runs the Pade approximant unscaled (k = 0) and the
+    # long ones through many squarings
+    rng = np.random.default_rng(31)
+    for i in range(30):
+        dc = DriveConfig(rng.uniform(0.0, 60.0), rng.uniform(-50.0, 50.0))
+        _, g = _drift(random_scalars(rng), dc)
+        tau = (1e-3, 0.3, rng.uniform(0.5, 40.0))[i % 3]
+        assert np.max(np.abs(_propagator(g, tau) - _mp_propagator(g.matrix, tau))) <= 3e-14
+
+
+@pytest.mark.parametrize("tau", [-0.1, math.inf, math.nan])
+def test_propagators_reject_negative_or_non_finite_tau(tau):
+    g = build_drift(reduced_scalars(MOLLOW_SCALARS, DriveConfig(1.0, 0.0)))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        evolve(g, BlochVector(0.0, 0.0), 1.0, tau)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        propagate_deviation(g, 0.0, np.zeros(3), tau)
+
+
 def test_bloch_vector_validation():
     with pytest.raises(ValueError):
         BlochVector(-0.1, 0.0)

@@ -341,6 +341,28 @@ def test_finite_beam_balance_dwave_table(dwave_table):
         assert finite_beam_balance(fb, dwave_table, dc) <= 1e-8
 
 
+def test_beam_liouvillian_matches_the_per_channel_kron_sum(dwave_table):
+    # reference: the Lindblad dissipator summed channel by channel,
+    # L(rho) = R rho R^dag - {R^dag R, rho}/2 as column-stacked krons
+    dc = DriveConfig(math.sqrt(6.0), 1.5)
+    fb = build_finite_beam(dwave_table, dc, 0.05, lmax=40)
+    eye = np.eye(2)
+    h = np.array([[-0.5 * dc.ztilde, 0.5j * dc.eta * fb.overlaps[0]],
+                  [-0.5j * dc.eta * fb.overlaps[0], 0.5 * dc.ztilde]])
+    ref = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for l in range(fb.lmax + 1):
+        r = np.diag([fb.plus_couplings[l], fb.minus_couplings[l]])
+        if l == 0:
+            r[1, 0] = fb.sigma_minus_amp
+        rdr = r.conj().T @ r
+        ref += np.kron(r.conj(), r) - 0.5 * (np.kron(eye, rdr) + np.kron(rdr.T, eye))
+    # the same 41 channel terms summed in another order; they carry the beam
+    # norm eta^2 / dtheta^2 (2400 here) and largely cancel on the diagonal,
+    # so rounding is bounded by a few ulps of that norm per term
+    got = oracle._beam_liouvillian(fb, dc)
+    assert np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * dc.eta ** 2 / fb.dtheta ** 2
+
+
 def test_finite_beam_equilibrium_converges_to_collimated(dwave_table):
     dc = DriveConfig(math.sqrt(6.0), 1.5)
     rs = reduced_scalars(scalars_from_phase_shifts(dwave_table), dc)
