@@ -14,8 +14,7 @@ from .bloch import (BlochVector, DriftMatrix, GROUND_STATE, build_drift,
 from .xsection import (CrossSectionTriple, cross_section_grid, cross_sections,
                        low_intensity_tot, mollow_xsections, sigma_diff, sigma_el,
                        sigma_inel, sigma_tot)
-from .spectrum import (AngularSpectralData, SpectralCoefficients,
-                       build_spectral_drift, elastic_line, local_maxima,
+from .spectrum import (SpectralCoefficients, build_spectral_drift, local_maxima,
                        low_intensity_x, mollow_inel_x, resolvent, sigma_inel_x,
                        sigma_tot_x, spectral_coefficients, spectral_diff)
 from .oracle import (FiniteBeamModel, SumRuleReport, beam_overlaps,
@@ -31,8 +30,7 @@ __all__ = [
     "build_drift", "equilibrium", "evolve", "propagate_deviation",
     "CrossSectionTriple", "cross_section_grid", "cross_sections", "low_intensity_tot",
     "mollow_xsections", "sigma_diff", "sigma_el", "sigma_inel", "sigma_tot",
-    "AngularSpectralData", "SpectralCoefficients",
-    "build_spectral_drift", "elastic_line", "local_maxima", "low_intensity_x",
+    "SpectralCoefficients", "build_spectral_drift", "local_maxima", "low_intensity_x",
     "mollow_inel_x", "resolvent", "sigma_inel_x", "sigma_tot_x",
     "spectral_coefficients", "spectral_diff",
     "FiniteBeamModel", "SumRuleReport", "beam_overlaps", "build_finite_beam",

@@ -173,9 +173,12 @@ def propagate_deviation(drift: DriftMatrix, gammatilde: float,
                         d0: np.ndarray, tau: float) -> np.ndarray:
     """Propagate a traceless deviation 3-vector: d(tau) = e^{-G' tau/2} d(0),
     with the extra detector damping e^{-gammatilde tau/2} used in spectral
-    integrands.  Linear in d0."""
+    integrands.  Linear in d0.  Raises ValueError for a negative or
+    non-finite ``tau`` or ``gammatilde``."""
     if not math.isfinite(tau) or tau < 0:
         raise ValueError("tau must be finite and nonnegative")
+    if not math.isfinite(gammatilde) or gammatilde < 0:
+        raise ValueError("gammatilde must be finite and nonnegative")
     d0 = np.asarray(d0, dtype=complex)
     if d0.shape != (3,):
         raise ValueError("deviation must be a complex 3-vector")

@@ -170,8 +170,7 @@ def run_spectrum_sweep(cfg: RunConfig):
             dc = DriveConfig(eta, zt, gt)
             try:  # the per-point scalars are Python floats, which raise on overflow
                 inel = spectrum.sigma_inel_x(sc, dc, xs)
-                weight, _ = spectrum.elastic_line(sc, dc)
-                lor = spectrum.elastic_lorentzian(weight, gt, xs)
+                lor = spectrum.elastic_lorentzian(xsection.sigma_el(sc, dc), gt, xs)
                 cols = [lor + inel, inel, lor]
                 if cfg.mollow_reference:
                     m_inel = spectrum.mollow_inel_x(zt, eta, gt, xs)

@@ -7,9 +7,8 @@ section.  For strong drive and weak direct scattering the familiar
 Mollow triplet appears; direct scattering distorts it and makes the
 spectrum asymmetric in x.
 
-Both the angle-integrated and the angle-resolved spectrum evaluate the
-resolvent from the closed adjugate rows 1 and 3 (row 2 never enters a
-spectrum); the generic inverse and cofactor row 2 are for verification.
+Every row of the resolvent adjugate is a closed expression in the
+scalars: the spectra read rows 1 and 3, :func:`resolvent` adds row 2.
 
 Every builder takes one :class:`~qsatom.model.ReducedScalars`, which
 carries the eta, s and gammatilde it was dressed with; the spectra read
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, delta_g, g_pm, reduced_scalars,
+                    ScatteringScalars, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
 from .xsection import sigma_el
 
@@ -50,18 +49,6 @@ class SpectralCoefficients:
                 raise ValueError(f"{name} must be a complex 3-vector")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class AngularSpectralData:
-    """Angle-resolved spectral ingredients at one polar angle: the
-    elastic amplitude a(theta) and the bilinear vectors
-    c(theta) = (dg, 0, e^{2i delta_0^-}/sqrt(4 pi)) and d(theta), both in
-    the frame of Gtilde (see :func:`spectral_diff`)."""
-
-    a_theta: complex
-    c_theta: np.ndarray
-    d_theta: np.ndarray
 
 
 def build_spectral_drift(rs: ReducedScalars) -> np.ndarray:
@@ -133,35 +120,27 @@ def _det_and_rows(rs: ReducedScalars, x):
     return det, row1, row3
 
 
-def _row2_cofactors(rs: ReducedScalars, x: float) -> np.ndarray:
-    """Adjugate row 2 of (Gtilde + 2ix) by cofactor expansion.
-
-    Kept out of the production spectrum path; only the full-inverse
-    verification needs it.
-    """
-    a = build_spectral_drift(rs) + 2j * x * np.eye(3)
-
-    def minor(i, j):
-        rows = [r for r in range(3) if r != i]
-        cols = [c for c in range(3) if c != j]
-        sub = a[np.ix_(rows, cols)]
-        return sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-
-    return np.array([-minor(0, 1), minor(1, 1), -minor(2, 1)], dtype=complex)
-
-
 def resolvent(rs: ReducedScalars, x: float) -> np.ndarray:
-    """Full 3x3 inverse of (Gtilde + 2ix).
+    """Full 3x3 inverse of A = Gtilde + 2ix, every row closed.
 
-    Rows 1 and 3 come from the closed adjugate expressions, row 2 from
-    cofactors.  Raises ArithmeticError if the determinant underflows,
-    which is only possible at gammatilde = 0 on the boundary of the
-    spectrum.
+    Rows 1 and 3 are those of the spectra; row 2 follows from the zeros
+    A23 = A32 = 0 as (-A21 A33, A11 A33 - A13 A31, A13 A21).  Raises
+    ValueError for a non-finite x, and ArithmeticError if the determinant
+    underflows, which is only possible at gammatilde = 0 on the boundary
+    of the spectrum.
     """
-    det, row1, row3 = _det_and_rows(rs, float(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"resolvent needs a finite x, got {x}")
+    det, row1, row3 = _det_and_rows(rs, x)
     if abs(det) < _DET_FLOOR:
         raise ArithmeticError(f"resolvent singular at x = {x}")
-    row2 = _row2_cofactors(rs, float(x))
+    eta2, cs, eis = rs.eta ** 2, math.cos(rs.s), np.exp(1j * rs.s)
+    a11 = 2.0 + rs.gammatilde + 2j * x
+    a21 = 2.0 * eta2 * eis * cs
+    a31 = -2.0 * np.conj(eis) * cs
+    a33 = rs.kappa2 + rs.gammatilde + 1j * (2.0 * x + rs.w)
+    row2 = np.array([-(a21 * a33), a11 * a33 - eta2 * a31, eta2 * a21], dtype=complex)
     return np.stack([row1, row2, row3]) / det
 
 
@@ -189,13 +168,6 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
     return float(out) if scalar_in else out
 
 
-def elastic_line(sc: ScatteringScalars, dc: DriveConfig) -> tuple[float, float]:
-    """(weight, center) of the elastic line, for rendering the
-    gammatilde -> 0 delta contribution: weight is the elastic cross
-    section, the line sits at x = 0 (the drive frequency)."""
-    return sigma_el(sc, dc), 0.0
-
-
 def elastic_lorentzian(weight, gammatilde: float, x):
     """Lorentzian line of integral ``weight`` and full width gammatilde at x."""
     return weight * (gammatilde / (2.0 * math.pi)) / (x ** 2 + (gammatilde / 2.0) ** 2)
@@ -204,13 +176,13 @@ def elastic_lorentzian(weight, gammatilde: float, x):
 def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
     """Total spectral density: elastic Lorentzian of width gammatilde
     plus the inelastic density.  Refuses gammatilde = 0, where the
-    elastic line is a delta; use :func:`elastic_line` there."""
+    elastic line is a delta at x = 0 of weight :func:`~qsatom.xsection.sigma_el`."""
     gt = dc.gammatilde
     if gt <= 0:
-        raise ValueError("sigma_tot_x needs gammatilde > 0; "
-                         "at zero width use elastic_line for the delta part")
-    weight, _ = elastic_line(sc, dc)
-    lorentz = elastic_lorentzian(weight, gt, np.asarray(x, dtype=float))
+        raise ValueError("sigma_tot_x needs gammatilde > 0; at zero width the elastic "
+                         "part is a delta at x = 0 of weight sigma_el, and sigma_inel_x "
+                         "gives the rest from the closed rows of the resolvent")
+    lorentz = elastic_lorentzian(sigma_el(sc, dc), gt, np.asarray(x, dtype=float))
     out = lorentz + sigma_inel_x(sc, dc, x)
     return float(out) if (np.isscalar(x) or np.ndim(x) == 0) else out
 
@@ -260,26 +232,6 @@ def low_intensity_x(sc: ScatteringScalars, ztilde: float, gammatilde: float,
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _angular_data(table: PhaseShiftTable, sc: ScatteringScalars,
-                  rs: ReducedScalars, theta: float) -> AngularSpectralData:
-    """Angle-resolved spectral ingredients at polar angle theta, from
-    scalars the caller has already reduced."""
-    k2, y = rs.kappa2, rs.y
-    den = rs.den
-    _, gm = g_pm(table, theta)
-    dg = delta_g(table, theta)
-    e2 = np.exp(2j * sc.delta0_minus)
-    a = gm + dg * rs.eta ** 2 * k2 / den - e2 * complex(k2, y) / (SQRT_4PI * den)
-    c = np.array([dg, 0.0, e2 / SQRT_4PI], dtype=complex)
-    m = dg * (1.0 - rs.eta ** 2 * k2 / den) + e2 * complex(k2, y) / (SQRT_4PI * den)
-    d3 = (e2 / SQRT_4PI * (rs.norm2_dg * (y ** 2 + k2 ** 2)
-                           + k2 * y * math.sin(2.0 * sc.s)
-                           + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2)
-          + dg * k2 * complex(k2, -y)) / den ** 2
-    d = np.array([k2 * m / den, m * complex(k2, y) / den, d3], dtype=complex)
-    return AngularSpectralData(a_theta=complex(a), c_theta=c, d_theta=d)
-
-
 def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
                   x: float) -> tuple[float, float]:
     """Angle-resolved spectral densities (elastic, inelastic) at (theta, x).
@@ -287,18 +239,28 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     Elastic density: |a(theta)|^2 times the unit Lorentzian of width
     gammatilde.  Inelastic density, from the same adjugate rows as
     :func:`sigma_inel_x`: (2/pi) eta^2 Re[c(theta)^dag (Gtilde + 2ix)^{-1}
-    d(theta)], whose integral over solid angle reproduces the
-    angle-integrated spectrum.
+    d(theta)] with c(theta) = (g+ - g-, 0, e^{2i delta_0^-}/sqrt(4 pi)),
+    whose integral over solid angle reproduces the angle-integrated
+    spectrum.
     """
     if dc.gammatilde <= 0:
         raise ValueError("spectral_diff needs gammatilde > 0 for the elastic density")
     sc = scalars_from_phase_shifts(table)
     rs = reduced_scalars(sc, dc)
-    ang = _angular_data(table, sc, rs, theta)
-    el = elastic_lorentzian(abs(ang.a_theta) ** 2, dc.gammatilde, x)
+    k2, y, den, eta2 = rs.kappa2, rs.y, rs.den, rs.eta ** 2
+    gp, gm = g_pm(table, theta)
+    dg = gp - gm
+    e2 = np.exp(2j * sc.delta0_minus)
+    a = gm + dg * eta2 * k2 / den - e2 * complex(k2, y) / (SQRT_4PI * den)
+    el = elastic_lorentzian(abs(a) ** 2, dc.gammatilde, x)
+    m = dg * (1.0 - eta2 * k2 / den) + e2 * complex(k2, y) / (SQRT_4PI * den)
+    d3 = (e2 / SQRT_4PI * (rs.norm2_dg * (y ** 2 + k2 ** 2)
+                           + k2 * y * math.sin(2.0 * sc.s)
+                           + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2)
+          + dg * k2 * complex(k2, -y)) / den ** 2
+    d = np.array([k2 * m / den, m * complex(k2, y) / den, d3], dtype=complex)
     det, row1, row3 = _det_and_rows(rs, x)
-    c, d = ang.c_theta, ang.d_theta
-    bilinear = (np.conj(c[0]) * (row1 @ d) + np.conj(c[2]) * (row3 @ d)) / det
+    bilinear = (np.conj(dg) * (row1 @ d) + np.conj(e2 / SQRT_4PI) * (row3 @ d)) / det
     inel = (2.0 / math.pi) * dc.eta ** 2 * float(bilinear.real)
     return el, inel
 

@@ -284,6 +284,15 @@ def test_propagators_reject_negative_or_non_finite_tau(tau):
         propagate_deviation(g, 0.0, np.zeros(3), tau)
 
 
+@pytest.mark.parametrize("gammatilde", [-1e3, math.inf, math.nan])
+def test_propagate_deviation_rejects_negative_or_non_finite_width(gammatilde):
+    # -1e3 at tau = 10 used to overflow in math.exp, nan gave a NaN vector
+    # and inf silently gave zeros
+    g = build_drift(reduced_scalars(MOLLOW_SCALARS, DriveConfig(1.0, 0.0)))
+    with pytest.raises(ValueError, match="gammatilde must be finite and nonnegative"):
+        propagate_deviation(g, gammatilde, np.array([0.1, 0.2j, -0.2j]), 10.0)
+
+
 def test_bloch_vector_validation():
     with pytest.raises(ValueError):
         BlochVector(-0.1, 0.0)
