@@ -2,17 +2,19 @@
 
 Every closed form in the library has an independent numerical
 counterpart.  This script runs the full check suite, then walks two of
-the oracles explicitly: the spectral sum rules under adaptive
-quadrature, and the finite-width-beam photon balance whose equilibrium
-converges to the collimated closed form as the beam narrows.
+the oracles explicitly: the spectral sum rules under composite
+Gauss-Legendre quadrature (8- and 16-node panel pairs on the tan-mapped
+line, halving the panels where the pair disagrees), and the
+finite-width-beam photon balance whose equilibrium converges to the
+collimated closed form as the beam narrows.
 
 Run:  python demos/04_verification_tour.py
 """
 
 import math
 
-from qsatom import (DriveConfig, PhaseShiftTable, build_finite_beam,
-                    equilibrium, finite_beam_balance, finite_beam_equilibrium,
+from qsatom import (DriveConfig, PhaseShiftTable, equilibrium,
+                    finite_beam_balance, finite_beam_equilibrium,
                     quad_sum_rules, reduced_scalars, run_verification,
                     scalars_from_phase_shifts)
 
@@ -48,9 +50,8 @@ def main():
     print("  half-angle   balance residual   excited population   (collimated limit "
           f"{u_limit:.8f})")
     for dtheta in (0.2, 0.1, 0.05, 0.01):
-        fb = build_finite_beam(TABLE, dc, dtheta, lmax=40)
-        residual = finite_beam_balance(fb, TABLE, dc)
-        u = finite_beam_equilibrium(fb, dc)[0, 0].real
+        residual = finite_beam_balance(TABLE, dc, dtheta, lmax=40)
+        u = finite_beam_equilibrium(TABLE, dc, dtheta, lmax=40)[0, 0].real
         print(f"  {dtheta:9.2f}   {residual:16.3e}   {u:.8f}")
 
 

@@ -17,8 +17,7 @@ from .xsection import (CrossSectionTriple, cross_section_grid, cross_sections,
 from .spectrum import (SpectralCoefficients, build_spectral_drift, local_maxima,
                        low_intensity_x, mollow_inel_x, resolvent, sigma_inel_x,
                        sigma_tot_x, spectral_coefficients, spectral_diff)
-from .oracle import (FiniteBeamModel, SumRuleReport, beam_overlaps,
-                     build_finite_beam, finite_beam_balance,
+from .oracle import (SumRuleReport, beam_overlaps, finite_beam_balance,
                      finite_beam_equilibrium, ode_evolve, quad_sum_rules,
                      run_verification, spectrum_time_domain)
 
@@ -33,9 +32,9 @@ __all__ = [
     "SpectralCoefficients", "build_spectral_drift", "local_maxima", "low_intensity_x",
     "mollow_inel_x", "resolvent", "sigma_inel_x", "sigma_tot_x",
     "spectral_coefficients", "spectral_diff",
-    "FiniteBeamModel", "SumRuleReport", "beam_overlaps", "build_finite_beam",
-    "finite_beam_balance", "finite_beam_equilibrium", "ode_evolve",
-    "quad_sum_rules", "run_verification", "spectrum_time_domain",
+    "SumRuleReport", "beam_overlaps", "finite_beam_balance",
+    "finite_beam_equilibrium", "ode_evolve", "quad_sum_rules",
+    "run_verification", "spectrum_time_domain",
 ]
 
 __version__ = "0.1.0"

@@ -39,6 +39,12 @@ _RNG_SEED = 20250808
 # ---------------------------------------------------------------------------
 # time-domain propagation
 
+# largest ode_evolve step: O(h^4) error ~5e-13 at verify's tau <= 20 (tolerance 1e-8)
+_RK4_STEP = 1e-3
+# time-domain stop: the Laplace tail dropped is of this order (tolerance 1e-6)
+_KERNEL_TAIL = 1e-12
+
+
 def _rk4_step(m: np.ndarray, h: float) -> np.ndarray:
     """One classic RK4 step of y' = m y as a matrix.
 
@@ -50,24 +56,21 @@ def _rk4_step(m: np.ndarray, h: float) -> np.ndarray:
     return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
 
 
-def ode_evolve(drift: DriftMatrix, eta: float, x0: BlochVector, tau: float,
-               step: float = 1e-3) -> BlochVector:
+def ode_evolve(drift: DriftMatrix, eta: float, x0: BlochVector,
+               tau: float) -> BlochVector:
     """Classic fixed-step RK4 on the Bloch equation (step <= 1e-3): RK4 as
     a precomputed step matrix.
 
     The inhomogeneous term (0, eta/2, eta/2) rides as a constant fourth
     component, so n steps are the n-th power of one 4x4 step matrix.
     Comparison baseline for the matrix-exponential propagator; never the
-    production path.  Raises ValueError for a negative or non-finite
-    ``tau`` or a non-positive ``step``.
+    production path.  Raises ValueError for a negative or non-finite tau.
     """
     if not math.isfinite(tau) or tau < 0:
         raise ValueError("tau must be finite and nonnegative")
-    if not step > 0:
-        raise ValueError("step must be positive")
     if tau == 0:
         return x0
-    n = max(1, math.ceil(tau / min(step, 1e-3)))
+    n = max(1, math.ceil(tau / _RK4_STEP))
     h = tau / n
     aug = np.zeros((4, 4), dtype=complex)
     aug[0:3, 0:3] = -0.5 * drift.matrix
@@ -77,15 +80,15 @@ def ode_evolve(drift: DriftMatrix, eta: float, x0: BlochVector, tau: float,
 
 
 def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
-                         tail: float = 1e-12, tau_max: float = 500.0) -> float:
+                         tau_max: float = 500.0) -> float:
     """Inelastic spectral density by time-domain integration.
 
     Integrates the regression kernel: propagates the two right vectors
     under d'(tau) = -(Gtilde + 2ix) d(tau) with fixed-step RK4 (RK4 as a
     precomputed step matrix) and accumulates the Laplace integrals as
     augmented components of the same RK4 state, until the kernel norm
-    drops below ``tail``.  The first stride is the 25th power of the 8x8
-    step matrix, squared after each failed decay check, so the checks
+    drops below _KERNEL_TAIL.  The first stride is the 25th power of the
+    8x8 step matrix, squared after each failed decay check, so the checks
     grow with the log of the decay time; every stride is a power of the
     one RK4 step.  The step shrinks with the spectral radius so the
     O(h^4) error stays below the comparison tolerances.  Raises
@@ -117,7 +120,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
     while tau < tau_max:
         y = stride @ y
         tau += steps_per_check * h
-        if max(np.linalg.norm(y[0:3]), np.linalg.norm(y[4:7])) < tail:
+        if max(np.linalg.norm(y[0:3]), np.linalg.norm(y[4:7])) < _KERNEL_TAIL:
             break
         stride = stride @ stride
         steps_per_check *= 2
@@ -233,16 +236,22 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig,
 # ---------------------------------------------------------------------------
 # finite-beam photon balance
 
-def beam_overlaps(lmax: int, dtheta: float, nodes: int = 64) -> np.ndarray:
+# exact (to rounding) for P_l up to l = 127, thrice the lmax = 40 of verify
+_OVERLAP_NODES = 64
+
+
+def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
     """Overlaps of the flat finite-width beam profile with Y_l0.
 
-    Gauss-Legendre quadrature of P_l over [cos dtheta, 1]; 64 nodes are
-    exact (to rounding) for l <= 127.  As dtheta -> 0 each overlap tends
-    to sqrt(2l+1)/2.
+    Gauss-Legendre quadrature of P_l over [cos dtheta, 1].  As dtheta ->
+    0 each overlap tends to sqrt(2l+1)/2.  Raises ValueError unless
+    dtheta is finite and positive and lmax is nonnegative.
     """
-    if dtheta <= 0:
-        raise ValueError("dtheta must be positive")
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    if not (math.isfinite(dtheta) and dtheta > 0):
+        raise ValueError("dtheta must be finite and positive")
+    if lmax < 0:
+        raise ValueError("lmax must be nonnegative")
+    xg, wg = np.polynomial.legendre.leggauss(_OVERLAP_NODES)
     a = math.cos(dtheta)
     xi = 0.5 * (xg + 1.0) * (1.0 - a) + a
     ww = 0.5 * (1.0 - a) * wg
@@ -252,100 +261,50 @@ def beam_overlaps(lmax: int, dtheta: float, nodes: int = 64) -> np.ndarray:
     return pref * np.sqrt((2.0 * ls + 1.0) / (4.0 * math.pi)) * integrals
 
 
-@dataclass(frozen=True)
-class FiniteBeamModel:
-    """Pre-limit beam data: partial-wave truncation, beam half-angle,
-    profile overlaps, and the per-channel operator coefficients of the
-    emission/scattering operators (sigma_minus amplitude plus the P+ and
-    P- couplings of each angular channel)."""
-
-    lmax: int
-    dtheta: float
-    overlaps: np.ndarray
-    sigma_minus_amp: complex
-    plus_couplings: np.ndarray
-    minus_couplings: np.ndarray
-
-    def __post_init__(self):
-        if self.lmax < 0:
-            raise ValueError("lmax must be nonnegative")
-        if self.dtheta <= 0:
-            raise ValueError("dtheta must be positive")
-        ov = np.asarray(self.overlaps, dtype=float)
-        if ov.shape != (self.lmax + 1,) or not np.all(np.isfinite(ov)):
-            raise ValueError("overlaps must be a finite vector of length lmax + 1")
-        # the profile norm is 1/dtheta, so the overlap mass is capped by it
-        if np.sum(ov ** 2) > (1.0 + 1e-9) / self.dtheta ** 2:
-            raise ValueError("overlap mass exceeds the beam norm")
-        for name in ("plus_couplings", "minus_couplings"):
-            v = np.asarray(getattr(self, name), dtype=complex)
-            if v.shape != (self.lmax + 1,):
-                raise ValueError(f"{name} must have length lmax + 1")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        ov.setflags(write=False)
-        object.__setattr__(self, "overlaps", ov)
-
-
-def build_finite_beam(table: PhaseShiftTable, dc: DriveConfig, dtheta: float,
-                      lmax: int) -> FiniteBeamModel:
-    """Assemble the finite-width beam model for a truncated table.
-
-    ``lmax`` must cover the table so that every neglected channel is a
-    pure pass-through (identity scattering).
-    """
+def _beam_channels(table: PhaseShiftTable, dc: DriveConfig, dtheta: float,
+                   lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Profile overlaps and the channel operators R_l stacked as one
+    (lmax + 1, 2, 2) array: the P+ and P- couplings on the diagonal,
+    sigma_minus in channel 0 only.  ``lmax`` must cover the table, so
+    every neglected channel is a pure pass-through."""
     if lmax < table.lmax:
         raise ValueError("beam truncation must cover the phase-shift table")
     ov = beam_overlaps(lmax, dtheta)
+    # the profile norm is 1/dtheta, so the overlap mass is capped by it
+    if np.sum(ov ** 2) > (1.0 + 1e-9) / dtheta ** 2:
+        raise ValueError("overlap mass exceeds the beam norm")
     dp = np.zeros(lmax + 1)
     dm = np.zeros(lmax + 1)
     dp[:table.lmax + 1] = table.delta_plus
     dm[:table.lmax + 1] = table.delta_minus
-    beta = math.pi - 2.0 * float(table.delta_minus[0])
-    return FiniteBeamModel(
-        lmax=lmax,
-        dtheta=dtheta,
-        overlaps=ov,
-        sigma_minus_amp=np.exp(-1j * beta),
-        plus_couplings=dc.eta * np.exp(2j * dp) * ov,
-        minus_couplings=dc.eta * np.exp(2j * dm) * ov,
-    )
+    r = np.zeros((lmax + 1, 2, 2), dtype=complex)
+    r[:, 0, 0] = dc.eta * np.exp(2j * dp) * ov
+    r[:, 1, 1] = dc.eta * np.exp(2j * dm) * ov
+    r[0, 1, 0] = np.exp(-1j * (math.pi - 2.0 * float(table.delta_minus[0])))
+    return ov, r
 
 
-_SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-
-
-def _channel_stack(fb: FiniteBeamModel) -> np.ndarray:
-    """The channel operators R_l stacked as one (lmax + 1, 2, 2) array: the
-    P+ and P- couplings on the diagonal, sigma_minus in channel 0 only."""
-    r = np.zeros((fb.lmax + 1, 2, 2), dtype=complex)
-    r[:, 0, 0], r[:, 1, 1] = fb.plus_couplings, fb.minus_couplings
-    r[0, 1, 0] = fb.sigma_minus_amp
-    return r
-
-
-def _beam_liouvillian(fb: FiniteBeamModel, dc: DriveConfig) -> np.ndarray:
+def _beam_liouvillian(dc: DriveConfig, ov: np.ndarray, r: np.ndarray) -> np.ndarray:
     """4x4 superoperator of the rotated master equation, column-stacked;
     each sum over channels is one contraction of the channel stack."""
-    rabi_half = dc.eta * fb.overlaps[0]  # |<alpha|S- lambda>|
-    h = 0.5 * (-dc.ztilde) * _SIGMA_Z - 0.5 * rabi_half * _SIGMA_Y
+    rabi_half = dc.eta * ov[0]  # |<alpha|S- lambda>|
+    h = np.array([[-0.5 * dc.ztilde, 0.5j * rabi_half],
+                  [-0.5j * rabi_half, 0.5 * dc.ztilde]])
     eye = np.eye(2, dtype=complex)
-    r = _channel_stack(fb)
     rdr = np.einsum('lji,ljk->ik', r.conj(), r)
     jump = np.einsum('lij,lkm->ikjm', r.conj(), r).reshape(4, 4)
     return (jump - 1j * (np.kron(eye, h) - np.kron(h.T, eye))
             - 0.5 * (np.kron(eye, rdr) + np.kron(rdr.T, eye)))
 
 
-def finite_beam_equilibrium(fb: FiniteBeamModel, dc: DriveConfig) -> np.ndarray:
-    """Stationary 2x2 state of the finite-beam master equation.
+def _beam_state(dc: DriveConfig, ov: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Stationary 2x2 state of the master equation with channels (ov, r).
 
     Solves the null space of the assembled superoperator under the trace
     constraint and raises if the result is not a statistical operator
     (which would indicate an assembly bug, not a physics regime).
     """
-    m = _beam_liouvillian(fb, dc)
+    m = _beam_liouvillian(dc, ov, r)
     aug = np.vstack([m, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex)])
     rhs = np.zeros(5, dtype=complex)
     rhs[4] = 1.0
@@ -359,8 +318,14 @@ def finite_beam_equilibrium(fb: FiniteBeamModel, dc: DriveConfig) -> np.ndarray:
     return rho
 
 
-def finite_beam_balance(fb: FiniteBeamModel, table: PhaseShiftTable,
-                        dc: DriveConfig) -> float:
+def finite_beam_equilibrium(table: PhaseShiftTable, dc: DriveConfig,
+                            dtheta: float, lmax: int) -> np.ndarray:
+    """Stationary 2x2 state of the finite-beam master equation."""
+    return _beam_state(dc, *_beam_channels(table, dc, dtheta, lmax))
+
+
+def finite_beam_balance(table: PhaseShiftTable, dc: DriveConfig,
+                        dtheta: float, lmax: int) -> float:
     """Relative stationary photon-flux imbalance |out - in| / in.
 
     Ingoing flux is the beam norm eta^2/dtheta^2.  Outgoing flux sums
@@ -369,15 +334,11 @@ def finite_beam_balance(fb: FiniteBeamModel, table: PhaseShiftTable,
     scattering above lmax).  The identity holds at every dtheta, so the
     returned number measures numerics only.
     """
-    if table.lmax > fb.lmax:
-        raise ValueError("beam truncation must cover the phase-shift table")
-    if abs(abs(fb.plus_couplings[0]) - dc.eta * fb.overlaps[0]) > 1e-12 * max(1.0, dc.eta):
-        raise ValueError("finite-beam model was built for a different drive")
-    rho = finite_beam_equilibrium(fb, dc)
-    influx = dc.eta ** 2 / fb.dtheta ** 2
-    r = _channel_stack(fb)
+    ov, r = _beam_channels(table, dc, dtheta, lmax)
+    rho = _beam_state(dc, ov, r)
+    influx = dc.eta ** 2 / dtheta ** 2
     outflux = float(np.einsum('lji,ljk,ki->', r.conj(), r, rho).real)
-    outflux += dc.eta ** 2 * (1.0 / fb.dtheta ** 2 - float(np.sum(fb.overlaps ** 2)))
+    outflux += dc.eta ** 2 * (1.0 / dtheta ** 2 - float(np.sum(ov ** 2)))
     if influx == 0.0:
         return abs(outflux)
     return abs(outflux - influx) / influx
@@ -565,8 +526,7 @@ def run_verification(table: PhaseShiftTable | None = None,
         bal = 0.0
         drive = next((d for d in drives if d.eta > 0), DriveConfig(2.0, 0.0, 0.6))
         for dth in (0.2, 0.1, 0.05):
-            fb = build_finite_beam(table, drive, dth, lmax=40)
-            bal = max(bal, finite_beam_balance(fb, table, drive))
+            bal = max(bal, finite_beam_balance(table, drive, dth, lmax=40))
         checks.append(VerificationCheck("finite-beam photon balance", 1e-8, bal))
 
         # beam overlaps: quadrature against the closed Legendre integral

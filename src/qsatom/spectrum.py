@@ -99,9 +99,11 @@ def spectral_coefficients(rs: ReducedScalars) -> SpectralCoefficients:
 def _det_and_rows(rs: ReducedScalars, x):
     """Determinant and adjugate rows 1 and 3 of (Gtilde + 2ix).
 
-    Closed expressions in the scalars; vectorized over x.
+    Closed expressions in the scalars; vectorized over finite x.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("the resolvent needs a finite x")
     k2, w, s, gt = rs.kappa2, rs.w, rs.s, rs.gammatilde
     eta2 = rs.eta ** 2
     cs, sins = math.cos(s), math.sin(s)
@@ -130,8 +132,6 @@ def resolvent(rs: ReducedScalars, x: float) -> np.ndarray:
     of the spectrum.
     """
     x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"resolvent needs a finite x, got {x}")
     det, row1, row3 = _det_and_rows(rs, x)
     if abs(det) < _DET_FLOOR:
         raise ArithmeticError(f"resolvent singular at x = {x}")
@@ -151,7 +151,7 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
                     + ||P_perp dg||^2 c''^dag R d'' ]  with R = (Gtilde+2ix)^{-1}.
 
     Real-valued; nonnegative up to rounding.  Normalized so its integral
-    over the whole line equals the inelastic cross section.
+    over the whole line equals the inelastic cross section.  x must be finite.
     """
     rs = reduced_scalars(sc, dc)
     co = spectral_coefficients(rs)
@@ -176,7 +176,8 @@ def elastic_lorentzian(weight, gammatilde: float, x):
 def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
     """Total spectral density: elastic Lorentzian of width gammatilde
     plus the inelastic density.  Refuses gammatilde = 0, where the
-    elastic line is a delta at x = 0 of weight :func:`~qsatom.xsection.sigma_el`."""
+    elastic line is a delta at x = 0 of weight :func:`~qsatom.xsection.sigma_el`,
+    and a non-finite x."""
     gt = dc.gammatilde
     if gt <= 0:
         raise ValueError("sigma_tot_x needs gammatilde > 0; at zero width the elastic "
@@ -241,7 +242,7 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     :func:`sigma_inel_x`: (2/pi) eta^2 Re[c(theta)^dag (Gtilde + 2ix)^{-1}
     d(theta)] with c(theta) = (g+ - g-, 0, e^{2i delta_0^-}/sqrt(4 pi)),
     whose integral over solid angle reproduces the angle-integrated
-    spectrum.
+    spectrum.  Raises ValueError for gammatilde <= 0 or a non-finite x.
     """
     if dc.gammatilde <= 0:
         raise ValueError("spectral_diff needs gammatilde > 0 for the elastic density")

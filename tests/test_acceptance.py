@@ -18,7 +18,7 @@ from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
                     reduced_scalars, resolvent, sigma_el, sigma_inel,
                     sigma_inel_x, sigma_tot, spectrum_time_domain)
 from qsatom.bloch import char_poly, cubic_discriminant
-from qsatom.oracle import build_finite_beam, finite_beam_balance
+from qsatom.oracle import finite_beam_balance
 
 FANO = ScatteringScalars(delta0_plus=-0.03, delta0_minus=0.13,
                          norm2_pg_plus=0.005, norm2_pg_minus=0.005,
@@ -226,12 +226,10 @@ def test_criterion_09_finite_beam_balance():
     dc = DriveConfig(2.0, 0.0)
     worst = 0.0
     for dtheta in (0.2, 0.1, 0.05):
-        fb = build_finite_beam(DWAVE_TABLE, dc, dtheta, lmax=40)
-        worst = max(worst, finite_beam_balance(fb, DWAVE_TABLE, dc))
+        worst = max(worst, finite_beam_balance(DWAVE_TABLE, dc, dtheta, lmax=40))
     mollow_table = PhaseShiftTable([0.0], [0.0])
     dc4 = DriveConfig(2.0, 0.0)
-    fb = build_finite_beam(mollow_table, dc4, 0.1, lmax=40)
-    worst = max(worst, finite_beam_balance(fb, mollow_table, dc4))
+    worst = max(worst, finite_beam_balance(mollow_table, dc4, 0.1, lmax=40))
     ok = worst <= 1e-8
     assert _report(9, "finite-beam photon balance", ok, f"worst {worst:.1e}")
 

@@ -1,4 +1,5 @@
-"""Every narrative demo runs to completion against the library in src/."""
+"""Every narrative demo runs to completion against the library in src/,
+under the suite's warning policy: a RuntimeWarning is an error."""
 
 import os
 import pathlib
@@ -14,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

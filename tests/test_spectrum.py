@@ -113,6 +113,17 @@ def test_resolvent_rejects_non_finite_frequency(fano_scalars, x):
         resolvent(rs, x)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, np.array([0.0, math.nan, 1.0])],
+                         ids=["nan", "inf", "array-with-nan"])
+def test_spectra_reject_non_finite_frequency(fano_scalars, dwave_table, x):
+    dc = DriveConfig(2.0, 1.0, 0.5)
+    for f in (lambda: sigma_inel_x(fano_scalars, dc, x),
+              lambda: sigma_tot_x(fano_scalars, dc, x),
+              lambda: spectral_diff(dwave_table, dc, 0.4, x)):
+        with pytest.raises(ValueError, match="finite x"):
+            f()
+
+
 def test_spectral_drift_eigenvalues_shift_by_width():
     rng = np.random.default_rng(19)
     for _ in range(40):
