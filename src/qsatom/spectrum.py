@@ -97,9 +97,9 @@ def spectral_coefficients(rs: ReducedScalars) -> SpectralCoefficients:
 
 
 def _det_and_rows(rs: ReducedScalars, x):
-    """Determinant and adjugate rows 1 and 3 of (Gtilde + 2ix).
-
-    Closed expressions in the scalars; vectorized over finite x.
+    """Determinant and adjugate rows 1 and 3 of (Gtilde + 2ix), closed in
+    the scalars and vectorized over finite x; kplus * kminus stands for
+    khat^2 + w^2, which cancels on a far-detuned sideband.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -108,12 +108,12 @@ def _det_and_rows(rs: ReducedScalars, x):
     eta2 = rs.eta ** 2
     cs, sins = math.cos(s), math.sin(s)
     khat = k2 + gt + 2j * x
-    det = (2.0 + gt + 2j * x) * (khat ** 2 + w ** 2) \
-        + 4.0 * eta2 * cs * (khat * cs - w * sins)
     kplus = k2 + gt + 1j * (2.0 * x + w)
     kminus = k2 + gt + 1j * (2.0 * x - w)
+    det = (2.0 + gt + 2j * x) * (kplus * kminus) \
+        + 4.0 * eta2 * cs * (khat * cs - w * sins)
     emis = np.exp(-1j * s)
-    row1 = np.stack([khat ** 2 + w ** 2,
+    row1 = np.stack([kplus * kminus,
                      kplus * np.ones_like(khat),
                      -eta2 * kminus])
     row3 = np.stack([2.0 * emis * cs * kminus,

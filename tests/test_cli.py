@@ -170,7 +170,9 @@ def test_sweeps_leave_scipy_linalg_unloaded(tmp_path):
     assert after_evolve == [True, False]
 
 
-# Recorded before the sweeps became columnar, from the per-point path.
+# Recorded before the sweeps became columnar, from the per-point path;
+# the spectrum digests re-recorded once the closed resolvent determinant
+# formed kplus * kminus (values moved by at most 4.4e-14 relative).
 # The Fano zero of delta0_minus = 0.13 (ztilde = 0.5 cot 0.13 = 3.83 at
 # eta2 -> 0) with ||P g-||^2 = 0 so nothing hides it, ||P dg||^2 on the
 # triangle bound, eta2 from 0 to 1e3, ztilde = +-1e4, a narrow detector
@@ -185,8 +187,8 @@ HARD_CORNERS = {
 HARD_CORNER_SHA256 = {
     ("xsection", "csv"): "8fa3898bf2b7dc0aeb86cd8accb2215fd289c2cdaa637c5bf10204cb0614810f",
     ("xsection", "json"): "b61d8a28cdaa08559fbf032b9255c3acb78dc95337a6889478fc53d2809d0d44",
-    ("spectrum", "csv"): "4a61387c1a302ac530c17e7e62f34d5f2e81b78cff3c4b4caad6239cc21aef2b",
-    ("spectrum", "json"): "be829f7710721d190094f78d38bcc71e302f128ef5477f80745b0a4fcec7f813",
+    ("spectrum", "csv"): "97ee17db6ad08e8c262df04b0f09308f67f2a2ea5af6de88e46c218b2c6d33ec",
+    ("spectrum", "json"): "72e6a7b1744875ddeff887564e51f307e8cc8e6ce895c67bb58d5a8f49320063",
 }
 
 

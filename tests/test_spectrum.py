@@ -93,11 +93,9 @@ def test_resolvent_rows_match_mpmath_inverse(fano_scalars):
     assert worst <= 1e-14
 
 
-@pytest.mark.xfail(strict=True, reason="the closed determinant sums khat^2 + w^2, "
-                   "which cancels from ~4e8 to O(1) on a far-detuned sideband")
 def test_resolvent_matches_mpmath_on_far_detuned_sidebands(fano_scalars):
-    # ztilde = -+1e4 puts a sideband at |x| ~ 1e4; the closed resolvent is
-    # 2.8e-13 and 5.2e-13 off there, np.linalg.inv 5e-17
+    # ztilde = -+1e4 puts a sideband at |x| ~ 1e4, where khat^2 + w^2 would
+    # cancel from ~4e8 to O(1); the closed determinant forms kplus * kminus
     worst = 0.0
     for zt in (1e4, -1e4):
         dc = DriveConfig(2.0, zt, 0.5)
