@@ -7,14 +7,13 @@ reduced units, with an independent numerical oracle for every formula.
 """
 
 from .model import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, delta_g, dress, g_pm, reduced_scalars,
+                    ScatteringScalars, dress, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
-from .bloch import (BlochVector, DriftMatrix, GROUND_STATE, build_drift,
-                    equilibrium, evolve, propagate_deviation)
+from .bloch import BlochVector, build_drift, equilibrium, evolve
 from .xsection import (CrossSectionTriple, cross_section_grid, cross_sections,
                        low_intensity_tot, mollow_xsections, sigma_diff, sigma_el,
                        sigma_inel, sigma_tot)
-from .spectrum import (SpectralCoefficients, build_spectral_drift, local_maxima,
+from .spectrum import (build_spectral_drift, local_maxima,
                        low_intensity_x, mollow_inel_x, resolvent, sigma_inel_x,
                        sigma_tot_x, spectral_coefficients, spectral_diff)
 from .oracle import (SumRuleReport, beam_overlaps, finite_beam_balance,
@@ -23,13 +22,12 @@ from .oracle import (SumRuleReport, beam_overlaps, finite_beam_balance,
 
 __all__ = [
     "DriveConfig", "MOLLOW_SCALARS", "PhaseShiftTable", "ReducedScalars",
-    "ScatteringScalars", "delta_g", "dress", "g_pm", "reduced_scalars",
+    "ScatteringScalars", "dress", "g_pm", "reduced_scalars",
     "scalars_from_phase_shifts",
-    "BlochVector", "DriftMatrix", "GROUND_STATE",
-    "build_drift", "equilibrium", "evolve", "propagate_deviation",
+    "BlochVector", "build_drift", "equilibrium", "evolve",
     "CrossSectionTriple", "cross_section_grid", "cross_sections", "low_intensity_tot",
     "mollow_xsections", "sigma_diff", "sigma_el", "sigma_inel", "sigma_tot",
-    "SpectralCoefficients", "build_spectral_drift", "local_maxima", "low_intensity_x",
+    "build_spectral_drift", "local_maxima", "low_intensity_x",
     "mollow_inel_x", "resolvent", "sigma_inel_x", "sigma_tot_x",
     "spectral_coefficients", "spectral_diff",
     "SumRuleReport", "beam_overlaps", "finite_beam_balance",

@@ -12,10 +12,9 @@ comparable entry by entry with the closed forms used elsewhere.
 
 :func:`build_drift` and :func:`equilibrium` take the reduced scalars
 alone, which carry the eta and s they were dressed with; the stationary
-state is a plain :class:`BlochVector`.
-
-The propagators :func:`evolve` and :func:`propagate_deviation` share one
-numpy [13/13] Pade scaling and squaring; no part of the package calls scipy.
+state is a plain :class:`BlochVector`, and :func:`evolve` takes the same
+scalars.  Its propagator is a numpy [13/13] Pade scaling and squaring; no
+part of the package calls scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import scipy  # noqa: F401  kept only for the benchmark worker's version record
 from .model import ReducedScalars
 
 _STATE_TOL = 1e-9
-_STRUCTURE_TOL = 1e-12
 # Pade [13/13] b_j = (2m-j)! m! / ((2m)! j! (m-j)!), m = 13, and theta_13, the largest
 # 1-norm it holds to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
 _PADE13 = [math.comb(13, j) * math.factorial(26 - j) / math.factorial(26) for j in range(14)]
@@ -59,33 +57,11 @@ class BlochVector:
         return np.array([self.u, self.v, np.conj(self.v)], dtype=complex)
 
 
-GROUND_STATE = BlochVector(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class DriftMatrix:
-    """3x3 complex drift matrix G' with the closure structure
-    G'23 = G'32 = 0, G'33 = conj(G'22), G'31 = conj(G'21)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (3, 3):
-            raise ValueError("drift matrix must be 3x3")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("drift matrix entries must be finite")
-        scale = _STRUCTURE_TOL * (1.0 + np.max(np.abs(m)))
-        if abs(m[1, 2]) > scale or abs(m[2, 1]) > scale:
-            raise ValueError("coherence block must be diagonal")
-        if abs(m[2, 2] - np.conj(m[1, 1])) > scale or abs(m[2, 0] - np.conj(m[1, 0])) > scale:
-            raise ValueError("rows 2 and 3 must be conjugates")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def build_drift(rs: ReducedScalars) -> DriftMatrix:
-    """Assemble G' from the reduced scalars and the drive they carry."""
+def build_drift(rs: ReducedScalars) -> np.ndarray:
+    """Read-only 3x3 complex drift matrix G' of the reduced scalars and the
+    drive they carry, with the closure structure G'23 = G'32 = 0,
+    G'33 = conj(G'22), G'31 = conj(G'21).  Raises ValueError when an entry
+    is not finite (a kappa2 that overflowed)."""
     eta = rs.eta
     eis = np.exp(1j * rs.s)
     cs = math.cos(rs.s)
@@ -94,7 +70,10 @@ def build_drift(rs: ReducedScalars) -> DriftMatrix:
         [2.0 * eta * eis * cs, rs.bprime, 0.0],
         [2.0 * eta * np.conj(eis) * cs, 0.0, np.conj(rs.bprime)],
     ], dtype=complex)
-    return DriftMatrix(m)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("drift matrix entries must be finite")
+    m.setflags(write=False)
+    return m
 
 
 def equilibrium(rs: ReducedScalars) -> BlochVector:
@@ -108,9 +87,8 @@ def equilibrium(rs: ReducedScalars) -> BlochVector:
                        rs.eta * complex(rs.kappa2, rs.y) / rs.den)
 
 
-def char_poly(drift: DriftMatrix) -> np.ndarray:
+def char_poly(m: np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial coefficients [1, c2, c1, c0] of G'."""
-    m = drift.matrix
     tr = np.trace(m)
     minors = (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
               + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
@@ -133,9 +111,10 @@ def cubic_discriminant(coeffs: np.ndarray) -> float:
             - 4.0 * a * c ** 3 - 27.0 * a ** 2 * d ** 2)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+def _expm(a: np.ndarray, squarings: int = 0) -> np.ndarray:
     """e^a by [13/13] Pade scaling and squaring (Higham 2005; Moler and Van Loan, SIAM
-    Rev. 45, 3 (2003)): r(a / 2^k)^(2^k), k the fewest halvings to ||a||_1 <= theta_13."""
+    Rev. 45, 3 (2003)): r(a / 2^k)^(2^k), k the fewest halvings to ||a||_1 <= theta_13.
+    With j = ``squarings`` the result is squared j more times, giving e^(2^j a)."""
     norm = np.linalg.norm(a, 1)
     k = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a / 2.0 ** k
@@ -146,13 +125,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(k):
+    for _ in range(k + squarings):
         r = r @ r
     return r
 
 
-def evolve(drift: DriftMatrix, x0: BlochVector, eta: float, tau: float) -> BlochVector:
-    """Propagate a state forward by reduced time tau.
+def evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
+    """Propagate a state forward by reduced time tau under the G' of ``rs``.
 
     Uses the exact affine solution u(tau) = u_eq + e^{-G' tau/2}(u_0 - u_eq)
     with u_eq obtained from the stationarity system G' u_eq = (0, eta, eta).
@@ -164,25 +143,12 @@ def evolve(drift: DriftMatrix, x0: BlochVector, eta: float, tau: float) -> Bloch
         raise ValueError("tau must be finite and nonnegative")
     if tau == 0:
         return x0
-    ueq = np.linalg.solve(drift.matrix, np.array([0.0, eta, eta], dtype=complex))
-    out = ueq + _expm(-0.5 * tau * drift.matrix) @ (x0.vector() - ueq)
+    g = build_drift(rs)
+    ueq = np.linalg.solve(g, np.array([0.0, rs.eta, rs.eta], dtype=complex))
+    # only where -tau G'/2 overflows: halve tau first, and square once more per halving
+    c, j = -0.5 * tau, 0
+    with np.errstate(over="ignore"):
+        while not np.isfinite(np.linalg.norm(c * g, 1)):
+            c, j = 0.5 * c, j + 1
+    out = ueq + _expm(c * g, j) @ (x0.vector() - ueq)
     return BlochVector(float(out[0].real), complex(out[1]))
-
-
-def propagate_deviation(drift: DriftMatrix, gammatilde: float,
-                        d0: np.ndarray, tau: float) -> np.ndarray:
-    """Propagate a traceless deviation 3-vector: d(tau) = e^{-G' tau/2} d(0),
-    with the extra detector damping e^{-gammatilde tau/2} used in spectral
-    integrands.  Linear in d0.  Raises ValueError for a negative or
-    non-finite ``tau`` or ``gammatilde``."""
-    if not math.isfinite(tau) or tau < 0:
-        raise ValueError("tau must be finite and nonnegative")
-    if not math.isfinite(gammatilde) or gammatilde < 0:
-        raise ValueError("gammatilde must be finite and nonnegative")
-    d0 = np.asarray(d0, dtype=complex)
-    if d0.shape != (3,):
-        raise ValueError("deviation must be a complex 3-vector")
-    if tau == 0:
-        return d0.copy()
-    damping = math.exp(-0.5 * gammatilde * tau)
-    return damping * (_expm(-0.5 * tau * drift.matrix) @ d0)

@@ -252,17 +252,6 @@ def g_pm(table: PhaseShiftTable, theta: float) -> tuple[complex, complex]:
     return complex(gp), complex(gm)
 
 
-def delta_g(table: PhaseShiftTable, theta: float) -> complex:
-    """Amplitude difference g+(theta) - g-(theta).
-
-    Splits identically into the theta-independent s-wave part
-    i e^{i(delta_0^+ + delta_0^-)} sin(s)/sqrt(4 pi) plus an l >= 1
-    remainder; the subtraction below reproduces that split to rounding.
-    """
-    gp, gm = g_pm(table, theta)
-    return gp - gm
-
-
 def reduced_scalars(sc: ScatteringScalars, dc: DriveConfig) -> ReducedScalars:
     """Dress the scattering scalars with the drive intensity and detuning."""
     return dress(sc, dc.eta, dc.ztilde, dc.gammatilde)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochVector, DriftMatrix, build_drift, equilibrium, evolve
-from .model import (DriveConfig, PhaseShiftTable, ScatteringScalars,
+from .bloch import BlochVector, build_drift, equilibrium, evolve
+from .model import (DriveConfig, PhaseShiftTable, ReducedScalars, ScatteringScalars,
                     legendre_table, reduced_scalars, scalars_from_phase_shifts)
 from .spectrum import (build_spectral_drift, mollow_inel_x, resolvent,
                        sigma_inel_x, sigma_tot_x, spectral_coefficients)
@@ -41,6 +41,8 @@ _RNG_SEED = 20250808
 
 # largest ode_evolve step: O(h^4) error ~5e-13 at verify's tau <= 20 (tolerance 1e-8)
 _RK4_STEP = 1e-3
+# largest ode_evolve span, so that its step count tau / _RK4_STEP stays finite
+_ODE_TAU_MAX = 1e305
 # time-domain stop: the Laplace tail dropped is of this order (tolerance 1e-6)
 _KERNEL_TAIL = 1e-12
 
@@ -56,25 +58,25 @@ def _rk4_step(m: np.ndarray, h: float) -> np.ndarray:
     return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
 
 
-def ode_evolve(drift: DriftMatrix, eta: float, x0: BlochVector,
-               tau: float) -> BlochVector:
-    """Classic fixed-step RK4 on the Bloch equation (step <= 1e-3): RK4 as
-    a precomputed step matrix.
+def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
+    """Classic fixed-step RK4 on the Bloch equation of ``rs`` (step <= 1e-3):
+    RK4 as a precomputed step matrix.
 
     The inhomogeneous term (0, eta/2, eta/2) rides as a constant fourth
     component, so n steps are the n-th power of one 4x4 step matrix.
     Comparison baseline for the matrix-exponential propagator; never the
-    production path.  Raises ValueError for a negative or non-finite tau.
+    production path.  Raises ValueError unless 0 <= tau <= 1e305; past
+    that the step count tau / 1e-3 overflows.
     """
-    if not math.isfinite(tau) or tau < 0:
-        raise ValueError("tau must be finite and nonnegative")
+    if not 0.0 <= tau <= _ODE_TAU_MAX:
+        raise ValueError(f"tau must lie in [0, {_ODE_TAU_MAX:g}], got {tau}")
     if tau == 0:
         return x0
     n = max(1, math.ceil(tau / _RK4_STEP))
     h = tau / n
     aug = np.zeros((4, 4), dtype=complex)
-    aug[0:3, 0:3] = -0.5 * drift.matrix
-    aug[1:3, 3] = 0.5 * eta
+    aug[0:3, 0:3] = -0.5 * build_drift(rs)
+    aug[1:3, 3] = 0.5 * rs.eta
     v = np.linalg.matrix_power(_rk4_step(aug, h), n) @ np.append(x0.vector(), 1.0)
     return BlochVector(float(v[0].real), complex(v[1]))
 
@@ -101,7 +103,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
     if dc.eta == 0.0:
         return 0.0
     rs = reduced_scalars(sc, dc)
-    co = spectral_coefficients(rs)
+    cprime, dprime, ddoubleprime = spectral_coefficients(rs)
     a = build_spectral_drift(rs) + 2j * x * np.eye(3)
     lam = float(np.linalg.norm(a, 2))
     h = min(1e-3, (3e-7 / lam ** 5) ** 0.25)
@@ -109,11 +111,11 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
     big = np.zeros((8, 8), dtype=complex)
     big[0:3, 0:3] = -a
     big[4:7, 4:7] = -a
-    big[3, 0:3] = np.conj(co.cprime)
+    big[3, 0:3] = np.conj(cprime)
     big[7, 4] = 1.0  # the left vector of the second bilinear is (1, 0, 0)
     y = np.zeros(8, dtype=complex)
-    y[0:3] = co.dprime
-    y[4:7] = co.ddoubleprime
+    y[0:3] = dprime
+    y[4:7] = ddoubleprime
     tau = 0.0
     steps_per_check = 25
     stride = np.linalg.matrix_power(_rk4_step(big, h), steps_per_check)
@@ -140,10 +142,10 @@ _MAX_PANELS = 4096
 
 
 @functools.cache
-def _gauss_pair():
-    """8- and 16-node Gauss-Legendre (nodes, weights) on [-1, 1], built on
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre (nodes, weights) on [-1, 1], built once on
     first use: the sweeps import this module but never integrate."""
-    return tuple(np.polynomial.legendre.leggauss(n) for n in (8, 16))
+    return np.polynomial.legendre.leggauss(n)
 
 
 def integrate_line(f, scale: float, tol: float = 1e-9):
@@ -167,7 +169,7 @@ def integrate_line(f, scale: float, tol: float = 1e-9):
     width = math.pi / 16
     value, err = 0.0, 0.0
     for halvings in range(_MAX_HALVINGS + 1):
-        coarse, fine = (panel_rule(*pair) for pair in _gauss_pair())
+        coarse, fine = (panel_rule(*_leggauss(n)) for n in (8, 16))
         gap = np.abs(fine - coarse)
         done = gap <= tol * width / math.pi
         if done.all() or halvings == _MAX_HALVINGS or 2 * np.count_nonzero(~done) > _MAX_PANELS:
@@ -251,7 +253,7 @@ def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
         raise ValueError("dtheta must be finite and positive")
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
-    xg, wg = np.polynomial.legendre.leggauss(_OVERLAP_NODES)
+    xg, wg = _leggauss(_OVERLAP_NODES)
     a = math.cos(dtheta)
     xi = 0.5 * (xg + 1.0) * (1.0 - a) + a
     ww = 0.5 * (1.0 - a) * wg
@@ -418,9 +420,9 @@ def run_verification(table: PhaseShiftTable | None = None,
         rs = reduced_scalars(sc, dc)
         g = build_drift(rs)
         target = 2.0 * rs.den
-        det_res = max(det_res, abs(np.linalg.det(g.matrix) - target) / abs(target))
+        det_res = max(det_res, abs(np.linalg.det(g) - target) / abs(target))
         eq = equilibrium(rs)
-        resid = g.matrix @ eq.vector() - np.array([0.0, dc.eta, dc.eta])
+        resid = g @ eq.vector() - np.array([0.0, dc.eta, dc.eta])
         eq_res = max(eq_res, float(np.max(np.abs(resid))) / max(1.0, dc.eta))
     checks.append(VerificationCheck("drift determinant identity", 1e-12, det_res))
     checks.append(VerificationCheck("equilibrium stationarity", 1e-12, eq_res))
@@ -431,14 +433,13 @@ def run_verification(table: PhaseShiftTable | None = None,
         sc = _random_scalars(rng)
         dc = _random_drive(rng)
         rs = reduced_scalars(sc, dc)
-        g = build_drift(rs)
         u0 = rng.uniform(0.0, 1.0)
         vmax = math.sqrt(max(u0 - u0 ** 2, 0.0))
         v0 = vmax * rng.uniform(0.0, 1.0) * np.exp(2j * math.pi * rng.uniform())
         x0 = BlochVector(u0, complex(v0))
         tau = rng.uniform(0.5, 20.0)
-        a = evolve(g, x0, dc.eta, tau)
-        b = ode_evolve(g, dc.eta, x0, tau)
+        a = evolve(rs, x0, tau)
+        b = ode_evolve(rs, x0, tau)
         eo = max(eo, abs(a.u - b.u), abs(a.v - b.v))
     checks.append(VerificationCheck("matrix exponential vs RK4", 1e-8, eo))
 

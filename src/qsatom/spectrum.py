@@ -18,7 +18,6 @@ those scalars, and Gtilde is built only for verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,27 +27,6 @@ from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
 from .xsection import sigma_el
 
 _DET_FLOOR = 1e-280
-
-
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Left/right vectors of the two resolvent bilinears.
-
-    The left vector of the second bilinear is structurally (1, 0, 0), so
-    only c' is stored; d' and d'' encode the dressed scalars.
-    """
-
-    cprime: np.ndarray
-    dprime: np.ndarray
-    ddoubleprime: np.ndarray
-
-    def __post_init__(self):
-        for name in ("cprime", "dprime", "ddoubleprime"):
-            v = np.asarray(getattr(self, name), dtype=complex)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a complex 3-vector")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
 
 
 def build_spectral_drift(rs: ReducedScalars) -> np.ndarray:
@@ -69,8 +47,11 @@ def build_spectral_drift(rs: ReducedScalars) -> np.ndarray:
     return m
 
 
-def spectral_coefficients(rs: ReducedScalars) -> SpectralCoefficients:
-    """Bilinear vectors of the inelastic spectrum."""
+def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only vectors (c', d', d'') of the two resolvent bilinears of
+    the inelastic spectrum.  The left vector of the second bilinear is
+    structurally (1, 0, 0), so only c' is returned; d' and d'' encode the
+    dressed scalars."""
     eta, s = rs.eta, rs.s
     eis = np.exp(1j * s)
     sins = math.sin(s)
@@ -89,11 +70,10 @@ def spectral_coefficients(rs: ReducedScalars) -> SpectralCoefficients:
         (k2 + 1j * y) * (den - eta ** 2 * k2),
         k2 * (k2 - 1j * y),
     ], dtype=complex)
-    return SpectralCoefficients(
-        cprime=np.array([1j * eis * sins, 0.0, 1.0], dtype=complex),
-        dprime=dprime,
-        ddoubleprime=ddoubleprime,
-    )
+    cprime = np.array([1j * eis * sins, 0.0, 1.0], dtype=complex)
+    for v in (cprime, dprime, ddoubleprime):
+        v.setflags(write=False)
+    return cprime, dprime, ddoubleprime
 
 
 def _det_and_rows(rs: ReducedScalars, x):
@@ -154,15 +134,15 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
     over the whole line equals the inelastic cross section.  x must be finite.
     """
     rs = reduced_scalars(sc, dc)
-    co = spectral_coefficients(rs)
+    cprime, dprime, ddoubleprime = spectral_coefficients(rs)
     scalar_in = np.isscalar(x) or np.ndim(x) == 0
     det, row1, row3 = _det_and_rows(rs, x)
     if np.any(np.abs(det) < _DET_FLOOR):
         raise ArithmeticError("resolvent singular inside the requested grid")
-    r1d1 = np.tensordot(co.dprime, row1, axes=(0, 0))
-    r3d1 = np.tensordot(co.dprime, row3, axes=(0, 0))
-    r1d2 = np.tensordot(co.ddoubleprime, row1, axes=(0, 0))
-    bilinear = (np.conj(co.cprime[0]) * r1d1 + np.conj(co.cprime[2]) * r3d1
+    r1d1 = np.tensordot(dprime, row1, axes=(0, 0))
+    r3d1 = np.tensordot(dprime, row3, axes=(0, 0))
+    r1d2 = np.tensordot(ddoubleprime, row1, axes=(0, 0))
+    bilinear = (np.conj(cprime[0]) * r1d1 + np.conj(cprime[2]) * r3d1
                 + sc.norm2_pdg * r1d2) / det
     out = dc.eta ** 2 / (math.pi * rs.den ** 2) * 2.0 * bilinear.real
     return float(out) if scalar_in else out

@@ -151,7 +151,7 @@ codes = [cli.main([c, "--config", sys.argv[1], "--out", sys.argv[2]])
          for c in ("xsection", "spectrum")]
 after_sweeps = loaded()
 rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(1.0, 0.0))
-bloch.evolve(bloch.build_drift(rs), bloch.GROUND_STATE, 1.0, 0.5)
+bloch.evolve(rs, bloch.BlochVector(0.0, 0.0), 0.5)
 codes.append(cli.main(["verify", "--out", sys.argv[2]]))
 print(json.dumps([codes, after_sweeps, loaded()]))
 """
@@ -363,10 +363,10 @@ def test_verify_detects_injected_weight_sign_error(monkeypatch, capsys):
     true_co = qsatom.spectrum.spectral_coefficients
 
     def flawed(rs):
-        co = true_co(rs)
-        bad = co.dprime.copy()
+        cprime, dprime, ddoubleprime = true_co(rs)
+        bad = dprime.copy()
         bad[2] = np.conj(bad[2])
-        return replace(co, dprime=bad)
+        return cprime, bad, ddoubleprime
 
     monkeypatch.setattr(qsatom.spectrum, "spectral_coefficients", flawed)
     assert main(["verify", "--format", "json"]) == 1

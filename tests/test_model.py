@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_table
-from qsatom import (DriveConfig, PhaseShiftTable, ScatteringScalars, delta_g,
+from qsatom import (DriveConfig, PhaseShiftTable, ScatteringScalars,
                     g_pm, reduced_scalars, scalars_from_phase_shifts)
 from qsatom.model import SQRT_4PI, legendre_table
 
@@ -126,16 +126,8 @@ def test_g_pm_rejects_bad_angle():
 
 
 def test_delta_g_zero_table():
-    assert delta_g(PhaseShiftTable([0.0, 0.0], [0.0, 0.0]), 1.2) == 0.0
-
-
-def test_delta_g_is_amplitude_difference():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        t = random_table(rng)
-        theta = rng.uniform(0.0, math.pi)
-        gp, gm = g_pm(t, theta)
-        assert delta_g(t, theta) == pytest.approx(gp - gm, abs=1e-14)
+    gp, gm = g_pm(PhaseShiftTable([0.0, 0.0], [0.0, 0.0]), 1.2)
+    assert gp - gm == 0.0
 
 
 def test_delta_g_pure_swave_is_angle_independent():
@@ -143,7 +135,8 @@ def test_delta_g_pure_swave_is_angle_independent():
     t = PhaseShiftTable([s], [0.0])
     expected = 1j * np.exp(1j * s) * math.sin(s) / SQRT_4PI
     for theta in (0.0, 0.9, 2.4, math.pi):
-        assert delta_g(t, theta) == pytest.approx(expected, abs=1e-15)
+        gp, gm = g_pm(t, theta)
+        assert gp - gm == pytest.approx(expected, abs=1e-15)
 
 
 def test_delta_g_swave_plus_perp_split():
@@ -161,7 +154,8 @@ def test_delta_g_swave_plus_perp_split():
                 * np.exp(1j * (t.delta_plus[l] + t.delta_minus[l])) \
                 * math.sin(t.delta_plus[l] - t.delta_minus[l]) \
                 * _legendre_explicit(l, x)
-        assert delta_g(t, theta) == pytest.approx(swave + perp, abs=1e-12)
+        gp, gm = g_pm(t, theta)
+        assert gp - gm == pytest.approx(swave + perp, abs=1e-12)
 
 
 def _reduced_reference(sc, dc):

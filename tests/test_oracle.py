@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_drive, random_scalars
 from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
-                    ScatteringScalars, beam_overlaps, build_drift,
+                    ScatteringScalars, beam_overlaps,
                     equilibrium, evolve, finite_beam_balance,
                     finite_beam_equilibrium, ode_evolve, quad_sum_rules,
                     reduced_scalars, run_verification, scalars_from_phase_shifts,
@@ -19,19 +19,17 @@ from qsatom.oracle import SumRuleReport, integrate_line
 
 def test_ode_evolve_tau_zero(fano_scalars):
     rs = reduced_scalars(fano_scalars, DriveConfig(1.0, 0.0))
-    g = build_drift(rs)
     x0 = BlochVector(0.4, 0.2j)
-    assert ode_evolve(g, 1.0, x0, 0.0) is x0
+    assert ode_evolve(rs, x0, 0.0) is x0
 
 
 def test_ode_evolve_reaches_equilibrium(fano_scalars):
     dc = DriveConfig(2.0, 1.0)
     rs = reduced_scalars(fano_scalars, dc)
-    g = build_drift(rs)
     eq = equilibrium(rs)
     # 1e5 is 1e8 RK4 steps, affordable only as a power of the step matrix
     for tau in (200.0, 1e5):
-        out = ode_evolve(g, dc.eta, BlochVector(0.0, 0.0), tau)
+        out = ode_evolve(rs, BlochVector(0.0, 0.0), tau)
         assert out.u == pytest.approx(eq.u, abs=1e-8)
         assert out.v == pytest.approx(eq.v, abs=1e-8)
 
@@ -42,13 +40,12 @@ def test_ode_evolve_agrees_with_matrix_exponential():
     for _ in range(20):
         sc, dc = random_scalars(rng), random_drive(rng)
         rs = reduced_scalars(sc, dc)
-        g = build_drift(rs)
         u0 = rng.uniform(0.0, 1.0)
         r = rng.uniform(0.0, 0.95) * math.sqrt(max(u0 - u0 ** 2, 0.0))
         x0 = BlochVector(u0, r * np.exp(2j * math.pi * rng.uniform()))
         tau = rng.uniform(0.1, 20.0)
-        a = evolve(g, x0, dc.eta, tau)
-        b = ode_evolve(g, dc.eta, x0, tau)
+        a = evolve(rs, x0, tau)
+        b = ode_evolve(rs, x0, tau)
         worst = max(worst, abs(a.u - b.u), abs(a.v - b.v))
     assert worst <= 1e-8
 
@@ -71,9 +68,19 @@ def test_rk4_step_matrix_is_one_four_stage_step(dim):
 @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
 def test_ode_evolve_rejects_non_finite_tau(fano_scalars, tau):
     rs = reduced_scalars(fano_scalars, DriveConfig(1.0, 0.0))
-    g = build_drift(rs)
     with pytest.raises(ValueError, match="tau"):
-        ode_evolve(g, 1.0, BlochVector(0.0, 0.0), tau)
+        ode_evolve(rs, BlochVector(0.0, 0.0), tau)
+
+
+def test_ode_evolve_names_its_largest_span():
+    # past 1e305 the step count tau / 1e-3 overflows; math.ceil(inf) used
+    # to raise a bare OverflowError at tau = 1e306
+    rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0))
+    eq = equilibrium(rs)
+    out = ode_evolve(rs, BlochVector(0.0, 0.0), 1e305)
+    assert abs(out.u - eq.u) <= 1e-12 and abs(out.v - eq.v) <= 1e-12
+    with pytest.raises(ValueError, match=r"tau must lie in \[0, 1e\+305\]"):
+        ode_evolve(rs, BlochVector(0.0, 0.0), 1e306)
 
 
 @pytest.mark.parametrize("x, tau_max", [(math.nan, 500.0), (math.inf, 500.0),

@@ -131,8 +131,7 @@ def test_spectral_drift_eigenvalues_shift_by_width():
             continue
         rs = reduced_scalars(sc, dc)
         sd = build_spectral_drift(rs)
-        gp = build_drift(rs)
-        shifted = np.linalg.eigvals(gp.matrix) + dc.gammatilde
+        shifted = np.linalg.eigvals(build_drift(rs)) + dc.gammatilde
         for lam in np.linalg.eigvals(sd):
             assert np.min(np.abs(shifted - lam)) < 1e-10
 
@@ -140,12 +139,14 @@ def test_spectral_drift_eigenvalues_shift_by_width():
 def test_spectral_coefficients_structure(fano_scalars):
     dc = DriveConfig(2.0, 1.0, 0.6)
     rs = reduced_scalars(fano_scalars, dc)
-    co = spectral_coefficients(rs)
-    assert co.cprime[1] == 0.0 and co.cprime[2] == 1.0
+    cprime, dprime, ddoubleprime = spectral_coefficients(rs)
+    for v in (cprime, dprime, ddoubleprime):
+        assert v.shape == (3,) and v.dtype == complex and not v.flags.writeable
+    assert cprime[1] == 0.0 and cprime[2] == 1.0
     # d'' encodes the dressed decay scalars directly
     den = rs.z ** 2 + rs.zeta2
-    assert co.ddoubleprime[0] == pytest.approx(rs.kappa2 * (den - dc.eta ** 2 * rs.kappa2))
-    assert co.ddoubleprime[2] == pytest.approx(rs.kappa2 * complex(rs.kappa2, -rs.y))
+    assert ddoubleprime[0] == pytest.approx(rs.kappa2 * (den - dc.eta ** 2 * rs.kappa2))
+    assert ddoubleprime[2] == pytest.approx(rs.kappa2 * complex(rs.kappa2, -rs.y))
 
 
 def test_inelastic_spectrum_vanishes_without_drive(fano_scalars):
