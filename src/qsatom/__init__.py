@@ -13,9 +13,8 @@ from .bloch import BlochVector, build_drift, equilibrium, evolve
 from .xsection import (CrossSectionTriple, cross_section_grid, cross_sections,
                        low_intensity_tot, mollow_xsections, sigma_diff, sigma_el,
                        sigma_inel, sigma_tot)
-from .spectrum import (build_spectral_drift, local_maxima,
-                       low_intensity_x, mollow_inel_x, resolvent, sigma_inel_x,
-                       sigma_tot_x, spectral_coefficients, spectral_diff)
+from .spectrum import (local_maxima, low_intensity_x, mollow_inel_x, resolvent,
+                       sigma_inel_x, sigma_tot_x, spectral_coefficients, spectral_diff)
 from .oracle import (SumRuleReport, beam_overlaps, finite_beam_balance,
                      finite_beam_equilibrium, ode_evolve, quad_sum_rules,
                      run_verification, spectrum_time_domain)
@@ -27,9 +26,8 @@ __all__ = [
     "BlochVector", "build_drift", "equilibrium", "evolve",
     "CrossSectionTriple", "cross_section_grid", "cross_sections", "low_intensity_tot",
     "mollow_xsections", "sigma_diff", "sigma_el", "sigma_inel", "sigma_tot",
-    "build_spectral_drift", "local_maxima", "low_intensity_x",
-    "mollow_inel_x", "resolvent", "sigma_inel_x", "sigma_tot_x",
-    "spectral_coefficients", "spectral_diff",
+    "local_maxima", "low_intensity_x", "mollow_inel_x", "resolvent",
+    "sigma_inel_x", "sigma_tot_x", "spectral_coefficients", "spectral_diff",
     "SumRuleReport", "beam_overlaps", "finite_beam_balance",
     "finite_beam_equilibrium", "ode_evolve", "quad_sum_rules",
     "run_verification", "spectrum_time_domain",

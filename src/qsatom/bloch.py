@@ -12,9 +12,9 @@ comparable entry by entry with the closed forms used elsewhere.
 
 :func:`build_drift` and :func:`equilibrium` take the reduced scalars
 alone, which carry the eta and s they were dressed with; the stationary
-state is a plain :class:`BlochVector`, and :func:`evolve` takes the same
-scalars.  Its propagator is a numpy [13/13] Pade scaling and squaring; no
-part of the package calls scipy.
+state is a plain :class:`BlochVector`, and :func:`evolve` relaxes to that
+one state.  Its propagator is a numpy [13/13] Pade scaling and squaring;
+no part of the package calls scipy.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
     """Propagate a state forward by reduced time tau under the G' of ``rs``.
 
     Uses the exact affine solution u(tau) = u_eq + e^{-G' tau/2}(u_0 - u_eq)
-    with u_eq obtained from the stationarity system G' u_eq = (0, eta, eta).
+    with u_eq the closed-form stationary state of :func:`equilibrium`.
     The propagator is the [13/13] Pade scaling and squaring of
     :func:`_expm`, accurate also where G' is defective (the Mollow triplet
     threshold).  Raises ValueError for a negative or non-finite ``tau``.
@@ -144,7 +144,7 @@ def evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
     if tau == 0:
         return x0
     g = build_drift(rs)
-    ueq = np.linalg.solve(g, np.array([0.0, rs.eta, rs.eta], dtype=complex))
+    ueq = equilibrium(rs).vector()
     # only where -tau G'/2 overflows: halve tau first, and square once more per halving
     c, j = -0.5 * tau, 0
     with np.errstate(over="ignore"):

@@ -180,11 +180,11 @@ class ReducedScalars:
 
     ``z`` is twice the lamp-shifted detuning, ``y = z - (eta^2/2) sin 2s``,
     ``kappa2 = 1 + eta^2 ||dg||^2`` the dressed width factor, ``zeta2``
-    the squared dressed resonance width, and ``bprime`` the complex
-    coherence-decay rate; its real part is kappa2 and its imaginary part
-    is -(z + (eta^2/2) sin 2s).  ``eta``, ``s`` and ``gammatilde`` are
-    the drive amplitude, s-wave shift difference and detector width they
-    were dressed with, so every builder downstream takes this one object.
+    the squared dressed resonance width, and ``w = z + (eta^2/2) sin 2s``
+    the coherence rotation rate; the coherence-decay rate ``bprime =
+    kappa2 - i w`` is derived from them.  ``eta``, ``s`` and ``gammatilde``
+    are the drive amplitude, s-wave shift difference and detector width
+    they were dressed with, so every builder downstream takes this object.
     From :func:`dress` on a grid, the per-point fields are columns.
     """
 
@@ -192,7 +192,7 @@ class ReducedScalars:
     y: float
     kappa2: float
     zeta2: float
-    bprime: complex
+    w: float
     norm2_dg: float
     eta: float
     s: float
@@ -201,15 +201,11 @@ class ReducedScalars:
     def __post_init__(self):
         if _any((self.kappa2 < 1.0 - 1e-12) | (self.zeta2 < 1.0 - 1e-12)):
             raise ValueError("kappa2 and zeta2 cannot drop below 1")
-        gap = abs(self.bprime.real - self.kappa2)
-        # gap > 1e-12 * max(1, kappa2), written so that it also runs on columns
-        if _any((gap > 1e-12) & (gap > 1e-12 * self.kappa2)):
-            raise ValueError("Re(bprime) must equal kappa2")
 
     @property
-    def w(self) -> float:
-        """Coherence rotation rate z + (eta^2/2) sin 2s, i.e. -Im(bprime)."""
-        return -self.bprime.imag
+    def bprime(self) -> complex:
+        """Complex coherence-decay rate kappa2 - i w."""
+        return self.kappa2 - 1j * self.w
 
     @property
     def den(self) -> float:
@@ -268,9 +264,7 @@ def dress(sc: ScatteringScalars, eta, ztilde, gammatilde: float = 0.0) -> Reduce
         + eta2 * (1.0 + kappa2 + eta2 * sc.norm2_pdg)
     z = 2.0 * ztilde - 2.0 * eta2 * sc.eps_r
     half_sin2s = 0.5 * eta2 * math.sin(2.0 * s)
-    w = z + half_sin2s
-    bprime = kappa2 - 1j * w if isinstance(w, np.ndarray) else complex(kappa2, -w)
     # positional, in field order: on this per-point path, matching nine
     # keywords made each call about 20% slower (CPython 3.11)
-    return ReducedScalars(z, z - half_sin2s, kappa2, zeta2, bprime, norm2_dg,
+    return ReducedScalars(z, z - half_sin2s, kappa2, zeta2, z + half_sin2s, norm2_dg,
                           eta, s, gammatilde)

@@ -29,9 +29,9 @@ import numpy as np
 from .bloch import BlochVector, build_drift, equilibrium, evolve
 from .model import (DriveConfig, PhaseShiftTable, ReducedScalars, ScatteringScalars,
                     legendre_table, reduced_scalars, scalars_from_phase_shifts)
-from .spectrum import (build_spectral_drift, mollow_inel_x, resolvent,
-                       sigma_inel_x, sigma_tot_x, spectral_coefficients)
-from .xsection import sigma_el, sigma_inel, sigma_tot
+from .spectrum import (mollow_inel_x, resolvent, sigma_inel_x, sigma_tot_x,
+                       spectral_coefficients)
+from .xsection import _elastic, _inelastic, _total, sigma_inel, sigma_tot
 
 _RNG_SEED = 20250808
 
@@ -81,6 +81,17 @@ def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
     return BlochVector(float(v[0].real), complex(v[1]))
 
 
+def _shifted_drift(rs: ReducedScalars, x: float) -> np.ndarray:
+    """Gtilde + 2ix, taken from the drift G' of :func:`build_drift`: Gtilde is
+    G' in the basis d = (1, 1/eta, -eta), entries G'_ij d_j / d_i, shifted by
+    gammatilde.  Dividing last keeps every exact zero of G' a zero for all
+    eta whose square is a float.  Raises ValueError at eta = 0."""
+    if rs.eta == 0.0:
+        raise ValueError("Gtilde needs eta > 0")
+    d = np.array([1.0, 1.0 / rs.eta, -rs.eta])
+    return build_drift(rs) * d / d[:, None] + (rs.gammatilde + 2j * x) * np.eye(3)
+
+
 def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
                          tau_max: float = 500.0) -> float:
     """Inelastic spectral density by time-domain integration.
@@ -104,7 +115,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
         return 0.0
     rs = reduced_scalars(sc, dc)
     cprime, dprime, ddoubleprime = spectral_coefficients(rs)
-    a = build_spectral_drift(rs) + 2j * x * np.eye(3)
+    a = _shifted_drift(rs, x)
     lam = float(np.linalg.norm(a, 2))
     h = min(1e-3, (3e-7 / lam ** 5) ** 0.25)
     # one augmented block per bilinear: d(q, I)/dtau = (-A q, c^dag q)
@@ -389,16 +400,15 @@ def _random_drive(rng, gamma_positive=False) -> DriveConfig:
     return DriveConfig(rng.uniform(0.0, 6.0), rng.uniform(-8.0, 8.0), gt)
 
 
-def _total_form_gap(sc: ScatteringScalars, dc: DriveConfig) -> float:
+def _total_form_gap(sc: ScatteringScalars, rs: ReducedScalars) -> float:
     """|compact - expanded| total cross section over the largest term of
     the expanded form (norm of g- plus the s-wave interference terms)."""
-    rs = reduced_scalars(sc, dc)
     den = rs.den
     terms = (sc.norm2_g_minus,
-             rs.kappa2 * (1.0 + dc.eta ** 2 * (sc.norm2_g_plus - sc.norm2_g_minus)) / den,
+             rs.kappa2 * (1.0 + rs.eta ** 2 * (sc.norm2_g_plus - sc.norm2_g_minus)) / den,
              -rs.y * math.sin(2.0 * sc.delta0_minus) / den,
              -2.0 * rs.kappa2 * math.sin(sc.delta0_minus) ** 2 / den)
-    return abs(sigma_tot(sc, dc) - sum(terms)) / max(abs(t) for t in terms)
+    return abs(_total(sc, rs) - sum(terms)) / max(abs(t) for t in terms)
 
 
 def run_verification(table: PhaseShiftTable | None = None,
@@ -451,7 +461,7 @@ def run_verification(table: PhaseShiftTable | None = None,
         rs = reduced_scalars(sc, dc)
         x = rng.uniform(-20.0, 20.0)
         adj = resolvent(rs, x)
-        gen = np.linalg.inv(build_spectral_drift(rs) + 2j * x * np.eye(3))
+        gen = np.linalg.inv(_shifted_drift(rs, x))
         ro = max(ro, float(np.max(np.abs(adj - gen))))
     checks.append(VerificationCheck("adjugate resolvent vs generic inverse", 1e-12, ro))
 
@@ -470,11 +480,11 @@ def run_verification(table: PhaseShiftTable | None = None,
     sr, forms = 0.0, 0.0
     for _ in range(300):
         sc = _random_scalars(rng)
-        dc = _random_drive(rng)
-        tot = sigma_tot(sc, dc)
-        gap = abs(sigma_el(sc, dc) + sigma_inel(sc, dc) - tot)
+        rs = reduced_scalars(sc, _random_drive(rng))
+        tot = _total(sc, rs)
+        gap = abs(_elastic(sc, rs) + _inelastic(sc, rs) - tot)
         sr = max(sr, gap / max(abs(tot), 1e-30))
-        forms = max(forms, _total_form_gap(sc, dc))
+        forms = max(forms, _total_form_gap(sc, rs))
     checks.append(VerificationCheck("cross-section sum rule", 1e-12, sr))
     # plus a fixed set around the Fano zero z = cot(delta_0^-), where the
     # compact form vanishes and the expanded one cancels
@@ -483,7 +493,7 @@ def run_verification(table: PhaseShiftTable | None = None,
         for eta2 in (0.0, 1e-8, 1e-4, 0.01, 1.0, 18.0):
             for off in np.linspace(-0.05, 0.05, 21):
                 dc = DriveConfig(math.sqrt(eta2), 0.5 / math.tan(d0m) + float(off))
-                forms = max(forms, _total_form_gap(sc, dc))
+                forms = max(forms, _total_form_gap(sc, reduced_scalars(sc, dc)))
     checks.append(VerificationCheck("total cross-section forms", 1e-12, forms))
 
     # spectral normalization for the configured drives

@@ -12,7 +12,9 @@ scalars: the spectra read rows 1 and 3, :func:`resolvent` adds row 2.
 
 Every builder takes one :class:`~qsatom.model.ReducedScalars`, which
 carries the eta, s and gammatilde it was dressed with; the spectra read
-those scalars, and Gtilde is built only for verification.
+those scalars and never build Gtilde.  Gtilde is the drift G' of
+:func:`~qsatom.bloch.build_drift` in a rescaled basis, shifted by
+gammatilde; only the oracles form it, from G' itself.
 """
 
 from __future__ import annotations
@@ -27,24 +29,6 @@ from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
 from .xsection import sigma_el
 
 _DET_FLOOR = 1e-280
-
-
-def build_spectral_drift(rs: ReducedScalars) -> np.ndarray:
-    """Read-only shifted drift matrix Gtilde, whose resolvent generates
-    the spectrum.  Similar to G' + gammatilde via diag(eta, 1, -eta^2),
-    so its eigenvalues are those of G' shifted by gammatilde.
-    """
-    eta, gammatilde = rs.eta, rs.gammatilde
-    eis = np.exp(1j * rs.s)
-    cs = math.cos(rs.s)
-    b = rs.bprime
-    m = np.array([
-        [2.0 + gammatilde, -1.0, eta ** 2],
-        [2.0 * eta ** 2 * eis * cs, b + gammatilde, 0.0],
-        [-2.0 * np.conj(eis) * cs, 0.0, np.conj(b) + gammatilde],
-    ], dtype=complex)
-    m.setflags(write=False)
-    return m
 
 
 def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

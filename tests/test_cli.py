@@ -346,7 +346,7 @@ def test_verify_detects_injected_coherence_sign_error(monkeypatch, capsys):
 
     def flawed(sc, dc):
         rs = true_reduce(sc, dc)
-        return replace(rs, bprime=np.conj(rs.bprime))
+        return replace(rs, w=-rs.w)
 
     monkeypatch.setattr(qsatom.spectrum, "reduced_scalars", flawed)
     assert main(["verify", "--format", "json"]) == 1

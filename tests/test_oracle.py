@@ -409,10 +409,10 @@ def test_total_form_gap_small_at_fano_zero_and_sees_a_wrong_total(monkeypatch):
     sc = ScatteringScalars(0.0, 0.13, 0.0, 0.0, 0.0, 0.0)
     zero = DriveConfig(0.0, 0.5 / math.tan(0.13))
     assert sigma_tot(sc, zero) < 1e-20
-    assert oracle._total_form_gap(sc, zero) <= 1e-12
-    true_tot = oracle.sigma_tot
-    monkeypatch.setattr(oracle, "sigma_tot", lambda sc, dc: true_tot(sc, dc) + 1e-9)
-    assert oracle._total_form_gap(sc, zero) > 1e-12
+    assert oracle._total_form_gap(sc, reduced_scalars(sc, zero)) <= 1e-12
+    true_tot = oracle._total
+    monkeypatch.setattr(oracle, "_total", lambda sc, rs: true_tot(sc, rs) + 1e-9)
+    assert oracle._total_form_gap(sc, reduced_scalars(sc, zero)) > 1e-12
 
 
 def test_run_verification_all_pass():

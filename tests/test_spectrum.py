@@ -6,19 +6,15 @@ import pytest
 
 from helpers import mirror, random_drive, random_scalars
 from qsatom import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
-                    build_drift, build_spectral_drift, local_maxima,
+                    build_drift, local_maxima,
                     low_intensity_x, mollow_inel_x, mollow_xsections, reduced_scalars, resolvent,
                     scalars_from_phase_shifts, sigma_el, sigma_inel,
                     sigma_inel_x, sigma_tot_x,
                     spectral_coefficients, spectral_diff)
 from qsatom.model import SQRT_4PI
+from qsatom.oracle import _shifted_drift
 
 MIXED_TABLE = PhaseShiftTable([-0.2, 0.15, 0.05, -0.3], [0.4, -0.1, 0.02, 0.11])
-
-
-def _spectral_drift(sc, dc):
-    rs = reduced_scalars(sc, dc)
-    return rs, build_spectral_drift(rs)
 
 
 def test_resolvent_decoupled_diagonal():
@@ -26,7 +22,7 @@ def test_resolvent_decoupled_diagonal():
     # resolvent diagonal is the reciprocal of the shifted decay rates
     sc = MOLLOW_SCALARS
     dc = DriveConfig(0.0, 0.6, 0.4)
-    rs, _ = _spectral_drift(sc, dc)
+    rs = reduced_scalars(sc, dc)
     x = 0.9
     r = resolvent(rs, x)
     gt = dc.gammatilde
@@ -36,7 +32,7 @@ def test_resolvent_decoupled_diagonal():
 
 
 def test_resolvent_decays_at_large_frequency(fano_scalars):
-    rs, _ = _spectral_drift(fano_scalars, DriveConfig(2.0, 0.5, 0.3))
+    rs = reduced_scalars(fano_scalars, DriveConfig(2.0, 0.5, 0.3))
     for x in (1e3, -1e4):
         r = resolvent(rs, x)
         assert np.max(np.abs(r)) <= 1.0 / abs(x)
@@ -47,10 +43,10 @@ def test_resolvent_matches_generic_inverse():
     worst = 0.0
     for _ in range(100):
         sc, dc = random_scalars(rng), random_drive(rng)
-        rs, sd = _spectral_drift(sc, dc)
+        rs = reduced_scalars(sc, dc)
         x = rng.uniform(-20.0, 20.0)
         adj = resolvent(rs, x)
-        gen = np.linalg.inv(sd + 2j * x * np.eye(3))
+        gen = np.linalg.inv(_shifted_drift(rs, x))
         worst = max(worst, float(np.max(np.abs(adj - gen))))
     assert worst <= 1e-12
 
@@ -58,9 +54,9 @@ def test_resolvent_matches_generic_inverse():
 def _mp_error(sc, dc, x) -> float:
     """Largest error of resolvent(rs, x) against a 40-digit mpmath inverse
     of the same Gtilde + 2ix, relative to its largest entry."""
-    rs, sd = _spectral_drift(sc, dc)
+    rs = reduced_scalars(sc, dc)
     with mpmath.workdps(40):
-        ref = mpmath.matrix((sd + 2j * x * np.eye(3)).tolist()) ** -1
+        ref = mpmath.matrix(_shifted_drift(rs, x).tolist()) ** -1
         ref = np.array(ref.tolist(), dtype=complex)
     return float(np.max(np.abs(resolvent(rs, x) - ref)) / np.max(np.abs(ref)))
 
@@ -75,10 +71,10 @@ FANO_ZERO = 0.5 / math.tan(0.13)  # ztilde of the Fano zero of delta0_minus = 0.
 
 def test_resolvent_rows_match_mpmath_inverse(fano_scalars):
     # all three closed adjugate rows complete the inverse: A @ inv = identity
-    rs, sd = _spectral_drift(fano_scalars, DriveConfig(2.0, -1.0, 0.5))
+    rs = reduced_scalars(fano_scalars, DriveConfig(2.0, -1.0, 0.5))
     x = 1.7
     full = resolvent(rs, x)
-    a = sd + 2j * x * np.eye(3)
+    a = _shifted_drift(rs, x)
     assert np.max(np.abs(a @ full - np.eye(3))) < 1e-13
     # the Fano zero, strong drive with a narrow detector and far
     # detunings, with x at the Rabi sidebands +-eta and at the line centre
@@ -106,7 +102,7 @@ def test_resolvent_matches_mpmath_on_far_detuned_sidebands(fano_scalars):
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_resolvent_rejects_non_finite_frequency(fano_scalars, x):
-    rs, _ = _spectral_drift(fano_scalars, DriveConfig(2.0, 1.0, 0.5))
+    rs = reduced_scalars(fano_scalars, DriveConfig(2.0, 1.0, 0.5))
     with pytest.raises(ValueError, match="finite x"):
         resolvent(rs, x)
 
@@ -122,7 +118,19 @@ def test_spectra_reject_non_finite_frequency(fano_scalars, dwave_table, x):
             f()
 
 
-def test_spectral_drift_eigenvalues_shift_by_width():
+def _written_out_gtilde(rs):
+    """Gtilde as a hand-written matrix, similar to G' + gammatilde via
+    diag(eta, 1, -eta^2): the reference for the one derived from G'."""
+    eta, gt = rs.eta, rs.gammatilde
+    eis, cs, b = np.exp(1j * rs.s), math.cos(rs.s), rs.bprime
+    return np.array([
+        [2.0 + gt, -1.0, eta ** 2],
+        [2.0 * eta ** 2 * eis * cs, b + gt, 0.0],
+        [-2.0 * np.conj(eis) * cs, 0.0, np.conj(b) + gt],
+    ], dtype=complex)
+
+
+def test_spectral_drift_eigenvalues_shift_by_width(fano_scalars):
     rng = np.random.default_rng(19)
     for _ in range(40):
         sc = random_scalars(rng)
@@ -130,10 +138,18 @@ def test_spectral_drift_eigenvalues_shift_by_width():
         if dc.eta == 0.0:
             continue
         rs = reduced_scalars(sc, dc)
-        sd = build_spectral_drift(rs)
+        sd = _shifted_drift(rs, 0.0)
         shifted = np.linalg.eigvals(build_drift(rs)) + dc.gammatilde
         for lam in np.linalg.eigvals(sd):
             assert np.min(np.abs(shifted - lam)) < 1e-10
+    # entry by entry, the structural zeros exactly, down to eta = 1e-150
+    for eta in (1e-150, 1e-3, 2.0, 1e3):
+        rs = reduced_scalars(fano_scalars, DriveConfig(eta, -1.3, 0.4))
+        ref = _written_out_gtilde(rs) + 1.7j * np.eye(3)
+        gap = np.abs(_shifted_drift(rs, 0.85) - ref)
+        assert np.all(gap <= 4.0 * np.finfo(float).eps * np.abs(ref))
+    with pytest.raises(ValueError, match="eta > 0"):
+        _shifted_drift(reduced_scalars(fano_scalars, DriveConfig(0.0, -1.3, 0.4)), 0.85)
 
 
 def test_spectral_coefficients_structure(fano_scalars):
