@@ -138,6 +138,19 @@ def test_evolve_reaches_equilibrium(fano_scalars):
     assert out.v == pytest.approx(eq.v, abs=1e-10)
 
 
+@pytest.mark.parametrize("eta", [1e2, 1e4, 1e6, 1e8])
+def test_evolve_relaxes_to_equilibrium_under_strong_drive(fano_scalars, eta):
+    # v_eq ~ 1/(2 eta): a stationary point solved from G' itself loses it
+    # as eta^2 times the rounding of G' (49% off at eta = 1e8)
+    for sc in (MOLLOW_SCALARS, fano_scalars):
+        for zt in (0.0, 3.0):
+            rs = reduced_scalars(sc, DriveConfig(eta, zt))
+            eq = equilibrium(rs)
+            out = evolve(rs, BlochVector(0.0, 0.0), 50.0)
+            assert abs(out.u - eq.u) <= 1e-8 * abs(eq.u)
+            assert abs(out.v - eq.v) <= 1e-8 * abs(eq.v)
+
+
 def test_equilibrium_is_fixed_point(fano_scalars):
     dc = DriveConfig(2.0, 0.7)
     rs = reduced_scalars(fano_scalars, dc)

@@ -337,6 +337,24 @@ def test_verify_scalars_mode_skips_finite_beam(tmp_path, capsys):
     assert "finite-beam photon balance" not in names
 
 
+@pytest.mark.parametrize("gammatilde", [1e-8, 1e-12, 1e-100])
+def test_verify_passes_at_a_narrow_detector_width(tmp_path, capsys, gammatilde):
+    # an elastic line far narrower than the inelastic features: integrated
+    # on their scale, it is missed (1e-12, 1e-100) or never converges (1e-8)
+    doc = _fano_config(eta2=[1.0], ztilde=[0.0], gammatilde=gammatilde)
+    cfg = _write(tmp_path, "narrow.json", doc)
+    assert main(["verify", "--config", cfg, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_verify_passes_at_a_subnormal_intensity(tmp_path, capsys):
+    # at eta2 = 1e-320 the oracles' Gtilde, taken from G', keeps its exact
+    # zeros; the basis diag(eta, 1, -eta^2) would fill them with NaN
+    cfg = _write(tmp_path, "weak.json", _fano_config(eta2=[1e-320], ztilde=[0.0]))
+    assert main(["verify", "--config", cfg, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_verify_detects_injected_coherence_sign_error(monkeypatch, capsys):
     # flip the sign of the coherence rotation in the scalars the spectrum
     # is built from.  The full-line integral of the resolvent is

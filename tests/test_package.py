@@ -1,13 +1,21 @@
 import ast
+import re
 from pathlib import Path
 
 import qsatom
 
 SRC = Path(qsatom.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in qsatom.__all__ if not hasattr(qsatom, name)]
+    assert missing == []
+
+
+def test_readme_names_every_exported_name():
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in qsatom.__all__ if not re.search(rf"\b{name}\b", text)]
     assert missing == []
 
 
