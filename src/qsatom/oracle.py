@@ -84,8 +84,8 @@ def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
 def _shifted_drift(rs: ReducedScalars, x: float) -> np.ndarray:
     """Gtilde + 2ix, taken from the drift G' of :func:`build_drift`: Gtilde is
     G' in the basis d = (1, 1/eta, -eta), entries G'_ij d_j / d_i, shifted by
-    gammatilde.  Dividing last keeps every exact zero of G' a zero for all
-    eta whose square is a float.  Raises ValueError at eta = 0."""
+    gammatilde.  Dividing last keeps every exact zero of G' a zero for each
+    eta with a finite reciprocal.  Raises ValueError at eta = 0."""
     if rs.eta == 0.0:
         raise ValueError("Gtilde needs eta > 0")
     d = np.array([1.0, 1.0 / rs.eta, -rs.eta])
