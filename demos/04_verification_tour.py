@@ -24,7 +24,7 @@ TABLE = PhaseShiftTable(delta_plus=[-0.03, 0.0, 0.0633],
 
 def main():
     print("== full check suite ==")
-    checks = run_verification(table=TABLE)
+    checks = run_verification(TABLE)
     width = max(len(c.name) for c in checks) + 2
     for c in checks:
         print(f"  {c.name.ljust(width)} tol {c.tolerance:8.1e}   "

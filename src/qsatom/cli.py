@@ -60,7 +60,7 @@ def _number(raw, key) -> float:
     try:
         if not isinstance(raw, bool):
             return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"'{key}' must be a number, not {raw!r}")
 
@@ -128,7 +128,7 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -186,12 +186,13 @@ def run_spectrum_sweep(cfg: RunConfig):
 
 def run_verify(cfg: RunConfig | None):
     """Full oracle and invariant suite; returns (checks, exit_code)."""
-    table, scalars, drives = (cfg.table, cfg.scalars, None) if cfg else (None, None, None)
+    source = (cfg.table or cfg.scalars) if cfg else oracle.DEFAULT_TABLE
+    drives = oracle.DEFAULT_DRIVES
     if cfg and cfg.eta2 and cfg.ztilde:
         gt = cfg.gammatilde if cfg.gammatilde > 0 else 0.6
-        drives = [DriveConfig(math.sqrt(e2), zt, gt)
-                  for e2 in sorted(cfg.eta2)[:2] for zt in sorted(cfg.ztilde)[:1]]
-    checks = oracle.run_verification(table=table, scalars=scalars, drives=drives)
+        drives = tuple(DriveConfig(math.sqrt(e2), zt, gt)
+                       for e2 in sorted(cfg.eta2)[:2] for zt in sorted(cfg.ztilde)[:1])
+    checks = oracle.run_verification(source, drives)
     code = 0 if all(c.passed for c in checks) else 1
     return checks, code
 

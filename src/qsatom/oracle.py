@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bloch import BlochVector, build_drift, equilibrium, evolve
-from .model import (DriveConfig, PhaseShiftTable, ReducedScalars, ScatteringScalars,
-                    legendre_table, reduced_scalars, scalars_from_phase_shifts)
+from .model import (MOLLOW_SCALARS, DriveConfig, PhaseShiftTable, ReducedScalars,
+                    ScatteringScalars, _sq, dress, legendre_table, reduced_scalars,
+                    scalars_from_phase_shifts)
 from .spectrum import (elastic_lorentzian, mollow_inel_x, resolvent, sigma_inel_x,
                        spectral_coefficients)
 from .xsection import _elastic, _inelastic, _total, sigma_el, sigma_inel, sigma_tot
@@ -150,6 +151,8 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
 # work bounds: halvings of the 16 starting panels, and live panels per pass
 _MAX_HALVINGS = 30
 _MAX_PANELS = 4096
+# largest relative gap between a spectral integral and its closed form
+_SUM_RULE_TOL = 1e-6
 
 
 @functools.cache
@@ -221,8 +224,7 @@ class SumRuleReport:
                 and self.tot_rel_gap <= self.tolerance)
 
 
-def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig,
-                   tolerance: float = 1e-6) -> SumRuleReport:
+def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
     """Check that the spectra integrate to their cross sections.
 
     The inelastic scale follows the spectral features (Rabi sidebands,
@@ -246,7 +248,7 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig,
         inel_quadrature=iv, inel_closed=inel_closed,
         tot_quadrature=ev + iv, tot_closed=tot_closed,
         inel_error_estimate=ie, tot_error_estimate=ee + ie,
-        quad_converged=ic and ec, tolerance=tolerance,
+        quad_converged=ic and ec, tolerance=_SUM_RULE_TOL,
     )
 
 
@@ -390,48 +392,45 @@ DEFAULT_DRIVES = (DriveConfig(2.0, 0.0, 0.6),
                   DriveConfig(math.sqrt(18.0), 1.5, 0.6))
 
 
-def _random_scalars(rng) -> ScatteringScalars:
-    d0p, d0m = rng.uniform(-0.4, 0.4, 2)
-    pgp, pgm = rng.uniform(0.0, 0.1, 2)
-    lo = (math.sqrt(pgp) - math.sqrt(pgm)) ** 2
-    hi = (math.sqrt(pgp) + math.sqrt(pgm)) ** 2
-    return ScatteringScalars(d0p, d0m, pgp, pgm, rng.uniform(lo, hi),
-                             rng.uniform(-0.01, 0.01))
+def _random_points(rng, n: int, gamma_positive: bool = False):
+    """Yield ``n`` random points (sc, dc, rs), drawn as the six scattering
+    scalars, then gammatilde, eta, ztilde; a caller's extra draws follow."""
+    for _ in range(n):
+        d0p, d0m = rng.uniform(-0.4, 0.4, 2)
+        pgp, pgm = rng.uniform(0.0, 0.1, 2)
+        lo = (math.sqrt(pgp) - math.sqrt(pgm)) ** 2
+        hi = (math.sqrt(pgp) + math.sqrt(pgm)) ** 2
+        sc = ScatteringScalars(d0p, d0m, pgp, pgm, rng.uniform(lo, hi),
+                               rng.uniform(-0.01, 0.01))
+        gt = rng.uniform(0.05 if gamma_positive else 0.0, 1.5)
+        dc = DriveConfig(rng.uniform(0.0, 6.0), rng.uniform(-8.0, 8.0), gt)
+        yield sc, dc, reduced_scalars(sc, dc)
 
 
-def _random_drive(rng, gamma_positive=False) -> DriveConfig:
-    gt = rng.uniform(0.05, 1.5) if gamma_positive else rng.uniform(0.0, 1.5)
-    return DriveConfig(rng.uniform(0.0, 6.0), rng.uniform(-8.0, 8.0), gt)
-
-
-def _total_form_gap(sc: ScatteringScalars, rs: ReducedScalars) -> float:
-    """|compact - expanded| total cross section over the largest term of
-    the expanded form (norm of g- plus the s-wave interference terms)."""
+def _total_form_gap(sc: ScatteringScalars, rs: ReducedScalars):
+    """|compact - expanded| total cross section over the largest term of the
+    expanded form (|g-|^2 plus the s-wave interference terms), floats or columns."""
     den = rs.den
     terms = (sc.norm2_g_minus,
-             rs.kappa2 * (1.0 + rs.eta ** 2 * (sc.norm2_g_plus - sc.norm2_g_minus)) / den,
+             rs.kappa2 * (1.0 + _sq(rs.eta) * (sc.norm2_g_plus - sc.norm2_g_minus)) / den,
              -rs.y * math.sin(2.0 * sc.delta0_minus) / den,
              -2.0 * rs.kappa2 * math.sin(sc.delta0_minus) ** 2 / den)
-    return abs(_total(sc, rs) - sum(terms)) / max(abs(t) for t in terms)
+    return abs(_total(sc, rs) - sum(terms)) / functools.reduce(np.maximum, map(abs, terms))
 
 
-def run_verification(table: PhaseShiftTable | None = None,
-                     scalars: ScatteringScalars | None = None,
-                     drives=None, seed: int = _RNG_SEED) -> list[VerificationCheck]:
-    """Run the full oracle and invariant suite; one entry per check."""
-    if table is None and scalars is None:
-        table = DEFAULT_TABLE
-    sc_ref = scalars_from_phase_shifts(table) if table is not None else scalars
-    drives = tuple(drives) if drives else DEFAULT_DRIVES
-    rng = np.random.default_rng(seed)
+def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE,
+                     drives: tuple[DriveConfig, ...] = DEFAULT_DRIVES) -> list[VerificationCheck]:
+    """Run the full oracle and invariant suite; one entry per check.  A
+    phase-shift table as ``source`` adds the two finite-beam checks, which
+    need angular resolution; its scalar reduction alone gives twelve."""
+    is_table = isinstance(source, PhaseShiftTable)
+    sc_ref = scalars_from_phase_shifts(source) if is_table else source
+    rng = np.random.default_rng(_RNG_SEED)
     checks = []
 
     # determinant identity and equilibrium stationarity on a random grid
     det_res, eq_res = 0.0, 0.0
-    for _ in range(200):
-        sc = _random_scalars(rng)
-        dc = _random_drive(rng)
-        rs = reduced_scalars(sc, dc)
+    for sc, dc, rs in _random_points(rng, 200):
         g = build_drift(rs)
         target = 2.0 * rs.den
         det_res = max(det_res, abs(np.linalg.det(g) - target) / abs(target))
@@ -443,10 +442,7 @@ def run_verification(table: PhaseShiftTable | None = None,
 
     # matrix exponential against RK4
     eo = 0.0
-    for _ in range(6):
-        sc = _random_scalars(rng)
-        dc = _random_drive(rng)
-        rs = reduced_scalars(sc, dc)
+    for sc, dc, rs in _random_points(rng, 6):
         u0 = rng.uniform(0.0, 1.0)
         vmax = math.sqrt(max(u0 - u0 ** 2, 0.0))
         v0 = vmax * rng.uniform(0.0, 1.0) * np.exp(2j * math.pi * rng.uniform())
@@ -459,10 +455,7 @@ def run_verification(table: PhaseShiftTable | None = None,
 
     # adjugate resolvent against the generic inverse
     ro = 0.0
-    for _ in range(100):
-        sc = _random_scalars(rng)
-        dc = _random_drive(rng)
-        rs = reduced_scalars(sc, dc)
+    for sc, dc, rs in _random_points(rng, 100):
         x = rng.uniform(-20.0, 20.0)
         adj = resolvent(rs, x)
         gen = np.linalg.inv(_shifted_drift(rs, x))
@@ -482,22 +475,19 @@ def run_verification(table: PhaseShiftTable | None = None,
 
     # integral sum rule and the two total forms, on the same random points
     sr, forms = 0.0, 0.0
-    for _ in range(300):
-        sc = _random_scalars(rng)
-        rs = reduced_scalars(sc, _random_drive(rng))
+    for sc, dc, rs in _random_points(rng, 300):
         tot = _total(sc, rs)
         gap = abs(_elastic(sc, rs) + _inelastic(sc, rs) - tot)
         sr = max(sr, gap / max(abs(tot), 1e-30))
         forms = max(forms, _total_form_gap(sc, rs))
     checks.append(VerificationCheck("cross-section sum rule", 1e-12, sr))
     # plus a fixed set around the Fano zero z = cot(delta_0^-), where the
-    # compact form vanishes and the expanded one cancels
+    # compact form vanishes and the expanded one cancels: one column each
+    eta2s = np.repeat([0.0, 1e-8, 1e-4, 0.01, 1.0, 18.0], 21)
     for d0m in (0.13, 0.3, -0.2):
         sc = ScatteringScalars(0.0, d0m, 0.0, 0.0, 0.0, 0.0)
-        for eta2 in (0.0, 1e-8, 1e-4, 0.01, 1.0, 18.0):
-            for off in np.linspace(-0.05, 0.05, 21):
-                dc = DriveConfig(math.sqrt(eta2), 0.5 / math.tan(d0m) + float(off))
-                forms = max(forms, _total_form_gap(sc, reduced_scalars(sc, dc)))
+        zts = np.tile(0.5 / math.tan(d0m) + np.linspace(-0.05, 0.05, 21), 6)
+        forms = max(forms, float(np.max(_total_form_gap(sc, dress(sc, np.sqrt(eta2s), zts)))))
     checks.append(VerificationCheck("total cross-section forms", 1e-12, forms))
 
     # spectral normalization for the configured drives
@@ -506,20 +496,17 @@ def run_verification(table: PhaseShiftTable | None = None,
     norm_res = max((max(r.inel_rel_gap, r.tot_rel_gap) for r in reports), default=0.0)
     checks.append(VerificationCheck("spectral quadrature convergence", 0.0,
                                     0.0 if quad_ok else 1.0))
-    checks.append(VerificationCheck("spectral normalization sum rules", 1e-6, norm_res))
+    checks.append(VerificationCheck("spectral normalization sum rules", _SUM_RULE_TOL, norm_res))
 
     # symmetry and positivity of the inelastic spectrum
     sym, neg = 0.0, 0.0
-    for _ in range(100):
-        sc = _random_scalars(rng)
-        dc = _random_drive(rng, gamma_positive=True)
+    for sc, dc, rs in _random_points(rng, 100, gamma_positive=True):
         x = rng.uniform(-12.0, 12.0)
-        flipped_sc = ScatteringScalars(-sc.delta0_plus, -sc.delta0_minus,
-                                       sc.norm2_pg_plus, sc.norm2_pg_minus,
-                                       sc.norm2_pdg, -sc.eps_r)
-        flipped_dc = DriveConfig(dc.eta, -dc.ztilde, dc.gammatilde)
+        # the mirror s -> -s, z -> -z, x -> -x
+        flipped_sc = replace(sc, delta0_plus=-sc.delta0_plus,
+                             delta0_minus=-sc.delta0_minus, eps_r=-sc.eps_r)
         v1 = sigma_inel_x(sc, dc, x)
-        v2 = sigma_inel_x(flipped_sc, flipped_dc, -x)
+        v2 = sigma_inel_x(flipped_sc, replace(dc, ztilde=-dc.ztilde), -x)
         sym = max(sym, abs(v1 - v2))
         neg = max(neg, -min(v1, 0.0))
     checks.append(VerificationCheck("spectral mirror symmetry", 1e-12, sym))
@@ -527,37 +514,34 @@ def run_verification(table: PhaseShiftTable | None = None,
 
     # absorption/emission-only closed form against the resolvent route
     mol = 0.0
-    zs = np.linspace(-4.0, 4.0, 15)
     xs = np.linspace(-9.0, 9.0, 15)
-    for zt in zs:
-        dc = DriveConfig(2.0, float(zt), 0.6)
-        ref = mollow_inel_x(float(zt), 2.0, 0.6, xs)
-        got = sigma_inel_x(ScatteringScalars(0, 0, 0, 0, 0, 0), dc, xs)
+    for zt in np.linspace(-4.0, 4.0, 15).tolist():
+        ref = mollow_inel_x(zt, 2.0, 0.6, xs)
+        got = sigma_inel_x(MOLLOW_SCALARS, DriveConfig(2.0, zt, 0.6), xs)
         mol = max(mol, float(np.max(np.abs(got - ref) / np.abs(ref))))
     checks.append(VerificationCheck("Mollow closed form vs resolvent", 1e-10, mol))
 
     # finite-beam photon balance (needs angular resolution)
-    if table is not None:
+    if is_table:
         bal = 0.0
-        drive = next((d for d in drives if d.eta > 0), DriveConfig(2.0, 0.0, 0.6))
+        drive = next((d for d in drives if d.eta > 0), DEFAULT_DRIVES[0])
         for dth in (0.2, 0.1, 0.05):
-            bal = max(bal, finite_beam_balance(table, drive, dth, lmax=40))
+            bal = max(bal, finite_beam_balance(source, drive, dth, lmax=40))
         checks.append(VerificationCheck("finite-beam photon balance", 1e-8, bal))
 
         # beam overlaps: quadrature against the closed Legendre integral
+        # over [cos dtheta, 1], (P_{l-1} - P_{l+1}) / (2l + 1) with P_{-1} = 1
         ov_res = 0.0
+        two_l1 = 2 * np.arange(13) + 1
         for dth in (0.3, 0.05):
             ov = beam_overlaps(12, dth)
             a_edge = math.cos(dth)
-            p = [float(np.polynomial.legendre.Legendre.basis(l)(a_edge)) for l in range(14)]
+            p = np.polynomial.legendre.legval(a_edge, np.eye(14))
             pref = 2.0 * math.pi / (dth * math.sqrt(2.0 * math.pi * (1.0 - a_edge)))
-            for l in range(13):
-                if l == 0:
-                    integral = 1.0 - a_edge
-                else:
-                    integral = (p[l - 1] - p[l + 1]) / (2 * l + 1)
-                exact = pref * math.sqrt((2 * l + 1) / (4.0 * math.pi)) * integral
-                ov_res = max(ov_res, abs(ov[l] - exact) / max(abs(exact), 1e-30))
+            integral = (np.r_[1.0, p[:12]] - p[1:]) / two_l1
+            exact = pref * np.sqrt(two_l1 / (4.0 * math.pi)) * integral
+            rel = np.abs(ov - exact) / np.maximum(np.abs(exact), 1e-30)
+            ov_res = max(ov_res, float(np.max(rel)))
         checks.append(VerificationCheck("beam overlap quadrature", 1e-12, ov_res))
 
     return checks

@@ -139,6 +139,22 @@ def test_numerical_failure_is_one_stderr_line(tmp_path, command, over, point):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["xsection", "verify"])
+@pytest.mark.parametrize("key", ["eta2", "gammatilde"])
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_oversized_integer_is_a_config_error(tmp_path, capsys, command, key, digits):
+    # float() of a 401-digit integer overflows; json refuses a 5001-digit
+    # one (CPython's 4300-digit limit) with a plain ValueError
+    doc = _fano_config(**{key: ["HUGE"] if key == "eta2" else "HUGE"})
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * (digits - 1)))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not out.exists()
+
+
 # No path of the package loads scipy.linalg: the sweeps never propagate a
 # state, and the propagators and verify run on numpy's own matrix
 # exponential.  Only the scipy package stub is imported.  Module sets,

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import random_drive, random_scalars
 from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
-                    ScatteringScalars, beam_overlaps,
+                    ScatteringScalars, beam_overlaps, dress,
                     equilibrium, evolve, finite_beam_balance,
                     finite_beam_equilibrium, ode_evolve, quad_sum_rules,
                     reduced_scalars, run_verification, scalars_from_phase_shifts,
@@ -422,3 +422,55 @@ def test_run_verification_all_pass():
     assert names.index("total cross-section forms") == names.index("cross-section sum rule") + 1
     assert all(c.passed for c in checks), \
         [f"{c.name}: {c.residual:.2e} > {c.tolerance:.2e}" for c in checks if not c.passed]
+
+
+def _legacy_point(rng, gamma_positive):
+    """The draws of one random verify point as the suite made them before
+    they shared one generator: scalars, then gammatilde, eta, ztilde."""
+    d0p, d0m = rng.uniform(-0.4, 0.4, 2)
+    pgp, pgm = rng.uniform(0.0, 0.1, 2)
+    lo = (math.sqrt(pgp) - math.sqrt(pgm)) ** 2
+    hi = (math.sqrt(pgp) + math.sqrt(pgm)) ** 2
+    sc = ScatteringScalars(d0p, d0m, pgp, pgm, rng.uniform(lo, hi),
+                           rng.uniform(-0.01, 0.01))
+    gt = rng.uniform(0.05, 1.5) if gamma_positive else rng.uniform(0.0, 1.5)
+    return sc, DriveConfig(rng.uniform(0.0, 6.0), rng.uniform(-8.0, 8.0), gt)
+
+
+@pytest.mark.parametrize("gamma_positive", [False, True])
+def test_random_points_keep_the_draw_order(gamma_positive):
+    # an extra draw between points, as the adjugate and mirror loops make
+    rng, legacy = np.random.default_rng(11), np.random.default_rng(11)
+    n = 0
+    for sc, dc, rs in oracle._random_points(rng, 300, gamma_positive):
+        extra = rng.uniform(-20.0, 20.0)
+        old_sc, old_dc = _legacy_point(legacy, gamma_positive)
+        assert sc == old_sc and dc == old_dc
+        assert rs == reduced_scalars(old_sc, old_dc)
+        assert extra == legacy.uniform(-20.0, 20.0)
+        n += 1
+    assert n == 300
+
+
+@pytest.mark.parametrize("d0m", [0.13, 0.3, -0.2])
+def test_total_form_gap_on_fano_zero_columns_matches_per_point(d0m):
+    sc = ScatteringScalars(0.0, d0m, 0.0, 0.0, 0.0, 0.0)
+    eta2s = (0.0, 1e-8, 1e-4, 0.01, 1.0, 18.0)
+    offs = np.linspace(-0.05, 0.05, 21)
+    per_point = [oracle._total_form_gap(sc, reduced_scalars(
+                     sc, DriveConfig(math.sqrt(eta2), 0.5 / math.tan(d0m) + float(off))))
+                 for eta2 in eta2s for off in offs]
+    rs = dress(sc, np.sqrt(np.repeat(eta2s, 21)), np.tile(0.5 / math.tan(d0m) + offs, 6))
+    columns = oracle._total_form_gap(sc, rs)
+    assert columns.tolist() == per_point
+    assert float(np.max(columns)).hex() == max(per_point).hex()
+
+
+def test_run_verification_source_decides_the_finite_beam_checks(fano_scalars):
+    beam = {"finite-beam photon balance", "beam overlap quadrature"}
+    with_table = [c.name for c in run_verification(oracle.DEFAULT_TABLE)]
+    scalars_only = [c.name for c in run_verification(fano_scalars)]
+    assert len(with_table) == 14 and beam <= set(with_table)
+    assert scalars_only == [name for name in with_table if name not in beam]
+    with pytest.raises(TypeError):  # the old keywords are gone, not ignored
+        run_verification(table=oracle.DEFAULT_TABLE)
