@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # noqa: F401  kept only for the benchmark worker's version record
 
-from .model import ReducedScalars
+from .model import ReducedScalars, _any, _cos, _sq
 
 _STATE_TOL = 1e-9
 # Pade [13/13] b_j = (2m-j)! m! / ((2m)! j! (m-j)!), m = 13, and theta_13, the largest
@@ -36,40 +36,39 @@ _THETA13 = 5.371920351148152
 
 @dataclass(frozen=True)
 class BlochVector:
-    """State-valued (u, v) pair; the redundant conjugate component is
-    implicit.  Valid states satisfy 0 <= u <= 1 and u >= u^2 + |v|^2."""
+    """State-valued (u, v) pair (or columns of them); the redundant conjugate
+    component is implicit.  Valid states satisfy 0 <= u <= 1 and u >= u^2 + |v|^2."""
 
     u: float
     v: complex
 
     def __post_init__(self):
-        u, v = self.u, complex(self.v)
-        if not (math.isfinite(u) and math.isfinite(v.real) and math.isfinite(v.imag)):
+        u, v = self.u, self.v if isinstance(self.v, np.ndarray) else complex(self.v)
+        if _any(~(np.isfinite(u) & np.isfinite(v))):
             raise ValueError("Bloch components must be finite")
-        if u < -_STATE_TOL or u > 1.0 + _STATE_TOL:
+        if _any((u < -_STATE_TOL) | (u > 1.0 + _STATE_TOL)):
             raise ValueError(f"population out of range: u = {u}")
-        if u + _STATE_TOL < u * u + abs(v) ** 2:
+        if _any(u + _STATE_TOL < u * u + np.abs(v) ** 2):
             raise ValueError("not a statistical operator: u < u^2 + |v|^2")
         object.__setattr__(self, "v", v)
 
     def vector(self) -> np.ndarray:
-        """(u, v, conj v) as a complex 3-vector."""
-        return np.array([self.u, self.v, np.conj(self.v)], dtype=complex)
+        """(u, v, conj v) as a complex 3-vector, or an (n, 3) stack."""
+        return np.stack([self.u, self.v, np.conj(self.v)], axis=-1).astype(complex)
 
 
 def build_drift(rs: ReducedScalars) -> np.ndarray:
-    """Read-only 3x3 complex drift matrix G' of the reduced scalars and the
-    drive they carry, with the closure structure G'23 = G'32 = 0,
+    """Read-only 3x3 complex drift matrix G' of the reduced scalars (a stack
+    of them for columns), with the closure structure G'23 = G'32 = 0,
     G'33 = conj(G'22), G'31 = conj(G'21).  Raises ValueError when an entry
     is not finite (a kappa2 that overflowed)."""
     eta = rs.eta
     eis = np.exp(1j * rs.s)
-    cs = math.cos(rs.s)
-    m = np.array([
-        [2.0, -eta, -eta],
-        [2.0 * eta * eis * cs, rs.bprime, 0.0],
-        [2.0 * eta * np.conj(eis) * cs, 0.0, np.conj(rs.bprime)],
-    ], dtype=complex)
+    cs = _cos(rs.s)
+    entries = np.broadcast_arrays(2.0, -eta, -eta,
+                                  2.0 * eta * eis * cs, rs.bprime, 0.0,
+                                  2.0 * eta * np.conj(eis) * cs, 0.0, np.conj(rs.bprime))
+    m = np.stack(entries, axis=-1).astype(complex).reshape(np.shape(eis) + (3, 3))
     if not np.all(np.isfinite(m)):
         raise ValueError("drift matrix entries must be finite")
     m.setflags(write=False)
@@ -77,14 +76,15 @@ def build_drift(rs: ReducedScalars) -> np.ndarray:
 
 
 def equilibrium(rs: ReducedScalars) -> BlochVector:
-    """Closed-form stationary state.
+    """Closed-form stationary state (columns of states for columns of ``rs``).
 
     u_inf = eta^2 kappa^2 / (z^2 + zeta^2),
     v_inf = eta (kappa^2 + i y) / (z^2 + zeta^2);
-    the denominator never vanishes since zeta^2 >= 1.
+    the denominator never vanishes since zeta^2 >= 1; v_inf divides its
+    parts apart, as CPython divides a complex by a float and numpy does not.
     """
-    return BlochVector(rs.eta ** 2 * rs.kappa2 / rs.den,
-                       rs.eta * complex(rs.kappa2, rs.y) / rs.den)
+    return BlochVector(_sq(rs.eta) * rs.kappa2 / rs.den,
+                       rs.eta * rs.kappa2 / rs.den + 1j * (rs.eta * rs.y / rs.den))
 
 
 def char_poly(m: np.ndarray) -> np.ndarray:

@@ -36,6 +36,14 @@ def _sq(v):
     return np.float_power(v, 2.0) if isinstance(v, np.ndarray) else v ** 2
 
 
+def _sin(v):  # np.sin and np.cos match math on the arguments verify draws
+    return np.sin(v) if isinstance(v, np.ndarray) else math.sin(v)
+
+
+def _cos(v):
+    return np.cos(v) if isinstance(v, np.ndarray) else math.cos(v)
+
+
 def _any(flags) -> bool:
     """A check's verdict on a float (a bool) or on columns (any element)."""
     return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
@@ -100,7 +108,7 @@ class ScatteringScalars:
     the lamp-shift coefficient (resonance shift per unit intensity, in
     line-width units).  The s-wave shift difference ``s`` and the cross
     term ``cross_pg`` are derived, never supplied, so the set is always
-    internally consistent.
+    internally consistent.  The six may also be equal-length columns.
     """
 
     delta0_plus: float
@@ -111,19 +119,19 @@ class ScatteringScalars:
     eps_r: float
 
     def __post_init__(self):
-        vals = (self.delta0_plus, self.delta0_minus, self.norm2_pg_plus,
-                self.norm2_pg_minus, self.norm2_pdg, self.eps_r)
-        if not all(math.isfinite(v) for v in vals):
+        vals = tuple(vars(self).values())
+        if not all(np.isfinite(v).all() for v in vals):
             raise ValueError("scattering scalars must be finite")
-        if min(self.norm2_pg_plus, self.norm2_pg_minus, self.norm2_pdg) < 0:
+        if min(np.min(v) for v in vals[2:5]) < 0:
             raise ValueError("squared norms must be nonnegative")
-        a = math.sqrt(self.norm2_pg_plus)
-        b = math.sqrt(self.norm2_pg_minus)
-        c = math.sqrt(self.norm2_pdg)
-        if c > a + b + _TRIANGLE_TOL or c < abs(a - b) - _TRIANGLE_TOL:
+        a, b, c = map(np.sqrt, vals[2:5])
+        bad = (c > a + b + _TRIANGLE_TOL) | (c < abs(a - b) - _TRIANGLE_TOL)
+        if _any(bad):  # quoting the first violating point of columns
+            lo, c, hi = (np.broadcast_to(v, np.shape(bad)).flat[np.argmax(bad)]
+                         for v in (abs(a - b), c, a + b))
             raise ValueError(
                 "triangle bound violated: need |~g+ - ~g-| <= ~dg <= ~g+ + ~g- "
-                f"(got {abs(a - b):.3e} <= {c:.3e} <= {a + b:.3e})")
+                f"(got {lo:.3e} <= {c:.3e} <= {hi:.3e})")
 
     @property
     def s(self) -> float:
@@ -138,12 +146,12 @@ class ScatteringScalars:
     @property
     def norm2_g_plus(self) -> float:
         """Full squared norm of g+, s-wave term included."""
-        return math.sin(self.delta0_plus) ** 2 + self.norm2_pg_plus
+        return _sq(_sin(self.delta0_plus)) + self.norm2_pg_plus
 
     @property
     def norm2_g_minus(self) -> float:
         """Full squared norm of g-, s-wave term included."""
-        return math.sin(self.delta0_minus) ** 2 + self.norm2_pg_minus
+        return _sq(_sin(self.delta0_minus)) + self.norm2_pg_minus
 
 
 #: Scalars of the pure absorption/emission model (no direct scattering).
@@ -158,7 +166,7 @@ class DriveConfig:
     eta is the Rabi frequency in line-width units), ``ztilde`` the
     reduced detuning (laser minus bare atomic frequency over the line
     width), ``gammatilde`` the reduced instrumental width of the
-    spectral detector.
+    spectral detector.  The three may also be equal-length columns.
     """
 
     eta: float
@@ -166,11 +174,11 @@ class DriveConfig:
     gammatilde: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.eta, self.ztilde, self.gammatilde)):
+        if not all(np.isfinite(v).all() for v in (self.eta, self.ztilde, self.gammatilde)):
             raise ValueError("drive parameters must be finite")
-        if self.eta < 0:
+        if _any(self.eta < 0):
             raise ValueError("eta must be nonnegative")
-        if self.gammatilde < 0:
+        if _any(self.gammatilde < 0):
             raise ValueError("gammatilde must be nonnegative")
 
 
@@ -254,16 +262,16 @@ def reduced_scalars(sc: ScatteringScalars, dc: DriveConfig) -> ReducedScalars:
 
 
 def dress(sc: ScatteringScalars, eta, ztilde, gammatilde: float = 0.0) -> ReducedScalars:
-    """:func:`reduced_scalars` for a float drive, or for equal-length
-    columns of ``eta`` and ``ztilde`` (one grid point per element)."""
+    """:func:`reduced_scalars` for a float drive, or for equal-length columns
+    of ``eta`` and ``ztilde``, and of ``sc`` and ``gammatilde`` if wanted."""
     eta2 = _sq(eta)
     s = sc.s
-    norm2_dg = math.sin(s) ** 2 + sc.norm2_pdg
+    norm2_dg = _sq(_sin(s)) + sc.norm2_pdg
     kappa2 = 1.0 + eta2 * norm2_dg
     zeta2 = _sq(1.0 + eta2 * sc.norm2_pdg) \
         + eta2 * (1.0 + kappa2 + eta2 * sc.norm2_pdg)
     z = 2.0 * ztilde - 2.0 * eta2 * sc.eps_r
-    half_sin2s = 0.5 * eta2 * math.sin(2.0 * s)
+    half_sin2s = 0.5 * eta2 * _sin(2.0 * s)
     # positional, in field order: on this per-point path, matching nine
     # keywords made each call about 20% slower (CPython 3.11)
     return ReducedScalars(z, z - half_sin2s, kappa2, zeta2, z + half_sin2s, norm2_dg,

@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bloch import BlochVector, build_drift, equilibrium, evolve
 from .model import (MOLLOW_SCALARS, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _sq, dress, legendre_table, reduced_scalars,
-                    scalars_from_phase_shifts)
+                    ScatteringScalars, _any, _sin, _sq, dress, legendre_table,
+                    reduced_scalars, scalars_from_phase_shifts)
 from .spectrum import (elastic_lorentzian, mollow_inel_x, resolvent, sigma_inel_x,
                        spectral_coefficients)
-from .xsection import _elastic, _inelastic, _total, sigma_el, sigma_inel, sigma_tot
+from .xsection import _elastic, _inelastic, _modulus, _total, sigma_el, sigma_inel, sigma_tot
 
 _RNG_SEED = 20250808
 
@@ -82,15 +82,16 @@ def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
     return BlochVector(float(v[0].real), complex(v[1]))
 
 
-def _shifted_drift(rs: ReducedScalars, x: float) -> np.ndarray:
+def _shifted_drift(rs: ReducedScalars, x) -> np.ndarray:
     """Gtilde + 2ix, taken from the drift G' of :func:`build_drift`: Gtilde is
     G' in the basis d = (1, 1/eta, -eta), entries G'_ij d_j / d_i, shifted by
-    gammatilde.  Dividing last keeps every exact zero of G' a zero for each
-    eta with a finite reciprocal.  Raises ValueError at eta = 0."""
-    if rs.eta == 0.0:
+    gammatilde (stacked for columns).  Dividing last keeps every exact zero of
+    G' a zero for each eta with a finite reciprocal; ValueError at eta = 0."""
+    if _any(rs.eta == 0.0):
         raise ValueError("Gtilde needs eta > 0")
-    d = np.array([1.0, 1.0 / rs.eta, -rs.eta])
-    return build_drift(rs) * d / d[:, None] + (rs.gammatilde + 2j * x) * np.eye(3)
+    d = np.stack(np.broadcast_arrays(1.0, 1.0 / rs.eta, -rs.eta), axis=-1)[..., None, :]
+    shift = np.multiply.outer(rs.gammatilde + 2j * x, np.eye(3))
+    return build_drift(rs) * d / np.swapaxes(d, -1, -2) + shift
 
 
 def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
@@ -368,9 +369,12 @@ def finite_beam_balance(table: PhaseShiftTable, dc: DriveConfig,
 
 @dataclass(frozen=True)
 class VerificationCheck:
+    """One verify check: its largest residual over ``samples`` evaluations."""
+
     name: str
     tolerance: float
     residual: float
+    samples: int
 
     def __post_init__(self):
         object.__setattr__(self, "tolerance", float(self.tolerance))
@@ -382,7 +386,7 @@ class VerificationCheck:
 
     def to_dict(self) -> dict:
         return {"check": self.name, "tolerance": self.tolerance,
-                "residual": self.residual, "passed": self.passed}
+                "residual": self.residual, "samples": self.samples, "passed": self.passed}
 
 
 DEFAULT_TABLE = PhaseShiftTable(delta_plus=np.array([-0.03, 0.0, 0.0633]),
@@ -392,19 +396,19 @@ DEFAULT_DRIVES = (DriveConfig(2.0, 0.0, 0.6),
                   DriveConfig(math.sqrt(18.0), 1.5, 0.6))
 
 
-def _random_points(rng, n: int, gamma_positive: bool = False):
-    """Yield ``n`` random points (sc, dc, rs), drawn as the six scattering
-    scalars, then gammatilde, eta, ztilde; a caller's extra draws follow."""
-    for _ in range(n):
-        d0p, d0m = rng.uniform(-0.4, 0.4, 2)
-        pgp, pgm = rng.uniform(0.0, 0.1, 2)
-        lo = (math.sqrt(pgp) - math.sqrt(pgm)) ** 2
-        hi = (math.sqrt(pgp) + math.sqrt(pgm)) ** 2
-        sc = ScatteringScalars(d0p, d0m, pgp, pgm, rng.uniform(lo, hi),
-                               rng.uniform(-0.01, 0.01))
-        gt = rng.uniform(0.05 if gamma_positive else 0.0, 1.5)
-        dc = DriveConfig(rng.uniform(0.0, 6.0), rng.uniform(-8.0, 8.0), gt)
-        yield sc, dc, reduced_scalars(sc, dc)
+def _random_block(rng, n: int, extra=(), gamma_positive: bool = False):
+    """``n`` random points as columns (sc, dc, rs, extras), drawn per point as
+    the six scattering scalars, gammatilde, eta, ztilde and one per (lo, hi)
+    of ``extra``: lo + (hi - lo) u is Generator.uniform's draw from u."""
+    ranges = ([(-0.4, 0.4)] * 2 + [(0.0, 0.1)] * 3 + [(-0.01, 0.01)]
+              + [(0.05 if gamma_positive else 0.0, 1.5), (0.0, 6.0), (-8.0, 8.0), *extra])
+    lo, hi = np.array(ranges).T
+    u = rng.random((n, len(ranges)))
+    d0p, d0m, pgp, pgm, _, eps_r, gt, eta, zt, *extras = (lo + (hi - lo) * u).T
+    a, b = _sq(np.sqrt(pgp) - np.sqrt(pgm)), _sq(np.sqrt(pgp) + np.sqrt(pgm))  # triangle
+    sc = ScatteringScalars(d0p, d0m, pgp, pgm, a + (b - a) * u[:, 4], eps_r)
+    dc = DriveConfig(eta, zt, gt)
+    return sc, dc, reduced_scalars(sc, dc), extras
 
 
 def _total_form_gap(sc: ScatteringScalars, rs: ReducedScalars):
@@ -413,8 +417,8 @@ def _total_form_gap(sc: ScatteringScalars, rs: ReducedScalars):
     den = rs.den
     terms = (sc.norm2_g_minus,
              rs.kappa2 * (1.0 + _sq(rs.eta) * (sc.norm2_g_plus - sc.norm2_g_minus)) / den,
-             -rs.y * math.sin(2.0 * sc.delta0_minus) / den,
-             -2.0 * rs.kappa2 * math.sin(sc.delta0_minus) ** 2 / den)
+             -rs.y * _sin(2.0 * sc.delta0_minus) / den,
+             -2.0 * rs.kappa2 * _sq(_sin(sc.delta0_minus)) / den)
     return abs(_total(sc, rs) - sum(terms)) / functools.reduce(np.maximum, map(abs, terms))
 
 
@@ -429,88 +433,73 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
     checks = []
 
     # determinant identity and equilibrium stationarity on a random grid
-    det_res, eq_res = 0.0, 0.0
-    for sc, dc, rs in _random_points(rng, 200):
-        g = build_drift(rs)
-        target = 2.0 * rs.den
-        det_res = max(det_res, abs(np.linalg.det(g) - target) / abs(target))
-        eq = equilibrium(rs)
-        resid = g @ eq.vector() - np.array([0.0, dc.eta, dc.eta])
-        eq_res = max(eq_res, float(np.max(np.abs(resid))) / max(1.0, dc.eta))
-    checks.append(VerificationCheck("drift determinant identity", 1e-12, det_res))
-    checks.append(VerificationCheck("equilibrium stationarity", 1e-12, eq_res))
+    _, _, rs, _ = _random_block(rng, 200)
+    g = build_drift(rs)
+    target = 2.0 * rs.den
+    det_res = np.max(_modulus(np.linalg.det(g) - target) / abs(target))
+    resid = (g @ equilibrium(rs).vector()[..., None])[..., 0] \
+        - np.stack([0.0 * rs.eta, rs.eta, rs.eta], axis=-1)
+    eq_res = np.max(np.max(np.abs(resid), axis=-1) / np.maximum(1.0, rs.eta))
+    checks.append(VerificationCheck("drift determinant identity", 1e-12, det_res, 200))
+    checks.append(VerificationCheck("equilibrium stationarity", 1e-12, eq_res, 200))
 
-    # matrix exponential against RK4
+    # matrix exponential against RK4, point by point
     eo = 0.0
-    for sc, dc, rs in _random_points(rng, 6):
-        u0 = rng.uniform(0.0, 1.0)
+    _, _, rs, extra = _random_block(rng, 6, ((0.0, 1.0),) * 3 + ((0.5, 20.0),))
+    for i, (u0, r, phase, tau) in enumerate(zip(*(c.tolist() for c in extra))):
+        point = ReducedScalars(*(float(getattr(rs, f.name)[i]) for f in fields(rs)))
         vmax = math.sqrt(max(u0 - u0 ** 2, 0.0))
-        v0 = vmax * rng.uniform(0.0, 1.0) * np.exp(2j * math.pi * rng.uniform())
-        x0 = BlochVector(u0, complex(v0))
-        tau = rng.uniform(0.5, 20.0)
-        a = evolve(rs, x0, tau)
-        b = ode_evolve(rs, x0, tau)
+        x0 = BlochVector(u0, complex(vmax * r * np.exp(2j * math.pi * phase)))
+        a = evolve(point, x0, tau)
+        b = ode_evolve(point, x0, tau)
         eo = max(eo, abs(a.u - b.u), abs(a.v - b.v))
-    checks.append(VerificationCheck("matrix exponential vs RK4", 1e-8, eo))
+    checks.append(VerificationCheck("matrix exponential vs RK4", 1e-8, eo, 6))
 
     # adjugate resolvent against the generic inverse
-    ro = 0.0
-    for sc, dc, rs in _random_points(rng, 100):
-        x = rng.uniform(-20.0, 20.0)
-        adj = resolvent(rs, x)
-        gen = np.linalg.inv(_shifted_drift(rs, x))
-        ro = max(ro, float(np.max(np.abs(adj - gen))))
-    checks.append(VerificationCheck("adjugate resolvent vs generic inverse", 1e-12, ro))
+    _, _, rs, (x,) = _random_block(rng, 100, ((-20.0, 20.0),))
+    ro = np.max(np.abs(resolvent(rs, x) - np.linalg.inv(_shifted_drift(rs, x))))
+    checks.append(VerificationCheck("adjugate resolvent vs generic inverse", 1e-12, ro, 100))
 
     # time-domain kernel against the resolvent spectrum
-    td = 0.0
-    for dc in drives:
-        if dc.eta == 0.0 or dc.gammatilde <= 0.0:
-            continue
-        for x in (0.0, 1.3, -2.7):
-            a = spectrum_time_domain(sc_ref, dc, x)
-            b = sigma_inel_x(sc_ref, dc, x)
-            td = max(td, abs(a - b) / max(abs(b), 1e-30))
-    checks.append(VerificationCheck("time-domain spectrum vs resolvent", 1e-6, td))
+    pairs = [(spectrum_time_domain(sc_ref, dc, x), sigma_inel_x(sc_ref, dc, x))
+             for dc in drives if dc.eta > 0.0 and dc.gammatilde > 0.0 for x in (0.0, 1.3, -2.7)]
+    td = np.max([abs(a - b) / max(abs(b), 1e-30) for a, b in pairs], initial=0.0)
+    checks.append(VerificationCheck("time-domain spectrum vs resolvent", 1e-6, td, len(pairs)))
 
-    # integral sum rule and the two total forms, on the same random points
-    sr, forms = 0.0, 0.0
-    for sc, dc, rs in _random_points(rng, 300):
-        tot = _total(sc, rs)
-        gap = abs(_elastic(sc, rs) + _inelastic(sc, rs) - tot)
-        sr = max(sr, gap / max(abs(tot), 1e-30))
-        forms = max(forms, _total_form_gap(sc, rs))
-    checks.append(VerificationCheck("cross-section sum rule", 1e-12, sr))
+    # integral sum rule and the two total forms, on the same random points;
+    # the gap comes from the three closed forms, so a violation is a FAIL row
+    sc, _, rs, _ = _random_block(rng, 300)
+    tot = _total(sc, rs)
+    sr = np.max(abs(_elastic(sc, rs) + _inelastic(sc, rs) - tot) / np.maximum(abs(tot), 1e-30))
+    checks.append(VerificationCheck("cross-section sum rule", 1e-12, sr, 300))
+    forms = np.max(_total_form_gap(sc, rs))
     # plus a fixed set around the Fano zero z = cot(delta_0^-), where the
     # compact form vanishes and the expanded one cancels: one column each
     eta2s = np.repeat([0.0, 1e-8, 1e-4, 0.01, 1.0, 18.0], 21)
     for d0m in (0.13, 0.3, -0.2):
         sc = ScatteringScalars(0.0, d0m, 0.0, 0.0, 0.0, 0.0)
         zts = np.tile(0.5 / math.tan(d0m) + np.linspace(-0.05, 0.05, 21), 6)
-        forms = max(forms, float(np.max(_total_form_gap(sc, dress(sc, np.sqrt(eta2s), zts)))))
-    checks.append(VerificationCheck("total cross-section forms", 1e-12, forms))
+        forms = max(forms, np.max(_total_form_gap(sc, dress(sc, np.sqrt(eta2s), zts))))
+    checks.append(VerificationCheck("total cross-section forms", 1e-12, forms, 300 + 3 * 126))
 
     # spectral normalization for the configured drives
     reports = [quad_sum_rules(sc_ref, dc) for dc in drives if dc.gammatilde > 0.0]
     quad_ok = all(r.quad_converged for r in reports)
     norm_res = max((max(r.inel_rel_gap, r.tot_rel_gap) for r in reports), default=0.0)
     checks.append(VerificationCheck("spectral quadrature convergence", 0.0,
-                                    0.0 if quad_ok else 1.0))
-    checks.append(VerificationCheck("spectral normalization sum rules", _SUM_RULE_TOL, norm_res))
+                                    0.0 if quad_ok else 1.0, len(reports)))
+    checks.append(VerificationCheck("spectral normalization sum rules", _SUM_RULE_TOL,
+                                    norm_res, len(reports)))
 
-    # symmetry and positivity of the inelastic spectrum
-    sym, neg = 0.0, 0.0
-    for sc, dc, rs in _random_points(rng, 100, gamma_positive=True):
-        x = rng.uniform(-12.0, 12.0)
-        # the mirror s -> -s, z -> -z, x -> -x
-        flipped_sc = replace(sc, delta0_plus=-sc.delta0_plus,
-                             delta0_minus=-sc.delta0_minus, eps_r=-sc.eps_r)
-        v1 = sigma_inel_x(sc, dc, x)
-        v2 = sigma_inel_x(flipped_sc, replace(dc, ztilde=-dc.ztilde), -x)
-        sym = max(sym, abs(v1 - v2))
-        neg = max(neg, -min(v1, 0.0))
-    checks.append(VerificationCheck("spectral mirror symmetry", 1e-12, sym))
-    checks.append(VerificationCheck("spectral positivity", 1e-12, neg))
+    # symmetry and positivity of the inelastic spectrum, under the mirror
+    # s -> -s, z -> -z, x -> -x of the inputs
+    sc, dc, _, (x,) = _random_block(rng, 100, ((-12.0, 12.0),), gamma_positive=True)
+    flipped = replace(sc, delta0_plus=-sc.delta0_plus,
+                      delta0_minus=-sc.delta0_minus, eps_r=-sc.eps_r)
+    v1 = sigma_inel_x(sc, dc, x)
+    sym = np.max(np.abs(v1 - sigma_inel_x(flipped, replace(dc, ztilde=-dc.ztilde), -x)))
+    checks.append(VerificationCheck("spectral mirror symmetry", 1e-12, sym, 100))
+    checks.append(VerificationCheck("spectral positivity", 1e-12, max(0.0, -np.min(v1)), 100))
 
     # absorption/emission-only closed form against the resolvent route
     mol = 0.0
@@ -519,15 +508,13 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
         ref = mollow_inel_x(zt, 2.0, 0.6, xs)
         got = sigma_inel_x(MOLLOW_SCALARS, DriveConfig(2.0, zt, 0.6), xs)
         mol = max(mol, float(np.max(np.abs(got - ref) / np.abs(ref))))
-    checks.append(VerificationCheck("Mollow closed form vs resolvent", 1e-10, mol))
+    checks.append(VerificationCheck("Mollow closed form vs resolvent", 1e-10, mol, 15 * 15))
 
     # finite-beam photon balance (needs angular resolution)
     if is_table:
-        bal = 0.0
         drive = next((d for d in drives if d.eta > 0), DEFAULT_DRIVES[0])
-        for dth in (0.2, 0.1, 0.05):
-            bal = max(bal, finite_beam_balance(source, drive, dth, lmax=40))
-        checks.append(VerificationCheck("finite-beam photon balance", 1e-8, bal))
+        bal = max(finite_beam_balance(source, drive, dth, lmax=40) for dth in (0.2, 0.1, 0.05))
+        checks.append(VerificationCheck("finite-beam photon balance", 1e-8, bal, 3))
 
         # beam overlaps: quadrature against the closed Legendre integral
         # over [cos dtheta, 1], (P_{l-1} - P_{l+1}) / (2l + 1) with P_{-1} = 1
@@ -542,6 +529,6 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
             exact = pref * np.sqrt(two_l1 / (4.0 * math.pi)) * integral
             rel = np.abs(ov - exact) / np.maximum(np.abs(exact), 1e-30)
             ov_res = max(ov_res, float(np.max(rel)))
-        checks.append(VerificationCheck("beam overlap quadrature", 1e-12, ov_res))
+        checks.append(VerificationCheck("beam overlap quadrature", 1e-12, ov_res, 2 * 13))
 
     return checks

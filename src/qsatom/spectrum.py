@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, g_pm, reduced_scalars,
+                    ScatteringScalars, _cos, _sin, _sq, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
 from .xsection import sigma_el
 
@@ -33,28 +33,29 @@ _DET_FLOOR = 1e-280
 
 def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only vectors (c', d', d'') of the two resolvent bilinears of
-    the inelastic spectrum.  The left vector of the second bilinear is
-    structurally (1, 0, 0), so only c' is returned; d' and d'' encode the
-    dressed scalars."""
-    eta, s = rs.eta, rs.s
+    the inelastic spectrum, (3, n) for columns of ``rs``.  The left vector
+    of the second bilinear is structurally (1, 0, 0), so only c' is
+    returned; d' and d'' encode the dressed scalars."""
+    eta2, s = _sq(rs.eta), rs.s
     eis = np.exp(1j * s)
-    sins = math.sin(s)
+    sins = _sin(s)
     k2, y = rs.kappa2, rs.y
     den = rs.den
-    mprime = k2 + 1j * y + 1j * (den - eta ** 2 * k2) * eis * sins
+    mprime = k2 + 1j * y + 1j * (den - eta2 * k2) * eis * sins
+    # (a + ib) w as a w + (ib) w rounds as CPython's complex product, not numpy's FMAs
     dprime = np.array([
         k2 * mprime,
-        (k2 + 1j * y) * mprime,
-        rs.norm2_dg * (y ** 2 + k2 ** 2) + k2 * y * math.sin(2.0 * s)
-        + 2.0 * k2 ** 2 * math.cos(s) ** 2
-        + 1j * k2 * (k2 - 1j * y) * eis * sins,
+        k2 * mprime + 1j * y * mprime,
+        rs.norm2_dg * (_sq(y) + _sq(k2)) + k2 * y * _sin(2.0 * s)
+        + 2.0 * _sq(k2) * _sq(_cos(s))
+        + (k2 * y * eis + 1j * (k2 * k2) * eis) * sins,
     ], dtype=complex)
     ddoubleprime = np.array([
-        k2 * (den - eta ** 2 * k2),
-        (k2 + 1j * y) * (den - eta ** 2 * k2),
+        k2 * (den - eta2 * k2),
+        (k2 + 1j * y) * (den - eta2 * k2),
         k2 * (k2 - 1j * y),
     ], dtype=complex)
-    cprime = np.array([1j * eis * sins, 0.0, 1.0], dtype=complex)
+    cprime = np.array(np.broadcast_arrays(1j * eis * sins, 0.0, 1.0), dtype=complex)
     for v in (cprime, dprime, ddoubleprime):
         v.setflags(write=False)
     return cprime, dprime, ddoubleprime
@@ -62,20 +63,22 @@ def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, n
 
 def _det_and_rows(rs: ReducedScalars, x):
     """Determinant and adjugate rows 1 and 3 of (Gtilde + 2ix), closed in
-    the scalars and vectorized over finite x; kplus * kminus stands for
-    khat^2 + w^2, which cancels on a far-detuned sideband.
-    """
-    x = np.asarray(x, dtype=float)
+    the scalars, over finite x made 1-d so that one x rounds as a column
+    of them; kplus * kminus stands for khat^2 + w^2, which cancels on a
+    far-detuned sideband."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("the resolvent needs a finite x")
     k2, w, s, gt = rs.kappa2, rs.w, rs.s, rs.gammatilde
-    eta2 = rs.eta ** 2
-    cs, sins = math.cos(s), math.sin(s)
+    eta2 = _sq(rs.eta)
+    cs, sins = _cos(s), _sin(s)
     khat = k2 + gt + 2j * x
     kplus = k2 + gt + 1j * (2.0 * x + w)
     kminus = k2 + gt + 1j * (2.0 * x - w)
     det = (2.0 + gt + 2j * x) * (kplus * kminus) \
         + 4.0 * eta2 * cs * (khat * cs - w * sins)
+    if np.any(np.abs(det) < _DET_FLOOR):
+        raise ArithmeticError(f"resolvent singular at x = {x}")
     emis = np.exp(-1j * s)
     row1 = np.stack([kplus * kminus,
                      kplus * np.ones_like(khat),
@@ -86,26 +89,32 @@ def _det_and_rows(rs: ReducedScalars, x):
     return det, row1, row3
 
 
-def resolvent(rs: ReducedScalars, x: float) -> np.ndarray:
+def _contract(d, rows):
+    """sum_i d[i] rows[i], batched over the columns of d; this matmul rounds
+    as np.tensordot, an einsum or a plain sum does not."""
+    r = rows.reshape(rows.shape[:1] + d.shape[1:] + (-1,))
+    out = np.matmul(np.moveaxis(d, 0, -1)[..., None, :], np.moveaxis(r, 0, -2))[..., 0, :]
+    return out.reshape(rows.shape[1:])
+
+
+def resolvent(rs: ReducedScalars, x) -> np.ndarray:
     """Full 3x3 inverse of A = Gtilde + 2ix, every row closed.
 
     Rows 1 and 3 are those of the spectra; row 2 follows from the zeros
     A23 = A32 = 0 as (-A21 A33, A11 A33 - A13 A31, A13 A21).  Raises
     ValueError for a non-finite x, and ArithmeticError if the determinant
     underflows, which is only possible at gammatilde = 0 on the boundary
-    of the spectrum.
+    of the spectrum.  Columns of ``rs`` and x give an (n, 3, 3) stack.
     """
-    x = float(x)
-    det, row1, row3 = _det_and_rows(rs, x)
-    if abs(det) < _DET_FLOOR:
-        raise ArithmeticError(f"resolvent singular at x = {x}")
-    eta2, cs, eis = rs.eta ** 2, math.cos(rs.s), np.exp(1j * rs.s)
-    a11 = 2.0 + rs.gammatilde + 2j * x
+    x1 = np.atleast_1d(np.asarray(x, dtype=float))
+    det, row1, row3 = _det_and_rows(rs, x1)
+    eta2, cs, eis = _sq(rs.eta), _cos(rs.s), np.exp(1j * rs.s)
+    a11, a33 = 2.0 + rs.gammatilde + 2j * x1, row1[1]
     a21 = 2.0 * eta2 * eis * cs
     a31 = -2.0 * np.conj(eis) * cs
-    a33 = rs.kappa2 + rs.gammatilde + 1j * (2.0 * x + rs.w)
-    row2 = np.array([-(a21 * a33), a11 * a33 - eta2 * a31, eta2 * a21], dtype=complex)
-    return np.stack([row1, row2, row3]) / det
+    row2 = np.stack([-(a21 * a33), a11 * a33 - eta2 * a31, eta2 * a21 * np.ones_like(a11)])
+    m = np.moveaxis(np.stack([row1, row2, row3]) / det, (0, 1), (-2, -1))
+    return m.reshape(3, 3) if np.ndim(x) == 0 else m
 
 
 def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
@@ -115,21 +124,17 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
                     + ||P_perp dg||^2 c''^dag R d'' ]  with R = (Gtilde+2ix)^{-1}.
 
     Real-valued; nonnegative up to rounding.  Normalized so its integral
-    over the whole line equals the inelastic cross section.  x must be finite.
+    over the whole line equals the inelastic cross section.  x must be
+    finite; columns of x, ``sc`` and ``dc`` pair up, one point per element.
     """
     rs = reduced_scalars(sc, dc)
     cprime, dprime, ddoubleprime = spectral_coefficients(rs)
-    scalar_in = np.isscalar(x) or np.ndim(x) == 0
     det, row1, row3 = _det_and_rows(rs, x)
-    if np.any(np.abs(det) < _DET_FLOOR):
-        raise ArithmeticError("resolvent singular inside the requested grid")
-    r1d1 = np.tensordot(dprime, row1, axes=(0, 0))
-    r3d1 = np.tensordot(dprime, row3, axes=(0, 0))
-    r1d2 = np.tensordot(ddoubleprime, row1, axes=(0, 0))
-    bilinear = (np.conj(cprime[0]) * r1d1 + np.conj(cprime[2]) * r3d1
-                + sc.norm2_pdg * r1d2) / det
-    out = dc.eta ** 2 / (math.pi * rs.den ** 2) * 2.0 * bilinear.real
-    return float(out) if scalar_in else out
+    bilinear = (np.conj(cprime[0]) * _contract(dprime, row1)
+                + np.conj(cprime[2]) * _contract(dprime, row3)
+                + sc.norm2_pdg * _contract(ddoubleprime, row1)) / det
+    out = _sq(rs.eta) / (math.pi * _sq(rs.den)) * 2.0 * bilinear.real
+    return out.item() if np.ndim(x) == 0 else out
 
 
 def elastic_lorentzian(weight, gammatilde: float, x):
@@ -225,8 +230,8 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
           + dg * k2 * complex(k2, -y)) / den ** 2
     d = np.array([k2 * m / den, m * complex(k2, y) / den, d3], dtype=complex)
     det, row1, row3 = _det_and_rows(rs, x)
-    bilinear = (np.conj(dg) * (row1 @ d) + np.conj(e2 / SQRT_4PI) * (row3 @ d)) / det
-    inel = (2.0 / math.pi) * dc.eta ** 2 * float(bilinear.real)
+    bilinear = (np.conj(dg) * (d @ row1) + np.conj(e2 / SQRT_4PI) * (d @ row3)) / det
+    inel = (2.0 / math.pi) * dc.eta ** 2 * float(bilinear.real.item())
     return el, inel
 
 

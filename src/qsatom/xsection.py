@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _any, _sq, dress, g_pm, reduced_scalars,
-                    scalars_from_phase_shifts)
+                    ScatteringScalars, _any, _cos, _sin, _sq, dress, g_pm,
+                    reduced_scalars, scalars_from_phase_shifts)
 
 _CLOSURE_TOL = 1e-12
 
@@ -45,15 +45,15 @@ def _modulus(c):
     return np.hypot(c.real, c.imag) if isinstance(c, np.ndarray) else abs(c)
 
 
-# The one copy of each closed form: ``rs`` holds floats for one drive
+# The one copy of each closed form: ``rs`` (and ``sc``) hold floats for one
 # point or columns for a grid, and both round alike through ``_sq``.
 
 def _fano_coefficients(sc: ScatteringScalars, rs: ReducedScalars):
     """The two auxiliary combinations entering the compact total form."""
     eta2 = _sq(rs.eta)
-    a = (math.sin(sc.delta0_plus) ** 2 + rs.kappa2 * sc.norm2_g_plus
+    a = (_sq(_sin(sc.delta0_plus)) + rs.kappa2 * sc.norm2_g_plus
          + sc.norm2_pdg * (1.0 + eta2 * (1.0 + sc.norm2_pdg)
-                           * math.sin(sc.delta0_minus) ** 2))
+                           * _sq(_sin(sc.delta0_minus))))
     b = (1.0 + eta2 + eta2 * sc.norm2_pdg) * (1.0 + eta2 * sc.norm2_pdg)
     return a, b
 
@@ -61,7 +61,7 @@ def _fano_coefficients(sc: ScatteringScalars, rs: ReducedScalars):
 def _total(sc: ScatteringScalars, rs: ReducedScalars):
     a, b = _fano_coefficients(sc, rs)
     den = rs.den
-    return (_sq(rs.z * math.sin(sc.delta0_minus) - math.cos(sc.delta0_minus))
+    return (_sq(rs.z * _sin(sc.delta0_minus) - _cos(sc.delta0_minus))
             + _sq(rs.eta) * a) / den + sc.norm2_pg_minus * (_sq(rs.z) + b) / den
 
 
@@ -73,14 +73,14 @@ def _elastic(sc: ScatteringScalars, rs: ReducedScalars):
     perp = (_sq(zb) * sc.norm2_pg_minus
             + _sq(eta2) * _sq(rs.kappa2) * sc.norm2_pg_plus
             + 2.0 * zb * eta2 * rs.kappa2 * sc.cross_pg)
-    swave = (np.exp(-1j * sc.delta0_minus) * math.sin(sc.delta0_minus)
-             + (eta2 * rs.kappa2 * np.exp(1j * sc.s) * math.sin(sc.s)
+    swave = (np.exp(-1j * sc.delta0_minus) * _sin(sc.delta0_minus)
+             + (eta2 * rs.kappa2 * np.exp(1j * sc.s) * _sin(sc.s)
                 - rs.y + 1j * rs.kappa2) / den)
     return perp / _sq(den) + _sq(_modulus(swave))
 
 
 def _inelastic(sc: ScatteringScalars, rs: ReducedScalars):
-    e = (_sq(rs.y * math.sin(sc.s) + rs.kappa2 * math.cos(sc.s))
+    e = (_sq(rs.y * _sin(sc.s) + rs.kappa2 * _cos(sc.s))
          + sc.norm2_pdg * (_sq(rs.y) + _sq(rs.kappa2)))
     return _sq(rs.eta) * (1.0 + rs.kappa2) * e / _sq(rs.den)
 

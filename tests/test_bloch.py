@@ -56,6 +56,17 @@ def test_drift_determinant_identity_random_grid():
         assert _det3(g) == pytest.approx(target, rel=1e-12)
 
 
+def test_bloch_vector_columns_refuse_one_bad_state():
+    u, v = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5j, 0.0])
+    assert BlochVector(u, v).vector().shape == (3, 3)
+    with pytest.raises(ValueError, match="statistical operator"):
+        BlochVector(u, np.array([0.0, 0.6j, 0.0]))
+    with pytest.raises(ValueError, match="population"):
+        BlochVector(np.array([0.0, 1.5, 1.0]), v)
+    with pytest.raises(ValueError, match="finite"):
+        BlochVector(u, np.array([0.0, np.nan, 0.0]))
+
+
 def test_build_drift_is_read_only_with_closure_structure():
     rng = np.random.default_rng(17)
     for _ in range(100):

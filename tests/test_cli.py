@@ -363,6 +363,22 @@ def test_verify_passes_at_a_narrow_detector_width(tmp_path, capsys, gammatilde):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def test_verify_json_counts_the_samples_of_each_check(tmp_path, capsys):
+    # at eta2 = 0 the time-domain check has no drive to run on; it reads
+    # PASS at 0, and its sample count in the JSON says that it ran on nothing
+    cfg = _write(tmp_path, "dark.json", _fano_config(eta2=[0.0], ztilde=[0.0]))
+    assert main(["verify", "--config", cfg, "--format", "json"]) == 0
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["time-domain spectrum vs resolvent"]["samples"] == 0
+    assert checks["time-domain spectrum vs resolvent"]["passed"] is True
+    assert checks["spectral normalization sum rules"]["samples"] == 1
+    assert checks["drift determinant identity"]["samples"] == 200
+    assert main(["verify", "--config", cfg]) == 0
+    text = capsys.readouterr().out  # the text lines carry no count
+    assert text.splitlines()[0].split() == ["check", "tolerance", "residual", "status"]
+    assert "samples" not in text
+
+
 def test_verify_passes_at_a_subnormal_intensity(tmp_path, capsys):
     # at eta2 = 1e-320 the oracles' Gtilde, taken from G', keeps its exact
     # zeros; the basis diag(eta, 1, -eta^2) would fill them with NaN

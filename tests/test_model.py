@@ -255,6 +255,41 @@ def test_scattering_scalars_validation():
         ScatteringScalars(np.inf, 0, 0, 0, 0, 0)
 
 
+def _scalar_columns(n=5, seed=3):
+    """n points sitting alternately on the lower and the upper triangle
+    bound, as equal-length columns of the six scalars."""
+    rng = np.random.default_rng(seed)
+    pgp, pgm = rng.uniform(0.0, 0.1, n), rng.uniform(0.0, 0.1, n)
+    a, b = np.sqrt(pgp), np.sqrt(pgm)
+    pdg = np.where(np.arange(n) % 2 == 0, (a - b) ** 2, (a + b) ** 2)
+    return dict(delta0_plus=rng.uniform(-0.4, 0.4, n), delta0_minus=rng.uniform(-0.4, 0.4, n),
+                norm2_pg_plus=pgp, norm2_pg_minus=pgm, norm2_pdg=pdg,
+                eps_r=rng.uniform(-0.01, 0.01, n))
+
+
+def test_scattering_scalars_columns_on_the_triangle_bound_pass():
+    cols = _scalar_columns()
+    sc = ScatteringScalars(**cols)
+    assert sc.norm2_pdg is cols["norm2_pdg"]
+    for i in range(5):  # each point on its own passes too
+        ScatteringScalars(**{k: float(v[i]) for k, v in cols.items()})
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("eps_r", np.nan, "finite"),
+    ("norm2_pg_minus", -1e-3, "nonnegative"),
+    ("norm2_pdg", 0.5, "triangle"),
+])
+def test_scattering_scalars_columns_refuse_one_bad_point(key, value, match):
+    cols = _scalar_columns()
+    cols[key] = cols[key].copy()
+    cols[key][3] = value
+    with pytest.raises(ValueError, match=match) as err:
+        ScatteringScalars(**cols)
+    if key == "norm2_pdg":  # the message quotes the violating point
+        assert f"{math.sqrt(0.5):.3e}" in str(err.value)
+
+
 def test_drive_config_validation():
     with pytest.raises(ValueError):
         DriveConfig(-1.0, 0.0)
@@ -262,3 +297,13 @@ def test_drive_config_validation():
         DriveConfig(1.0, 0.0, -0.5)
     with pytest.raises(ValueError):
         DriveConfig(1.0, np.nan)
+
+
+def test_drive_config_columns_refuse_one_bad_point():
+    eta, zt, gt = np.full(4, 1.0), np.zeros(4), np.full(4, 0.3)
+    DriveConfig(eta, zt, gt)
+    for bad in (np.array([1.0, -1.0, 1.0, 1.0]), np.array([1.0, np.nan, 1.0, 1.0])):
+        with pytest.raises(ValueError):
+            DriveConfig(bad, zt, gt)
+    with pytest.raises(ValueError):
+        DriveConfig(eta, zt, np.array([0.3, 0.3, -0.1, 0.3]))

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 
 from helpers import random_drive, random_scalars
 from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
-                    ScatteringScalars, beam_overlaps, dress,
+                    ScatteringScalars, beam_overlaps, build_drift, dress,
                     equilibrium, evolve, finite_beam_balance,
                     finite_beam_equilibrium, ode_evolve, quad_sum_rules,
-                    reduced_scalars, run_verification, scalars_from_phase_shifts,
+                    reduced_scalars, resolvent, run_verification, scalars_from_phase_shifts,
                     sigma_inel, sigma_inel_x, sigma_tot, sigma_tot_x,
                     spectrum_time_domain)
-from qsatom import oracle
+from qsatom import model, oracle, spectrum, xsection
 from qsatom.oracle import SumRuleReport, integrate_line
 
 
@@ -422,6 +423,9 @@ def test_run_verification_all_pass():
     assert names.index("total cross-section forms") == names.index("cross-section sum rule") + 1
     assert all(c.passed for c in checks), \
         [f"{c.name}: {c.residual:.2e} > {c.tolerance:.2e}" for c in checks if not c.passed]
+    # a column block counts its length; the Fano-zero set adds 3 x 126 forms
+    assert [c.samples for c in checks] == [200, 200, 6, 100, 6, 300, 678, 2, 2,
+                                           100, 100, 225, 3, 26]
 
 
 def _legacy_point(rng, gamma_positive):
@@ -437,19 +441,82 @@ def _legacy_point(rng, gamma_positive):
     return sc, DriveConfig(rng.uniform(0.0, 6.0), rng.uniform(-8.0, 8.0), gt)
 
 
+# the random blocks of run_verification in its order: (n, extra draws, gamma_positive)
+_VERIFY_BLOCKS = ((200, (), False),
+                  (6, ((0.0, 1.0),) * 3 + ((0.5, 20.0),), False),
+                  (100, ((-20.0, 20.0),), False),
+                  (300, (), False),
+                  (100, ((-12.0, 12.0),), True))
+
+
+def _hex_fields(obj, i=None):
+    return [float(getattr(obj, f.name) if i is None else getattr(obj, f.name)[i]).hex()
+            for f in fields(obj)]
+
+
 @pytest.mark.parametrize("gamma_positive", [False, True])
 def test_random_points_keep_the_draw_order(gamma_positive):
-    # an extra draw between points, as the adjugate and mirror loops make
+    # every block shape verify draws with this gammatilde floor, one after the
+    # other from one generator, field by field against the former per-point draws
     rng, legacy = np.random.default_rng(11), np.random.default_rng(11)
-    n = 0
-    for sc, dc, rs in oracle._random_points(rng, 300, gamma_positive):
-        extra = rng.uniform(-20.0, 20.0)
-        old_sc, old_dc = _legacy_point(legacy, gamma_positive)
-        assert sc == old_sc and dc == old_dc
-        assert rs == reduced_scalars(old_sc, old_dc)
-        assert extra == legacy.uniform(-20.0, 20.0)
-        n += 1
-    assert n == 300
+    for n, extra, _ in (b for b in _VERIFY_BLOCKS if b[2] == gamma_positive):
+        sc, dc, rs, extras = oracle._random_block(rng, n, extra, gamma_positive)
+        assert len(extras) == len(extra) and all(c.shape == (n,) for c in extras)
+        for i in range(n):
+            old_sc, old_dc = _legacy_point(legacy, gamma_positive)
+            assert _hex_fields(sc, i) == _hex_fields(old_sc)
+            assert _hex_fields(dc, i) == _hex_fields(old_dc)
+            assert _hex_fields(rs, i) == _hex_fields(reduced_scalars(old_sc, old_dc))
+            assert [float(c[i]).hex() for c in extras] == \
+                [legacy.uniform(lo, hi).hex() for lo, hi in extra]
+    assert rng.random() == legacy.random()
+
+
+def _bits(v):
+    return np.asarray(v).tobytes()
+
+
+def test_column_kernels_match_their_per_point_calls():
+    # each kernel called once on columns equals, bit for bit, its call on one
+    # point's floats: the complex products, sines and squares round alike
+    sc, dc, rs, (x,) = oracle._random_block(np.random.default_rng(5), 300,
+                                            ((-20.0, 20.0),), gamma_positive=True)
+    drift, eq = build_drift(rs), equilibrium(rs).vector()
+    res, shifted = resolvent(rs, x), oracle._shifted_drift(rs, x)
+    forms = (xsection._total(sc, rs), xsection._elastic(sc, rs), xsection._inelastic(sc, rs),
+             oracle._total_form_gap(sc, rs))
+    density = sigma_inel_x(sc, dc, x)
+    for i in range(300):
+        sc_i = ScatteringScalars(*(float(getattr(sc, f.name)[i]) for f in fields(sc)))
+        dc_i = DriveConfig(*(float(getattr(dc, f.name)[i]) for f in fields(dc)))
+        rs_i, x_i = dress(sc_i, dc_i.eta, dc_i.ztilde, dc_i.gammatilde), float(x[i])
+        assert _hex_fields(rs, i) == _hex_fields(rs_i)
+        assert _bits(drift[i]) == _bits(build_drift(rs_i))
+        assert _bits(eq[i]) == _bits(equilibrium(rs_i).vector())
+        assert _bits(res[i]) == _bits(resolvent(rs_i, x_i))
+        assert _bits(shifted[i]) == _bits(oracle._shifted_drift(rs_i, x_i))
+        per_point = (xsection._total(sc_i, rs_i), xsection._elastic(sc_i, rs_i),
+                     xsection._inelastic(sc_i, rs_i), oracle._total_form_gap(sc_i, rs_i))
+        assert [_bits(c[i]) for c in forms] == [_bits(v) for v in per_point]
+        assert _bits(density[i]) == _bits(sigma_inel_x(sc_i, dc_i, x_i))
+
+
+def test_run_verification_dresses_in_blocks(monkeypatch):
+    # a guard against per-point loops coming back, with no timing: the
+    # column blocks dress about 50 times a run, the former loops 952 times
+    true_dress, calls = model.dress, []
+
+    def counted(*args):
+        calls.append(args)
+        return true_dress(*args)
+
+    bound = [m for m in (model, xsection, spectrum, oracle)
+             if getattr(m, "dress", None) is true_dress]
+    assert model in bound and oracle in bound
+    for m in bound:
+        monkeypatch.setattr(m, "dress", counted)
+    run_verification()
+    assert 0 < len(calls) <= 100
 
 
 @pytest.mark.parametrize("d0m", [0.13, 0.3, -0.2])
