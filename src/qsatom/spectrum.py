@@ -92,9 +92,8 @@ def _det_and_rows(rs: ReducedScalars, x):
 def _contract(d, rows):
     """sum_i d[i] rows[i], batched over the columns of d; this matmul rounds
     as np.tensordot, an einsum or a plain sum does not."""
-    r = rows.reshape(rows.shape[:1] + d.shape[1:] + (-1,))
-    out = np.matmul(np.moveaxis(d, 0, -1)[..., None, :], np.moveaxis(r, 0, -2))[..., 0, :]
-    return out.reshape(rows.shape[1:])
+    r = rows.reshape(rows.shape[:1] + d.shape[1:] + (-1,)).swapaxes(0, -2)
+    return np.matmul(d.T[..., None, :], r)[..., 0, :].reshape(rows.shape[1:])
 
 
 def resolvent(rs: ReducedScalars, x) -> np.ndarray:

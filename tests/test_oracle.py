@@ -428,6 +428,20 @@ def test_run_verification_all_pass():
                                            100, 100, 225, 3, 26]
 
 
+def test_run_verification_fails_a_nan_residual(monkeypatch):
+    # one NaN among the Mollow detunings: max(residual, nan) kept the
+    # residual, so the check used to read PASS
+    true_mollow, calls = oracle.mollow_inel_x, []
+
+    def flawed(*args):
+        calls.append(args)
+        return true_mollow(*args) * (np.nan if len(calls) == 3 else 1.0)
+
+    monkeypatch.setattr(oracle, "mollow_inel_x", flawed)
+    check = {c.name: c for c in run_verification()}["Mollow closed form vs resolvent"]
+    assert math.isnan(check.residual) and not check.passed
+
+
 def _legacy_point(rng, gamma_positive):
     """The draws of one random verify point as the suite made them before
     they shared one generator: scalars, then gammatilde, eta, ztilde."""
