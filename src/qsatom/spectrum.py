@@ -77,8 +77,9 @@ def _det_and_rows(rs: ReducedScalars, x):
     kminus = k2 + gt + 1j * (2.0 * x - w)
     det = (2.0 + gt + 2j * x) * (kplus * kminus) \
         + 4.0 * eta2 * cs * (khat * cs - w * sins)
-    if np.any(np.abs(det) < _DET_FLOOR):
-        raise ArithmeticError(f"resolvent singular at x = {x}")
+    singular = np.abs(det) < _DET_FLOOR
+    if singular.any():  # the first such x of a grid, or the one x of columns
+        raise ArithmeticError(f"resolvent singular at x = {x.flat[np.argmax(singular) % x.size]}")
     emis = np.exp(-1j * s)
     row1 = np.stack([kplus * kminus,
                      kplus * np.ones_like(khat),
@@ -230,7 +231,7 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     d = np.array([k2 * m / den, m * complex(k2, y) / den, d3], dtype=complex)
     det, row1, row3 = _det_and_rows(rs, x)
     bilinear = (np.conj(dg) * (d @ row1) + np.conj(e2 / SQRT_4PI) * (d @ row3)) / det
-    inel = (2.0 / math.pi) * dc.eta ** 2 * float(bilinear.real.item())
+    inel = (2.0 / math.pi) * dc.eta ** 2 * bilinear.real.item()
     return el, inel
 
 
