@@ -7,10 +7,10 @@ Subcommands:
 
 Sweeps are columnar: ``run_*_sweep`` return (names, axes, columns), the
 sorted sweep lists and one 1-D array per quantity over their product,
-computed and checked before the output is opened (xsection in one numpy
-pass, ``xsection.cross_section_grid``).  The formatters write blocks of
-rows sharing all but the last axis value (one drive point of a
-spectrum), spelling each axis value once.  The bytes are those of
+computed and checked before the output is opened: xsection in one numpy
+pass, spectrum in one block per eta2 value (its ztilde list as columns
+against the x grid).  The formatters write blocks of rows sharing all
+but the last axis value, spelling each axis value once.  The bytes are those of
 per-point floats: the grid squares through ``float_power`` and takes
 moduli through ``hypot``, which round as CPython's ``**`` and ``abs``.
 ``--threads N`` is accepted, for old scripts, and ignored.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle, spectrum, xsection
+from . import model, oracle, spectrum, xsection
 from .model import DriveConfig, PhaseShiftTable, ScatteringScalars, scalars_from_phase_shifts
 
 SCHEMA = "qsatom v1"
@@ -156,32 +156,30 @@ def run_spectrum_sweep(cfg: RunConfig):
     Sigma_el_lorentzian (plus the no-direct-scattering reference when
     requested): the sorted eta2, ztilde and x lists, and one column per
     quantity over their product (x fastest), each checked finite."""
-    axes = _axes(cfg, "eta2", "ztilde", "x_grid")
+    axes = e2s, zts, x_grid = _axes(cfg, "eta2", "ztilde", "x_grid")
     if cfg.gammatilde <= 0:
         raise ConfigError("spectrum sweeps need gammatilde > 0")
-    sc, gt, xs = cfg.scalars, cfg.gammatilde, np.array(axes[-1])
+    sc, gt, xs, zt = cfg.scalars, cfg.gammatilde, np.array(x_grid), np.array(zts)[:, None]
     names = ["eta2", "ztilde", "x", "Sigma_tot", "Sigma_inel", "Sigma_el_lorentzian"]
     if cfg.mollow_reference:
         names.append("Sigma_tot_mollow")
-    blocks = []
+    out = np.empty((len(names) - 3, len(e2s), len(zts), len(xs)))
     with np.errstate(all="ignore"):  # overflow shows as inf/nan, refused below
-        for e2, zt in itertools.product(*axes[:2]):
-            eta = math.sqrt(e2)
-            dc = DriveConfig(eta, zt, gt)
-            try:  # the per-point scalars are Python floats, which raise on overflow
-                inel = spectrum.sigma_inel_x(sc, dc, xs)
-                lor = spectrum.elastic_lorentzian(xsection.sigma_el(sc, dc), gt, xs)
-                cols = [lor + inel, inel, lor]
-                if cfg.mollow_reference:
-                    m_inel = spectrum.mollow_inel_x(zt, eta, gt, xs)
-                    m_el = xsection.mollow_xsections(zt, eta).elastic
-                    cols.append(m_inel + spectrum.elastic_lorentzian(m_el, gt, xs))
-            except OverflowError:
-                cols = [math.inf]
-            if not np.isfinite(cols).all():
-                raise ArithmeticError(f"non-finite spectrum at (eta2, ztilde) = ({e2}, {zt})")
-            blocks.append(cols)
-    return names, axes, [np.concatenate(c) for c in zip(*blocks)]
+        for e2, block in zip(e2s, out.swapaxes(0, 1)):
+            dc = DriveConfig(np.full_like(zt, math.sqrt(e2)), zt, gt)
+            inel = spectrum.sigma_inel_x(sc, dc, xs)
+            el = xsection._elastic(sc, model.reduced_scalars(sc, dc))
+            lor = spectrum.elastic_lorentzian(el, gt, xs)
+            block[:3] = lor + inel, inel, lor
+            if cfg.mollow_reference:
+                m_el = xsection.mollow_xsections(zt, dc.eta).elastic
+                block[3] = (spectrum.mollow_inel_x(zt, dc.eta, gt, xs)
+                            + spectrum.elastic_lorentzian(m_el, gt, xs))
+            finite = np.isfinite(block).all(axis=(0, 2))
+            if not finite.all():
+                raise ArithmeticError("non-finite spectrum at (eta2, ztilde) = "
+                                      f"({e2}, {zts[np.argmin(finite)]})")
+    return names, axes, list(out.reshape(len(out), -1))
 
 
 def run_verify(cfg: RunConfig | None):

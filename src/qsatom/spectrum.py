@@ -92,9 +92,11 @@ def _det_and_rows(rs: ReducedScalars, x):
 
 def _contract(d, rows):
     """sum_i d[i] rows[i], batched over the columns of d; this matmul rounds
-    as np.tensordot, an einsum or a plain sum does not."""
+    as np.tensordot, an einsum or a plain sum does not; d.T made contiguous
+    keeps each batch the BLAS call of one point (strided, it rounds otherwise)."""
     r = rows.reshape(rows.shape[:1] + d.shape[1:] + (-1,)).swapaxes(0, -2)
-    return np.matmul(d.T[..., None, :], r)[..., 0, :].reshape(rows.shape[1:])
+    dt = np.ascontiguousarray(d.T)[..., None, :]
+    return np.matmul(dt, r)[..., 0, :].reshape(rows.shape[1:])
 
 
 def resolvent(rs: ReducedScalars, x) -> np.ndarray:
@@ -159,21 +161,22 @@ def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
 
 def mollow_inel_x(ztilde: float, eta: float, gammatilde: float, x):
     """Closed-form inelastic spectrum of the pure absorption/emission
-    model (no direct scattering), even in x and in ztilde."""
+    model (no direct scattering), even in x and in ztilde; columns of
+    ztilde and eta broadcast against x and round as their floats."""
     z = 2.0 * ztilde
-    gt = gammatilde
+    gt, eta2, z2 = gammatilde, _sq(eta), _sq(z)
     x = np.asarray(x, dtype=float)
     x2 = x ** 2
-    p = ((2.0 + gt) * ((1.0 + gt) ** 2 + 2.0 * eta ** 2 + z ** 2)
-         * ((2.0 + gt) ** 2 + 2.0 * eta ** 2 + 4.0 * x2)
-         + 2.0 * gt * (2.0 * (2.0 * x2 - eta ** 2) ** 2
-                       + (2.0 + gt) ** 2 * (2.0 * x2 + eta ** 2)))
-    q = (((2.0 + gt) * ((1.0 + gt) ** 2 + z ** 2) + 4.0 * (1.0 + gt) * eta ** 2
+    p = ((2.0 + gt) * ((1.0 + gt) ** 2 + 2.0 * eta2 + z2)
+         * ((2.0 + gt) ** 2 + 2.0 * eta2 + 4.0 * x2)
+         + 2.0 * gt * (2.0 * (2.0 * x2 - eta2) ** 2
+                       + (2.0 + gt) ** 2 * (2.0 * x2 + eta2)))
+    q = (((2.0 + gt) * ((1.0 + gt) ** 2 + z2) + 4.0 * (1.0 + gt) * eta2
           - 4.0 * (4.0 + 3.0 * gt) * x2) ** 2
-         + 4.0 * x2 * (3.0 * gt ** 2 + 8.0 * gt + 5.0 + z ** 2
-                       + 4.0 * eta ** 2 - 4.0 * x2) ** 2)
-    out = 4.0 * eta ** 2 * p / (math.pi * q * (z ** 2 + 1.0 + 2.0 * eta ** 2) ** 2)
-    return float(out) if np.ndim(x) == 0 else out
+         + 4.0 * x2 * (3.0 * gt ** 2 + 8.0 * gt + 5.0 + z2
+                       + 4.0 * eta2 - 4.0 * x2) ** 2)
+    out = 4.0 * eta2 * p / (math.pi * q * _sq(z2 + 1.0 + 2.0 * eta2))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def low_intensity_x(sc: ScatteringScalars, ztilde: float, gammatilde: float,

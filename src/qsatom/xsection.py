@@ -161,14 +161,11 @@ def mollow_xsections(ztilde: float, eta: float) -> CrossSectionTriple:
     With no direct scattering everything collapses to Lorentzians in the
     detuning: total 1/D, elastic (4 ztilde^2 + 1)/D^2, inelastic
     2 eta^2/D^2 with D = 4 ztilde^2 + 1 + 2 eta^2; the sum rule holds
-    identically.
+    identically.  Columns of ztilde and eta round as their floats.
     """
-    d = 4.0 * ztilde ** 2 + 1.0 + 2.0 * eta ** 2
-    return CrossSectionTriple(
-        total=1.0 / d,
-        elastic=(4.0 * ztilde ** 2 + 1.0) / d ** 2,
-        inelastic=2.0 * eta ** 2 / d ** 2,
-    )
+    el, inel = 4.0 * _sq(ztilde) + 1.0, 2.0 * _sq(eta)
+    d = el + inel
+    return CrossSectionTriple(total=1.0 / d, elastic=el / _sq(d), inelastic=inel / _sq(d))
 
 
 def low_intensity_tot(source: PhaseShiftTable | ScatteringScalars, ztilde: float) -> float:

@@ -1,10 +1,12 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +14,12 @@ import pytest
 
 import qsatom
 import qsatom.spectrum
-from qsatom import mollow_xsections
+from helpers import random_scalars
+from qsatom import DriveConfig, mollow_xsections
 from qsatom.cli import (ConfigError, format_csv, main, parse_config,
-                        run_xsection_sweep)
+                        run_spectrum_sweep, run_xsection_sweep)
+from qsatom.spectrum import elastic_lorentzian, mollow_inel_x, sigma_inel_x
+from qsatom.xsection import sigma_el
 
 FANO_BLOCK = {"delta0_plus": -0.03, "delta0_minus": 0.13,
               "norm2_pg_plus": 0.005, "norm2_pg_minus": 0.005,
@@ -122,6 +127,8 @@ def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys, command
     ("spectrum", {"x_grid": [1e160]}, "(10.0, -4.0)"),
     ("spectrum", {"gammatilde": 1e-300}, "(10.0, -4.0)"),
     ("spectrum", {"eta2": [1e200]}, "(1e+200, -4.0)"),
+    # z^2 overflows at the last ztilde of the first eta2 block
+    ("spectrum", {"ztilde": [-4.0, 0.0, 1e160]}, "(10.0, 1e+160)"),
 ])
 def test_numerical_failure_is_one_stderr_line(tmp_path, command, over, point):
     # numpy overflow warnings must not reach the user ahead of the one
@@ -228,6 +235,107 @@ def test_spectrum_refuses_non_finite_rows(tmp_path, capsys, over):
     err = capsys.readouterr().err
     assert "numerical failure" in err and "(eta2, ztilde) = (10.0, -4.0)" in err
     assert not out.exists()
+
+
+# The spectrum sweep runs one eta2 at a time, its ztilde list as (n, 1)
+# columns against the x grid.  Its bytes must be those of one float
+# drive point at a time; no digest pins that on its own, since a
+# contraction that rounds otherwise moves thousands of values and would
+# simply be re-recorded.
+
+def _random_spectrum_doc(seed, n_eta=4, n_z=6, n_x=200):
+    rng = np.random.default_rng(seed)
+    sc = random_scalars(rng)
+    return {"mode": "scalars",
+            "scalars": {k: float(getattr(sc, k)) for k in FANO_BLOCK},
+            "eta2": rng.uniform(0.5, 40.0, n_eta).tolist(),
+            "ztilde": rng.uniform(-8.0, 8.0, n_z).tolist(),
+            "x_grid": rng.uniform(-20.0, 20.0, n_x).tolist(),
+            "gammatilde": float(rng.uniform(0.05, 1.5)), "mollow_reference": True}
+
+
+def _drive_columns(doc):
+    """(eta, ztilde) pairs of the doc's grid, as floats and as (n, 1) columns."""
+    pairs = [(math.sqrt(e2), zt) for e2, zt in itertools.product(doc["eta2"], doc["ztilde"])]
+    return pairs, [np.array(c)[:, None] for c in zip(*pairs)]
+
+
+@pytest.mark.parametrize("doc", [_random_spectrum_doc(seed) for seed in (3, 17, 29)]
+                         + [HARD_CORNERS])
+def test_sigma_inel_x_on_drive_columns_is_the_per_point_float_call(doc):
+    cfg = parse_config(doc)
+    xs, gt = np.array(cfg.x_grid), cfg.gammatilde
+    pairs, (eta, zt) = _drive_columns(doc)
+    blocked = sigma_inel_x(cfg.scalars, DriveConfig(eta, zt, gt), xs)
+    points = [sigma_inel_x(cfg.scalars, DriveConfig(e, z, gt), xs) for e, z in pairs]
+    assert blocked.shape == (len(pairs), len(xs))
+    assert np.array_equal(blocked, np.array(points))
+
+
+# squares that round as a * a differ from pow in about one value in a
+# thousand, so the Mollow forms run on 5000 distinct drive points a seed
+@pytest.mark.parametrize("seed", [3, 17])
+def test_mollow_forms_on_drive_columns_are_their_float_calls(seed):
+    rng = np.random.default_rng(seed)
+    eta, zt = np.sqrt(rng.uniform(0.0, 40.0, 5000)), rng.uniform(-8.0, 8.0, 5000)
+    xs, gt = np.array([-20.0, -3.0, 0.0, 0.5, 7.0]), 0.6
+    pairs = list(zip(eta.tolist(), zt.tolist()))
+    assert np.array_equal(mollow_inel_x(zt[:, None], eta[:, None], gt, xs),
+                          np.array([mollow_inel_x(z, e, gt, xs) for e, z in pairs]))
+    blocked = mollow_xsections(zt, eta)
+    for field in ("total", "elastic", "inelastic"):
+        assert np.array_equal(getattr(blocked, field),
+                              [getattr(mollow_xsections(z, e), field) for e, z in pairs])
+
+
+def _per_point_spectrum_sweep(cfg):
+    """The spectrum sweep as it ran before blocking: one float drive point
+    at a time, each with its own DriveConfig, dressing and Mollow column."""
+    sc, gt, xs = cfg.scalars, cfg.gammatilde, np.array(sorted(cfg.x_grid))
+    blocks = []
+    for e2, zt in itertools.product(sorted(cfg.eta2), sorted(cfg.ztilde)):
+        eta = math.sqrt(e2)
+        dc = DriveConfig(eta, zt, gt)
+        inel = sigma_inel_x(sc, dc, xs)
+        lor = elastic_lorentzian(sigma_el(sc, dc), gt, xs)
+        cols = [lor + inel, inel, lor]
+        if cfg.mollow_reference:
+            m_inel = mollow_inel_x(zt, eta, gt, xs)
+            cols.append(m_inel + elastic_lorentzian(mollow_xsections(zt, eta).elastic, gt, xs))
+        blocks.append(cols)
+    return [np.concatenate(c) for c in zip(*blocks)]
+
+
+@pytest.mark.parametrize("seed", [5, 23, 61])
+def test_spectrum_sweep_is_the_per_point_loop_bit_for_bit(seed):
+    cfg = parse_config(_random_spectrum_doc(seed, n_eta=3, n_z=5, n_x=120))
+    _, _, columns = run_spectrum_sweep(cfg)
+    reference = _per_point_spectrum_sweep(cfg)
+    assert len(columns) == len(reference) == 4
+    for got, want in zip(columns, reference):
+        assert np.array_equal(got, want)
+
+
+def _peak_traced_bytes(cfg):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_spectrum_sweep(cfg)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_sweep_temporaries_scale_with_a_block_not_the_grid():
+    # four times the eta2 list may add its output columns and little more:
+    # the temporaries of one block do not grow with the number of blocks
+    doc = _random_spectrum_doc(7, n_eta=3, n_z=16, n_x=200)
+    small = parse_config(doc)
+    large = parse_config(dict(doc, eta2=np.linspace(0.5, 40.0, 12).tolist()))
+    run_spectrum_sweep(small)  # warm any first-call allocations
+    extra_output = 4 * (12 - 3) * 16 * 200 * 8
+    grown = _peak_traced_bytes(large) - _peak_traced_bytes(small)
+    assert grown <= 1.1 * extra_output, (grown, extra_output)
 
 
 def test_xsection_sweep_rows_and_plateau(tmp_path):
