@@ -10,9 +10,9 @@ sorted sweep lists and one 1-D array per quantity over their product,
 computed and checked before the output is opened: xsection in one numpy
 pass, spectrum in one block per eta2 value (its ztilde list as columns
 against the x grid).  The formatters write blocks of rows sharing all
-but the last axis value, spelling each axis value once.  The bytes are those of
-per-point floats: the grid squares through ``float_power`` and takes
-moduli through ``hypot``, which round as CPython's ``**`` and ``abs``.
+but the last axis value, spelling each axis value once.  The bytes are
+those of per-point floats: the grid squares through ``float_power`` and
+takes moduli through ``hypot``, as CPython's ``**`` and ``abs`` round.
 ``--threads N`` is accepted, for old scripts, and ignored.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 config error or

@@ -254,18 +254,13 @@ def _random_spectrum_doc(seed, n_eta=4, n_z=6, n_x=200):
             "gammatilde": float(rng.uniform(0.05, 1.5)), "mollow_reference": True}
 
 
-def _drive_columns(doc):
-    """(eta, ztilde) pairs of the doc's grid, as floats and as (n, 1) columns."""
-    pairs = [(math.sqrt(e2), zt) for e2, zt in itertools.product(doc["eta2"], doc["ztilde"])]
-    return pairs, [np.array(c)[:, None] for c in zip(*pairs)]
-
-
 @pytest.mark.parametrize("doc", [_random_spectrum_doc(seed) for seed in (3, 17, 29)]
                          + [HARD_CORNERS])
 def test_sigma_inel_x_on_drive_columns_is_the_per_point_float_call(doc):
     cfg = parse_config(doc)
     xs, gt = np.array(cfg.x_grid), cfg.gammatilde
-    pairs, (eta, zt) = _drive_columns(doc)
+    pairs = [(math.sqrt(e2), zt) for e2, zt in itertools.product(doc["eta2"], doc["ztilde"])]
+    eta, zt = (np.array(c)[:, None] for c in zip(*pairs))
     blocked = sigma_inel_x(cfg.scalars, DriveConfig(eta, zt, gt), xs)
     points = [sigma_inel_x(cfg.scalars, DriveConfig(e, z, gt), xs) for e, z in pairs]
     assert blocked.shape == (len(pairs), len(xs))
