@@ -7,7 +7,7 @@ reduced units, with an independent numerical oracle for every formula.
 """
 
 from .model import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, dress, g_pm, reduced_scalars,
+                    ScatteringScalars, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
 from .bloch import BlochVector, build_drift, equilibrium, evolve
 from .xsection import (CrossSectionTriple, cross_section_grid, cross_sections,
@@ -21,7 +21,7 @@ from .oracle import (SumRuleReport, beam_overlaps, finite_beam_balance,
 
 __all__ = [
     "DriveConfig", "MOLLOW_SCALARS", "PhaseShiftTable", "ReducedScalars",
-    "ScatteringScalars", "dress", "g_pm", "reduced_scalars",
+    "ScatteringScalars", "g_pm", "reduced_scalars",
     "scalars_from_phase_shifts",
     "BlochVector", "build_drift", "equilibrium", "evolve",
     "CrossSectionTriple", "cross_section_grid", "cross_sections", "low_intensity_tot",

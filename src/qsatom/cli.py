@@ -183,7 +183,9 @@ def run_spectrum_sweep(cfg: RunConfig):
 
 
 def run_verify(cfg: RunConfig | None):
-    """Full oracle and invariant suite; returns (checks, exit_code)."""
+    """Full oracle and invariant suite; returns (checks, exit_code).  A config's
+    table or scalars is checked at its two smallest eta2, each at its smallest
+    ztilde and its gammatilde (0 read as 0.6); with an empty list, the defaults."""
     source = (cfg.table or cfg.scalars) if cfg else oracle.DEFAULT_TABLE
     drives = oracle.DEFAULT_DRIVES
     if cfg and cfg.eta2 and cfg.ztilde:

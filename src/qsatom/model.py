@@ -49,23 +49,6 @@ def _any(flags) -> bool:
     return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
 
 
-def legendre_table(lmax: int, x) -> np.ndarray:
-    """P_0(x) .. P_lmax(x) by the upward three-term recurrence.
-
-    ``x`` may be a scalar or an array; the result has shape
-    (lmax + 1, *x.shape).  Stable on [-1, 1] for the channel counts used
-    here (l up to ~100).
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.empty((lmax + 1,) + x.shape)
-    p[0] = 1.0
-    if lmax >= 1:
-        p[1] = x
-    for l in range(1, lmax):
-        p[l + 1] = ((2 * l + 1) * x * p[l] - l * p[l - 1]) / (l + 1)
-    return p
-
-
 @dataclass(frozen=True)
 class PhaseShiftTable:
     """Truncated partial-wave phase shifts of the direct-scattering matrices.
@@ -193,7 +176,7 @@ class ReducedScalars:
     kappa2 - i w`` is derived from them.  ``eta``, ``s`` and ``gammatilde``
     are the drive amplitude, s-wave shift difference and detector width
     they were dressed with, so every builder downstream takes this object.
-    From :func:`dress` on a grid, the per-point fields are columns.
+    On drive columns, the per-point fields are columns.
     """
 
     z: float
@@ -249,7 +232,7 @@ def g_pm(table: PhaseShiftTable, theta: float) -> tuple[complex, complex]:
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi]")
-    p = legendre_table(table.lmax, math.cos(theta))
+    p = np.polynomial.legendre.legvander(math.cos(theta), table.lmax)[0]
     w = (2.0 * np.arange(table.lmax + 1) + 1.0) / SQRT_4PI * p
     gp = 1j * np.sum(w * np.exp(1j * table.delta_plus) * np.sin(table.delta_plus))
     gm = 1j * np.sum(w * np.exp(1j * table.delta_minus) * np.sin(table.delta_minus))
@@ -257,22 +240,17 @@ def g_pm(table: PhaseShiftTable, theta: float) -> tuple[complex, complex]:
 
 
 def reduced_scalars(sc: ScatteringScalars, dc: DriveConfig) -> ReducedScalars:
-    """Dress the scattering scalars with the drive intensity and detuning."""
-    return dress(sc, dc.eta, dc.ztilde, dc.gammatilde)
-
-
-def dress(sc: ScatteringScalars, eta, ztilde, gammatilde: float = 0.0) -> ReducedScalars:
-    """:func:`reduced_scalars` for a float drive, or for equal-length columns
-    of ``eta`` and ``ztilde``, and of ``sc`` and ``gammatilde`` if wanted."""
-    eta2 = _sq(eta)
+    """Dress the scattering scalars with the drive intensity and detuning,
+    for a float drive or for columns of ``dc`` (and of ``sc``, if wanted)."""
+    eta2 = _sq(dc.eta)
     s = sc.s
     norm2_dg = _sq(_sin(s)) + sc.norm2_pdg
     kappa2 = 1.0 + eta2 * norm2_dg
     zeta2 = _sq(1.0 + eta2 * sc.norm2_pdg) \
         + eta2 * (1.0 + kappa2 + eta2 * sc.norm2_pdg)
-    z = 2.0 * ztilde - 2.0 * eta2 * sc.eps_r
+    z = 2.0 * dc.ztilde - 2.0 * eta2 * sc.eps_r
     half_sin2s = 0.5 * eta2 * _sin(2.0 * s)
     # positional, in field order: on this per-point path, matching nine
     # keywords made each call about 20% slower (CPython 3.11)
     return ReducedScalars(z, z - half_sin2s, kappa2, zeta2, z + half_sin2s, norm2_dg,
-                          eta, s, gammatilde)
+                          dc.eta, s, dc.gammatilde)

@@ -235,7 +235,7 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     det, row1, row3 = _det_and_rows(rs, x)
     bilinear = (np.conj(dg) * (d @ row1) + np.conj(e2 / SQRT_4PI) * (d @ row3)) / det
     inel = (2.0 / math.pi) * dc.eta ** 2 * bilinear.real.item()
-    return el, inel
+    return float(el), inel
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _any, _cos, _sin, _sq, dress, g_pm,
+                    ScatteringScalars, _any, _cos, _sin, _sq, g_pm,
                     reduced_scalars, scalars_from_phase_shifts)
 
 _CLOSURE_TOL = 1e-12
@@ -127,7 +127,7 @@ def cross_section_grid(sc: ScatteringScalars, eta2: np.ndarray,
     Where the floats would overflow, the first such point raises
     ArithmeticError."""
     with np.errstate(all="ignore"):
-        rs = dress(sc, np.sqrt(eta2), ztilde)
+        rs = reduced_scalars(sc, DriveConfig(np.sqrt(eta2), ztilde))
         cols = (_total(sc, rs), _elastic(sc, rs), _inelastic(sc, rs))
         finite = np.isfinite(_sq(rs.den)) & np.isfinite(cols).all(axis=0)
     if not finite.all():
@@ -147,8 +147,8 @@ def sigma_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float) -> float:
     rs = reduced_scalars(sc, dc)
     gp, gm = g_pm(table, theta)
     den = rs.den
-    interference = (np.exp(-2j * sc.delta0_minus) * gm
-                    * complex(rs.kappa2, -rs.y)).real
+    interference = float((np.exp(-2j * sc.delta0_minus) * gm
+                          * complex(rs.kappa2, -rs.y)).real)
     return (abs(gm) ** 2
             + rs.kappa2 / den * (1.0 / (4.0 * math.pi)
                                  + dc.eta ** 2 * (abs(gp) ** 2 - abs(gm) ** 2))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from helpers import random_table
 from qsatom import (DriveConfig, PhaseShiftTable, ScatteringScalars,
                     g_pm, reduced_scalars, scalars_from_phase_shifts)
-from qsatom.model import SQRT_4PI, legendre_table
+from qsatom.model import SQRT_4PI
 
 # Explicit polynomial coefficients (ascending powers), independent of the
-# three-term recurrence used by the library.
+# numpy Legendre routines used by the library.
 _LEGENDRE_COEFFS = [
     [1.0],
     [0.0, 1.0],
@@ -35,21 +35,6 @@ def _g_explicit(deltas, theta):
         total += (2 * l + 1) / SQRT_4PI * np.exp(1j * d) * math.sin(d) \
             * _legendre_explicit(l, x)
     return 1j * total
-
-
-def test_legendre_recurrence_matches_explicit_polynomials():
-    for x in (-1.0, -0.37, 0.0, 0.61, 1.0):
-        p = legendre_table(6, x)
-        for l in range(7):
-            assert p[l] == pytest.approx(_legendre_explicit(l, x), abs=1e-14)
-
-
-def test_legendre_table_vectorised_over_x():
-    xs = np.array([[-1.0, -0.37], [0.61, 1.0]])
-    p = legendre_table(9, xs)
-    assert p.shape == (10, 2, 2)
-    for idx in np.ndindex(xs.shape):
-        assert np.array_equal(p[(slice(None),) + idx], legendre_table(9, float(xs[idx])))
 
 
 def test_scalars_identity_matrices():
@@ -110,11 +95,13 @@ def test_g_pm_pure_swave_lower():
 
 
 def test_g_pm_against_explicit_legendre_sum():
-    t = PhaseShiftTable([-0.2, 0.15, 0.05, -0.3], [0.4, -0.1, 0.02, 0.11])
-    theta = math.pi / 3
-    gp, gm = g_pm(t, theta)
-    assert gp == pytest.approx(_g_explicit(t.delta_plus, theta), abs=1e-14)
-    assert gm == pytest.approx(_g_explicit(t.delta_minus, theta), abs=1e-14)
+    # seven channels, so P_0 .. P_6 are each pinned, at both poles too
+    t = PhaseShiftTable([-0.2, 0.15, 0.05, -0.3, 0.21, -0.07, 0.12],
+                        [0.4, -0.1, 0.02, 0.11, -0.25, 0.09, -0.16])
+    for theta in (0.0, 0.7, math.pi / 3, math.pi / 2, 1.95, math.pi):
+        gp, gm = g_pm(t, theta)
+        assert gp == pytest.approx(_g_explicit(t.delta_plus, theta), abs=1e-14)
+        assert gm == pytest.approx(_g_explicit(t.delta_minus, theta), abs=1e-14)
 
 
 def test_g_pm_rejects_bad_angle():

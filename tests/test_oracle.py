@@ -8,7 +8,7 @@ import pytest
 
 from helpers import random_drive, random_scalars
 from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
-                    ScatteringScalars, beam_overlaps, build_drift, dress,
+                    ScatteringScalars, beam_overlaps, build_drift,
                     equilibrium, evolve, finite_beam_balance,
                     finite_beam_equilibrium, ode_evolve, quad_sum_rules,
                     reduced_scalars, resolvent, run_verification, scalars_from_phase_shifts,
@@ -431,11 +431,12 @@ def test_run_verification_all_pass():
 def test_run_verification_fails_a_nan_residual(monkeypatch):
     # one NaN among the Mollow detunings: max(residual, nan) kept the
     # residual, so the check used to read PASS
-    true_mollow, calls = oracle.mollow_inel_x, []
+    true_mollow = oracle.mollow_inel_x
 
     def flawed(*args):
-        calls.append(args)
-        return true_mollow(*args) * (np.nan if len(calls) == 3 else 1.0)
+        out = true_mollow(*args)
+        out[2, 7] = np.nan  # one (ztilde, x) point of the column call
+        return out
 
     monkeypatch.setattr(oracle, "mollow_inel_x", flawed)
     check = {c.name: c for c in run_verification()}["Mollow closed form vs resolvent"]
@@ -503,7 +504,7 @@ def test_column_kernels_match_their_per_point_calls():
     for i in range(300):
         sc_i = ScatteringScalars(*(float(getattr(sc, f.name)[i]) for f in fields(sc)))
         dc_i = DriveConfig(*(float(getattr(dc, f.name)[i]) for f in fields(dc)))
-        rs_i, x_i = dress(sc_i, dc_i.eta, dc_i.ztilde, dc_i.gammatilde), float(x[i])
+        rs_i, x_i = reduced_scalars(sc_i, dc_i), float(x[i])
         assert _hex_fields(rs, i) == _hex_fields(rs_i)
         assert _bits(drift[i]) == _bits(build_drift(rs_i))
         assert _bits(eq[i]) == _bits(equilibrium(rs_i).vector())
@@ -517,18 +518,18 @@ def test_column_kernels_match_their_per_point_calls():
 
 def test_run_verification_dresses_in_blocks(monkeypatch):
     # a guard against per-point loops coming back, with no timing: the
-    # column blocks dress about 50 times a run, the former loops 952 times
-    true_dress, calls = model.dress, []
+    # column blocks dress about 40 times a run, the former loops 952 times
+    true_dress, calls = model.reduced_scalars, []
 
     def counted(*args):
         calls.append(args)
         return true_dress(*args)
 
     bound = [m for m in (model, xsection, spectrum, oracle)
-             if getattr(m, "dress", None) is true_dress]
-    assert model in bound and oracle in bound
+             if getattr(m, "reduced_scalars", None) is true_dress]
+    assert {xsection, spectrum, oracle} <= set(bound)
     for m in bound:
-        monkeypatch.setattr(m, "dress", counted)
+        monkeypatch.setattr(m, "reduced_scalars", counted)
     run_verification()
     assert 0 < len(calls) <= 100
 
@@ -541,7 +542,8 @@ def test_total_form_gap_on_fano_zero_columns_matches_per_point(d0m):
     per_point = [oracle._total_form_gap(sc, reduced_scalars(
                      sc, DriveConfig(math.sqrt(eta2), 0.5 / math.tan(d0m) + float(off))))
                  for eta2 in eta2s for off in offs]
-    rs = dress(sc, np.sqrt(np.repeat(eta2s, 21)), np.tile(0.5 / math.tan(d0m) + offs, 6))
+    rs = reduced_scalars(sc, DriveConfig(np.sqrt(np.repeat(eta2s, 21)),
+                                         np.tile(0.5 / math.tan(d0m) + offs, 6)))
     columns = oracle._total_form_gap(sc, rs)
     assert columns.tolist() == per_point
     assert float(np.max(columns)).hex() == max(per_point).hex()

@@ -1,8 +1,12 @@
 import ast
+import builtins
 import re
 from pathlib import Path
 
+import pytest
+
 import qsatom
+from qsatom import DriveConfig, bloch, cli, model, oracle, spectrum, xsection
 
 SRC = Path(qsatom.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -27,3 +31,36 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_readme_calls_name_package_functions():
+    # a `name(` call left in the prose after its function went is stale
+    text = README.read_text(encoding="utf-8")
+    homes = (qsatom, builtins, model, bloch, xsection, spectrum, oracle, cli)
+    called = set(re.findall(r"`(\w+)\(", text))
+    assert called and [n for n in sorted(called)
+                       if not any(hasattr(h, n) for h in homes)] == []
+
+
+_TABLE = oracle.DEFAULT_TABLE
+_SC = qsatom.scalars_from_phase_shifts(_TABLE)
+_DC = DriveConfig(2.0, 0.3, 0.6)
+_SCALAR_FORMS = {
+    "sigma_tot": lambda: qsatom.sigma_tot(_SC, _DC),
+    "sigma_el": lambda: qsatom.sigma_el(_SC, _DC),
+    "sigma_inel": lambda: qsatom.sigma_inel(_SC, _DC),
+    "sigma_diff": lambda: qsatom.sigma_diff(_TABLE, _DC, 0.7),
+    "spectral_diff_elastic": lambda: qsatom.spectral_diff(_TABLE, _DC, 0.7, 0.4)[0],
+    "spectral_diff_inelastic": lambda: qsatom.spectral_diff(_TABLE, _DC, 0.7, 0.4)[1],
+    "sigma_tot_x": lambda: qsatom.sigma_tot_x(_SC, _DC, 0.4),
+    "sigma_inel_x": lambda: qsatom.sigma_inel_x(_SC, _DC, 0.4),
+    "mollow_inel_x": lambda: qsatom.mollow_inel_x(0.3, 2.0, 0.6, 0.4),
+    "low_intensity_x": lambda: qsatom.low_intensity_x(_SC, 0.3, 0.6, 0.1, 0.4),
+    "low_intensity_tot": lambda: qsatom.low_intensity_tot(_SC, 0.3),
+    "finite_beam_balance": lambda: qsatom.finite_beam_balance(_TABLE, _DC, 0.1, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_FORMS))
+def test_scalar_forms_return_python_floats(name):
+    assert type(_SCALAR_FORMS[name]()) is float
