@@ -173,7 +173,9 @@ def integrate_line(f, scale: float, tol: float = 1e-9):
     nodes; Piessens et al. 1983), and the others are halved; no node
     lies on u = +-pi/2.  Past either work bound the rest is banked at
     its 16-node value and reported as non-convergence.  Returns (value,
-    error_estimate, converged).
+    error_estimate, converged).  tol has a floor at the rounding of a
+    panel's sums, ~1e-16 of its value: a unit Lorentzian of width 1e-3
+    at x = 1.3, scale 10, tol 1e-10 ends unconverged, right to 7e-14.
     """
     def panel_rule(nodes, weights):
         u = lefts[:, None] + 0.5 * width * (1.0 + nodes)

@@ -9,6 +9,8 @@ spectrum asymmetric in x.
 
 Every row of the resolvent adjugate is a closed expression in the
 scalars: the spectra read rows 1 and 3, :func:`resolvent` adds row 2.
+Both spectra contract those rows by one fixed-order sum of float
+products, so a value depends neither on its x grid nor on the BLAS.
 
 Every builder takes one :class:`~qsatom.model.ReducedScalars`, which
 carries the eta, s and gammatilde it was dressed with; the spectra read
@@ -63,9 +65,9 @@ def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, n
 
 def _det_and_rows(rs: ReducedScalars, x):
     """Determinant and adjugate rows 1 and 3 of (Gtilde + 2ix), closed in
-    the scalars, over finite x made 1-d so that one x rounds as a column
-    of them; kplus * kminus stands for khat^2 + w^2, which cancels on a
-    far-detuned sideband."""
+    the scalars, over finite x made 1-d, since numpy's scalar complex
+    product rounds unlike its array loops; kplus * kminus stands for
+    khat^2 + w^2, which cancels on a far-detuned sideband."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("the resolvent needs a finite x")
@@ -91,12 +93,14 @@ def _det_and_rows(rs: ReducedScalars, x):
 
 
 def _contract(d, rows):
-    """sum_i d[i] rows[i], batched over the columns of d; this matmul rounds
-    as np.tensordot, an einsum or a plain sum does not; d.T made contiguous
-    keeps each batch the BLAS call of one point (strided, it rounds otherwise)."""
-    r = rows.reshape(rows.shape[:1] + d.shape[1:] + (-1,)).swapaxes(0, -2)
-    dt = np.ascontiguousarray(d.T)[..., None, :]
-    return np.matmul(dt, r)[..., 0, :].reshape(rows.shape[1:])
+    """sum_i d[i] rows[i] as (t0 + t1) + t2, d[i] broadcast against rows[i]
+    and t_i formed on split real and imaginary parts: every product and sum
+    is one float ufunc, so an x rounds alike in any grid and on any BLAS."""
+    (r0, i0), (r1, i1), (r2, i2) = [(a.real * b.real - a.imag * b.imag,
+                                     a.real * b.imag + a.imag * b.real) for a, b in zip(d, rows)]
+    out = ((r0 + r1) + r2).astype(complex)
+    out.imag = (i0 + i1) + i2
+    return out
 
 
 def resolvent(rs: ReducedScalars, x) -> np.ndarray:
@@ -210,11 +214,13 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     """Angle-resolved spectral densities (elastic, inelastic) at (theta, x).
 
     Elastic density: |a(theta)|^2 times the unit Lorentzian of width
-    gammatilde.  Inelastic density, from the same adjugate rows as
-    :func:`sigma_inel_x`: (2/pi) eta^2 Re[c(theta)^dag (Gtilde + 2ix)^{-1}
-    d(theta)] with c(theta) = (g+ - g-, 0, e^{2i delta_0^-}/sqrt(4 pi)),
-    whose integral over solid angle reproduces the angle-integrated
-    spectrum.  Raises ValueError for gammatilde <= 0 or a non-finite x.
+    gammatilde.  Inelastic density, by the rows and contraction of
+    :func:`sigma_inel_x`: (2/pi) eta^2 Re[c^dag (Gtilde + 2ix)^{-1} d] with
+    c = (dg, 0, e2), dg = g+ - g- at theta, e2 = e^{2i delta_0^-}/sqrt(4 pi)
+    and d = (dg d'' + e2 q) / (z^2 + zeta^2)^2, d'' that of
+    :func:`spectral_coefficients` and q its s-wave part; its integral over
+    solid angle reproduces the angle-integrated spectrum.  Raises
+    ValueError for gammatilde <= 0 or a non-finite x.
     """
     if dc.gammatilde <= 0:
         raise ValueError("spectral_diff needs gammatilde > 0 for the elastic density")
@@ -223,17 +229,15 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     k2, y, den, eta2 = rs.kappa2, rs.y, rs.den, rs.eta ** 2
     gp, gm = g_pm(table, theta)
     dg = gp - gm
-    e2 = np.exp(2j * sc.delta0_minus)
-    a = gm + dg * eta2 * k2 / den - e2 * complex(k2, y) / (SQRT_4PI * den)
+    e2, kc = np.exp(2j * sc.delta0_minus), complex(k2, y)
+    a = gm + dg * eta2 * k2 / den - e2 * kc / (SQRT_4PI * den)
     el = elastic_lorentzian(abs(a) ** 2, dc.gammatilde, x)
-    m = dg * (1.0 - eta2 * k2 / den) + e2 * complex(k2, y) / (SQRT_4PI * den)
-    d3 = (e2 / SQRT_4PI * (rs.norm2_dg * (y ** 2 + k2 ** 2)
-                           + k2 * y * math.sin(2.0 * sc.s)
-                           + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2)
-          + dg * k2 * complex(k2, -y)) / den ** 2
-    d = np.array([k2 * m / den, m * complex(k2, y) / den, d3], dtype=complex)
+    q = np.array([k2 * kc, kc * kc, rs.norm2_dg * (y ** 2 + k2 ** 2)
+                  + k2 * y * math.sin(2.0 * sc.s) + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2])
+    d = (dg * spectral_coefficients(rs)[2] + e2 / SQRT_4PI * q) / den ** 2
     det, row1, row3 = _det_and_rows(rs, x)
-    bilinear = (np.conj(dg) * (d @ row1) + np.conj(e2 / SQRT_4PI) * (d @ row3)) / det
+    bilinear = (np.conj(dg) * _contract(d, row1)
+                + np.conj(e2 / SQRT_4PI) * _contract(d, row3)) / det
     inel = (2.0 / math.pi) * dc.eta ** 2 * bilinear.real.item()
     return float(el), inel
 

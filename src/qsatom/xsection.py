@@ -48,28 +48,25 @@ def _modulus(c):
 # The one copy of each closed form: ``rs`` (and ``sc``) hold floats for one
 # point or columns for a grid, and both round alike through ``_sq``.
 
-def _fano_coefficients(sc: ScatteringScalars, rs: ReducedScalars):
-    """The two auxiliary combinations entering the compact total form."""
+def _fano_b(sc: ScatteringScalars, eta2):
+    """The auxiliary combination B of the compact total and elastic forms."""
+    return (1.0 + eta2 + eta2 * sc.norm2_pdg) * (1.0 + eta2 * sc.norm2_pdg)
+
+
+def _total(sc: ScatteringScalars, rs: ReducedScalars):
     eta2 = _sq(rs.eta)
     a = (_sq(_sin(sc.delta0_plus)) + rs.kappa2 * sc.norm2_g_plus
          + sc.norm2_pdg * (1.0 + eta2 * (1.0 + sc.norm2_pdg)
                            * _sq(_sin(sc.delta0_minus))))
-    b = (1.0 + eta2 + eta2 * sc.norm2_pdg) * (1.0 + eta2 * sc.norm2_pdg)
-    return a, b
-
-
-def _total(sc: ScatteringScalars, rs: ReducedScalars):
-    a, b = _fano_coefficients(sc, rs)
     den = rs.den
     return (_sq(rs.z * _sin(sc.delta0_minus) - _cos(sc.delta0_minus))
-            + _sq(rs.eta) * a) / den + sc.norm2_pg_minus * (_sq(rs.z) + b) / den
+            + eta2 * a) / den + sc.norm2_pg_minus * (_sq(rs.z) + _fano_b(sc, eta2)) / den
 
 
 def _elastic(sc: ScatteringScalars, rs: ReducedScalars):
     eta2 = _sq(rs.eta)
-    _, b = _fano_coefficients(sc, rs)
     den = rs.den
-    zb = _sq(rs.z) + b
+    zb = _sq(rs.z) + _fano_b(sc, eta2)
     perp = (_sq(zb) * sc.norm2_pg_minus
             + _sq(eta2) * _sq(rs.kappa2) * sc.norm2_pg_plus
             + 2.0 * zb * eta2 * rs.kappa2 * sc.cross_pg)

@@ -195,7 +195,10 @@ def test_sweeps_leave_scipy_linalg_unloaded(tmp_path):
 
 # Recorded before the sweeps became columnar, from the per-point path;
 # the spectrum digests re-recorded once the closed resolvent determinant
-# formed kplus * kminus (values moved by at most 4.4e-14 relative).
+# formed kplus * kminus (values moved by at most 4.4e-14 relative), and
+# again once the resolvent bilinears were summed in float arithmetic
+# rather than by BLAS (at most 2.2e-11 relative, on the eta2 = 1e-6
+# far-detuned sidebands; 2.5e-14 elsewhere).
 # The Fano zero of delta0_minus = 0.13 (ztilde = 0.5 cot 0.13 = 3.83 at
 # eta2 -> 0) with ||P g-||^2 = 0 so nothing hides it, ||P dg||^2 on the
 # triangle bound, eta2 from 0 to 1e3, ztilde = +-1e4, a narrow detector
@@ -210,8 +213,8 @@ HARD_CORNERS = {
 HARD_CORNER_SHA256 = {
     ("xsection", "csv"): "8fa3898bf2b7dc0aeb86cd8accb2215fd289c2cdaa637c5bf10204cb0614810f",
     ("xsection", "json"): "b61d8a28cdaa08559fbf032b9255c3acb78dc95337a6889478fc53d2809d0d44",
-    ("spectrum", "csv"): "97ee17db6ad08e8c262df04b0f09308f67f2a2ea5af6de88e46c218b2c6d33ec",
-    ("spectrum", "json"): "72e6a7b1744875ddeff887564e51f307e8cc8e6ce895c67bb58d5a8f49320063",
+    ("spectrum", "csv"): "1cda5835e14d94b5ab8b7ef42cd51de418242e1eb6e64f7cd2fe8b6392de20df",
+    ("spectrum", "json"): "16c52a595f963e2d9c8bc10f965d8c7764be51dcb0dd2e4cdd9ad55c183c94ac",
 }
 
 

@@ -394,6 +394,25 @@ def test_sigma_inel_x_matches_recorded_values(fano_scalars, eta2, zt, gt, x, ref
     assert abs(got - ref) <= 1e-12 * ref
 
 
+# A spectrum value must not depend on which other x values its grid
+# holds: every contiguous sub-grid of the 37 points, of each width 1..37,
+# and 300 random grids of up to 512 of them (repeats allowed), against
+# one float x at a time.
+@pytest.mark.parametrize("form", ["sigma_inel_x", "resolvent"])
+def test_one_x_rounds_as_it_does_inside_any_grid(fano_scalars, form):
+    dc = DriveConfig(3.0, 0.7, 0.4)
+    rs = reduced_scalars(fano_scalars, dc)
+    f = {"sigma_inel_x": lambda x: sigma_inel_x(fano_scalars, dc, x),
+         "resolvent": lambda x: resolvent(rs, x)}[form]
+    xs = np.linspace(-9.0, 9.0, 37)
+    alone = np.array([f(float(x)) for x in xs])
+    rng = np.random.default_rng(11)
+    grids = [np.arange(i, i + w) for w in range(1, 38) for i in range(38 - w)]
+    grids += [rng.integers(0, 37, rng.integers(1, 513)) for _ in range(300)]
+    moved = [len(idx) for idx in grids if not np.array_equal(f(xs[idx]), alone[idx])]
+    assert moved == []
+
+
 def test_spectral_diff_requires_width():
     with pytest.raises(ValueError):
         spectral_diff(MIXED_TABLE, DriveConfig(1.0, 0.0, 0.0), 1.0, 0.5)
