@@ -96,8 +96,9 @@ def _contract(d, rows):
     """sum_i d[i] rows[i] as (t0 + t1) + t2, d[i] broadcast against rows[i]
     and t_i formed on split real and imaginary parts: every product and sum
     is one float ufunc, so an x rounds alike in any grid and on any BLAS."""
-    (r0, i0), (r1, i1), (r2, i2) = [(a.real * b.real - a.imag * b.imag,
-                                     a.real * b.imag + a.imag * b.real) for a, b in zip(d, rows)]
+    d = d[(slice(None),) + (None,) * (rows.ndim - d.ndim)]
+    r0, r1, r2 = d.real * rows.real - d.imag * rows.imag
+    i0, i1, i2 = d.real * rows.imag + d.imag * rows.real
     out = ((r0 + r1) + r2).astype(complex)
     out.imag = (i0 + i1) + i2
     return out
