@@ -217,8 +217,8 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     Elastic density: |a(theta)|^2 times the unit Lorentzian of width
     gammatilde.  Inelastic density, by the rows and contraction of
     :func:`sigma_inel_x`: (2/pi) eta^2 Re[c^dag (Gtilde + 2ix)^{-1} d] with
-    c = (dg, 0, e2), dg = g+ - g- at theta, e2 = e^{2i delta_0^-}/sqrt(4 pi)
-    and d = (dg d'' + e2 q) / (z^2 + zeta^2)^2, d'' that of
+    c = (dg, 0, c3), dg = g+ - g- at theta, c3 = e^{2i delta_0^-}/sqrt(4 pi)
+    and d = (dg d'' + c3 q) / (z^2 + zeta^2)^2, d'' that of
     :func:`spectral_coefficients` and q its s-wave part; its integral over
     solid angle reproduces the angle-integrated spectrum.  Raises
     ValueError for gammatilde <= 0 or a non-finite x.
@@ -235,10 +235,10 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     el = elastic_lorentzian(abs(a) ** 2, dc.gammatilde, x)
     q = np.array([k2 * kc, kc * kc, rs.norm2_dg * (y ** 2 + k2 ** 2)
                   + k2 * y * math.sin(2.0 * sc.s) + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2])
-    d = (dg * spectral_coefficients(rs)[2] + e2 / SQRT_4PI * q) / den ** 2
+    c3 = e2 / SQRT_4PI
+    d = (dg * spectral_coefficients(rs)[2] + c3 * q) / den ** 2
     det, row1, row3 = _det_and_rows(rs, x)
-    bilinear = (np.conj(dg) * _contract(d, row1)
-                + np.conj(e2 / SQRT_4PI) * _contract(d, row3)) / det
+    bilinear = (np.conj(dg) * _contract(d, row1) + np.conj(c3) * _contract(d, row3)) / det
     inel = (2.0 / math.pi) * dc.eta ** 2 * bilinear.real.item()
     return float(el), inel
 
