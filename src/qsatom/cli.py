@@ -9,10 +9,12 @@ Sweeps are columnar: ``run_*_sweep`` return (names, axes, columns), the
 sorted sweep lists and one 1-D array per quantity over their product,
 computed and checked before the output is opened: xsection in one numpy
 pass, spectrum in one block per eta2 value (its ztilde list as columns
-against the x grid).  The formatters write blocks of rows sharing all
-but the last axis value, spelling each axis value once.  The bytes are
-those of per-point floats: the grid squares through ``float_power`` and
-takes moduli through ``hypot``, as CPython's ``**`` and ``abs`` round.
+against the x grid).  CSV is spelled by a numpy record builder in fixed
+blocks of rows, each axis value once: its digits come from a long double
+product, and printf rounds values near a tie.  JSON, and CSV where long
+double lacks a 64-bit mantissa, go through ``_write_rows``.  The bytes
+are those of per-point floats: the grid squares through ``float_power``
+and takes moduli through ``hypot``, as CPython's ``**`` and ``abs`` round.
 ``--threads N`` is accepted, for old scripts, and ignored.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 config error or
@@ -23,6 +25,7 @@ significant digits so output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -38,6 +41,10 @@ SCHEMA = "qsatom v1"
 
 _SCALAR_KEYS = ("delta0_plus", "delta0_minus", "norm2_pg_plus",
                 "norm2_pg_minus", "norm2_pdg", "eps_r")
+
+_LONG_MANTISSA = np.finfo(np.longdouble).nmant >= 63  # x86's 80 bits: the CSV records need it
+_TIE_WINDOW = 0.02  # printf rounds where |fraction - 1/2| < this (the error is <= 0.011)
+_BLOCK_ROWS = 1024  # CSV rows per record block: memory is flat in the grid size
 
 
 class ConfigError(ValueError):
@@ -211,10 +218,65 @@ def _write_rows(out, axes, columns, num, sep, row_open="", row_close="", row_sep
         out.write((row_sep if k else "") + row_sep.join(map(row.__mod__, zip(last, *block))))
 
 
+@functools.cache
+def _spell_tables():
+    """By k + 400, k in [-400, 400): 10^(16 - k) correctly rounded to long double
+    and k as ``"%+03d"`` NUL-padded to 4 bytes; the digits of 0..9999 in 4 bytes."""
+    d = np.arange(48, 58, dtype=np.uint8)  # built in numpy: no heap of small strings
+    quads = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), -1).reshape(-1, 4)
+    exps = "".join(f"{k:+03d}".rjust(4, "\0") for k in range(-400, 400)).encode()
+    return (np.array([np.longdouble(f"1e{16 - k}") for k in range(-400, 400)]),
+            np.frombuffer(exps, np.uint32), quads.view(np.uint32)[:, 0])
+
+
+def _spell(v, rec):
+    """Spell finite ``v`` as ``"%.16e"`` into ``rec[..., :24]``: [sign][d][.][16 digits]
+    [e][exponent], NUL where the sign bit is clear and before a 2-digit exponent."""
+    powers, exps, digits = _spell_tables()
+    a = np.abs(v)
+    k = np.floor(np.log10(np.where(a > 0, a, 1.0))).astype(np.int64)
+    y = a * powers[k + 400]
+    k += y >= 1e17
+    k -= y < 1e16
+    y = a * powers[k + 400]  # within 0.011 of the exact 10^(16-k) |v| < 1e17
+    q = y.astype(np.int64)
+    frac = (y - q).astype(float)
+    slow = np.abs(frac - 0.5) < _TIE_WINDOW  # printf's digits end in q or q + 1: ask it
+    last = np.frombuffer(("%-23.16e" * np.count_nonzero(slow)
+                          % tuple(a[slow].tolist())).encode(), np.uint8)[17::23]
+    frac[slow] = last != q[slow] % 10 + ord("0")
+    q += frac > 0.5
+    carry, q = np.divmod(q, 10**17)  # 10^17 at exponent k is 10^16 at k + 1
+    q, k = np.where(carry, 10**16, q), np.where(a > 0, k + carry, 0)
+    hi, lo = np.divmod(q, 10**8)
+    lead, hi = np.divmod(hi, 10**8)
+    quads = np.stack([*np.divmod(hi, 10**4), *np.divmod(lo, 10**4)], -1)
+    rec[..., 0] = np.where(np.signbit(v), ord("-"), 0)
+    rec[..., 1], rec[..., 2] = lead + ord("0"), ord(".")
+    rec[..., 3:19], rec[..., 19] = digits[quads].view(np.uint8), ord("e")
+    rec[..., 20:24] = exps[k + 400][..., None].view(np.uint8)
+
+
 def format_csv(out, names, axes, columns) -> None:
+    """Rows of ``"%.16e" % v``: ``_BLOCK_ROWS`` rows at a time of 25-byte slots
+    less their NUL bytes, each axis value spelled once; else ``_write_rows``."""
     out.write(f"# {SCHEMA}, reduced units (alpha2=1), columns: " + ",".join(names) + "\n")
-    _write_rows(out, axes, columns, "%.16e", ",")
-    out.write("\n")
+    if not (_LONG_MANTISSA and all(np.isfinite(c).all() for c in (*axes, *columns))):
+        _write_rows(out, axes, columns, "%.16e", ",")
+        out.write("\n")
+        return
+    lens, n_ax = [len(axis) for axis in axes], len(axes)
+    n_rows = math.prod(lens)
+    mat = np.empty((min(_BLOCK_ROWS, n_rows), n_ax + len(columns), 25), np.uint8)
+    spelled, offsets = np.empty((sum(lens), 25), np.uint8), np.cumsum([0] + lens[:-1])
+    _spell(np.concatenate(axes).astype(float), spelled)
+    for r0 in range(0, n_rows, _BLOCK_ROWS):
+        m = mat[:min(_BLOCK_ROWS, n_rows - r0)]
+        at = np.stack(np.unravel_index(np.arange(r0, r0 + len(m)), lens), 1) + offsets
+        m.view("V25")[:, :n_ax, 0] = spelled.view("V25")[at, 0]
+        _spell(np.stack([c[r0:r0 + len(m)] for c in columns], 1), m[:, n_ax:])
+        m[..., 24], m[:, -1, 24] = ord(","), ord("\n")
+        out.write(m[m > 0].tobytes().decode("ascii"))
 
 
 def format_json(out, names, axes, columns) -> None:

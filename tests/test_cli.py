@@ -11,11 +11,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsatom
 import qsatom.spectrum
 from helpers import random_scalars
-from qsatom import DriveConfig, mollow_xsections
+from qsatom import DriveConfig, cli, mollow_xsections
 from qsatom.cli import (ConfigError, format_csv, main, parse_config,
                         run_spectrum_sweep, run_xsection_sweep)
 from qsatom.spectrum import elastic_lorentzian, mollow_inel_x, sigma_inel_x
@@ -364,6 +366,139 @@ def test_csv_header_carries_schema_and_columns():
     first = buf.getvalue().splitlines()[0]
     assert first.startswith("# qsatom v1, reduced units (alpha2=1), columns: ")
     assert first.endswith("a,b")
+
+
+# The CSV writer spells values through a numpy record builder, with
+# printf deciding the rounding near a tie; its bytes must be those of one
+# "%.16e" % v per value, as a plain row writer spells them.
+
+def _naive_csv(names, axes, columns):
+    rows = [",".join("%.16e" % v for v in (*point, *(c[i] for c in columns)))
+            for i, point in enumerate(itertools.product(*axes))]
+    return ("# qsatom v1, reduced units (alpha2=1), columns: " + ",".join(names)
+            + "\n" + "\n".join(rows) + "\n")
+
+
+def _csv(names, axes, columns):
+    buf = io.StringIO()
+    format_csv(buf, names, axes, columns)
+    return buf.getvalue()
+
+
+def _assert_spelled_as_printf(values):
+    """``values`` as one axis and, reversed, as its column."""
+    axes, columns = [list(values)], [np.array(values[::-1], float)]
+    assert _csv(["a", "b"], axes, columns) == _naive_csv(["a", "b"], axes, columns)
+
+
+_POWERS_OF_TEN = np.array([float(f"1e{p}") for p in range(-323, 309)])
+_TIES = np.random.default_rng(0).integers(16_000_000_000_000, 160_000_000_000_000, 500)
+HARD_FLOATS = [
+    0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max, 1e16, 1e17,
+    1e-100, 1e100, 9.5e-100, 9.99999999999999999e99, 123.456e-300,
+    # powers of ten (many round up to 1.0000000000000000e+k), and their neighbours
+    *_POWERS_OF_TEN, *np.nextafter(_POWERS_OF_TEN, 0.0), *np.nextafter(_POWERS_OF_TEN, np.inf),
+    # exact ties at the 17th digit: m / 32 with m odd in [3.2e13, 3.2e14)
+    *((2 * _TIES + 1) / 32.0), 32000000000001 / 32, 319999999999999 / 32,
+]
+
+
+def test_record_builder_spells_hard_floats_as_printf():
+    _assert_spelled_as_printf([v for h in HARD_FLOATS for v in (h, -h)])
+
+
+def test_record_builder_spells_random_bit_patterns_as_printf():
+    bits = np.random.default_rng(42).integers(0, 2**64, 200_000, np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    _assert_spelled_as_printf(values[np.isfinite(values)].tolist())
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_record_builder_spells_any_finite_bit_pattern_as_printf(patterns):
+    values = np.array(patterns, np.uint64).view(np.float64)
+    _assert_spelled_as_printf(values[np.isfinite(values)].tolist() or [-0.0])
+
+
+@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7, 1])
+@pytest.mark.parametrize("axes", [
+    [[2.5]],                                            # one row
+    [[-0.0, 1.0], [3.0]],                               # a one-value last axis
+    [[0.0, 1e-300, 4.0], [-1e4, -0.0, 1e4]],            # a 2-axis xsection grid
+    [[1.0, 2.0, 3.0], [-1.0, 1.0], np.linspace(-20.0, 20.0, 171).tolist()],
+])
+def test_format_csv_is_a_naive_row_writer(monkeypatch, axes, block):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    n = math.prod(len(a) for a in axes)
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n) for _ in range(3)]
+    columns[1][::2] = -0.0
+    names = ["eta2", "ztilde", "x"][:len(axes)] + ["a", "b", "c"]
+    assert _csv(names, axes, columns) == _naive_csv(names, axes, columns)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "xsection"])
+@pytest.mark.parametrize("doc", [_random_spectrum_doc(11), HARD_CORNERS])
+def test_csv_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatch, command, doc):
+    # the printf route of every value (window 1), and the row writer that
+    # platforms without a 64-bit long double mantissa take
+    assert doc["mollow_reference"]
+    cfg = _write(tmp_path, "doc.json", doc)
+
+    def written(name, **patch):
+        with monkeypatch.context() as m:
+            for attr, value in patch.items():
+                m.setattr(cli, attr, value)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name).read_bytes()
+
+    records = written("records.csv")
+    assert written("printf.csv", _TIE_WINDOW=1.0) == records
+    assert written("rows.csv", _LONG_MANTISSA=False) == records
+
+
+class _KeepingStream:
+    """A text stream that keeps every string written to it."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, s):
+        self.parts.append(s)
+
+    def size(self):
+        return sum(sys.getsizeof(s) for s in self.parts)
+
+
+def _csv_peak_traced_bytes(result):
+    stream = _KeepingStream()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        format_csv(stream, *result)
+        return tracemalloc.get_traced_memory()[1] - base, stream.size()
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_temporaries_scale_with_a_block_not_the_grid():
+    # four times the eta2 list may add its output strings and little more
+    # (64 KB of allocator slack): no temporary grows with the grid
+    doc = _random_spectrum_doc(7, n_eta=3, n_z=16, n_x=200)
+    small = run_spectrum_sweep(parse_config(doc))
+    large = run_spectrum_sweep(parse_config(dict(doc, eta2=np.linspace(0.5, 40.0, 12).tolist())))
+    format_csv(io.StringIO(), *small)  # build the digit and power tables
+    (peak_small, out_small), (peak_large, out_large) = map(_csv_peak_traced_bytes, (small, large))
+    assert peak_large - peak_small <= out_large - out_small + 64 * 1024, (
+        peak_large - peak_small, out_large - out_small)
+
+
+def test_spectrum_csv_on_stdout_is_the_file_bytes(tmp_path, capsysbinary):
+    cfg = _write(tmp_path, "doc.json", _random_spectrum_doc(5))
+    out = tmp_path / "out.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["spectrum", "--config", cfg]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_output_byte_stable_and_thread_independent(tmp_path):
