@@ -13,8 +13,9 @@ comparable entry by entry with the closed forms used elsewhere.
 :func:`build_drift` and :func:`equilibrium` take the reduced scalars
 alone, which carry the eta and s they were dressed with; the stationary
 state is a plain :class:`BlochVector`, and :func:`evolve` relaxes to that
-one state.  Its propagator is a numpy [13/13] Pade scaling and squaring;
-no part of the package calls scipy.
+one state.  Its propagator is a numpy [13/13] Pade scaling and squaring
+whose one halving count, taken in logarithms, also covers a -tau G'/2
+that overflows; no part of the package calls scipy.
 """
 
 from __future__ import annotations
@@ -111,13 +112,14 @@ def cubic_discriminant(coeffs: np.ndarray) -> float:
             - 4.0 * a * c ** 3 - 27.0 * a ** 2 * d ** 2)
 
 
-def _expm(a: np.ndarray, squarings: int = 0) -> np.ndarray:
-    """e^a by [13/13] Pade scaling and squaring (Higham 2005; Moler and Van Loan, SIAM
-    Rev. 45, 3 (2003)): r(a / 2^k)^(2^k), k the fewest halvings to ||a||_1 <= theta_13.
-    With j = ``squarings`` the result is squared j more times, giving e^(2^j a)."""
-    norm = np.linalg.norm(a, 1)
-    k = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0 ** k
+def _expm(c: float, g: np.ndarray) -> np.ndarray:
+    """e^(c g) by [13/13] Pade scaling and squaring (Higham 2005; Moler and Van Loan,
+    SIAM Rev. 45, 3 (2003)): r(c g / 2^k)^(2^k), k the fewest halvings to
+    ||c g||_1 <= theta_13.  k is counted in logarithms and the halvings fall on c
+    alone, so a product c g that overflows is never formed."""
+    norm = np.linalg.norm(g, 1)
+    k = max(0, math.ceil(math.log2(abs(c)) + math.log2(norm / _THETA13))) if c else 0
+    a = math.ldexp(c, -k) * g
     b, eye, a2 = _PADE13, np.eye(len(a)), a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -125,7 +127,7 @@ def _expm(a: np.ndarray, squarings: int = 0) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(k + squarings):
+    for _ in range(k):
         r = r @ r
     return r
 
@@ -135,9 +137,9 @@ def evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
 
     Uses the exact affine solution u(tau) = u_eq + e^{-G' tau/2}(u_0 - u_eq)
     with u_eq the closed-form stationary state of :func:`equilibrium`.
-    The propagator is the [13/13] Pade scaling and squaring of
-    :func:`_expm`, accurate also where G' is defective (the Mollow triplet
-    threshold).  Raises ValueError for a negative or non-finite ``tau``.
+    The propagator is :func:`_expm` of (-tau/2, G'), accurate also where G'
+    is defective (the Mollow triplet threshold) and finite for every finite
+    tau.  Raises ValueError for a negative or non-finite ``tau``.
     """
     if not math.isfinite(tau) or tau < 0:
         raise ValueError("tau must be finite and nonnegative")
@@ -145,10 +147,5 @@ def evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
         return x0
     g = build_drift(rs)
     ueq = equilibrium(rs).vector()
-    # only where -tau G'/2 overflows: halve tau first, and square once more per halving
-    c, j = -0.5 * tau, 0
-    with np.errstate(over="ignore"):
-        while not np.isfinite(np.linalg.norm(c * g, 1)):
-            c, j = 0.5 * c, j + 1
-    out = ueq + _expm(c * g, j) @ (x0.vector() - ueq)
+    out = ueq + _expm(-0.5 * tau, g) @ (x0.vector() - ueq)
     return BlochVector(float(out[0].real), complex(out[1]))

@@ -234,8 +234,8 @@ def g_pm(table: PhaseShiftTable, theta: float) -> tuple[complex, complex]:
         raise ValueError("theta must lie in [0, pi]")
     p = np.polynomial.legendre.legvander(math.cos(theta), table.lmax)[0]
     w = (2.0 * np.arange(table.lmax + 1) + 1.0) / SQRT_4PI * p
-    gp = 1j * np.sum(w * np.exp(1j * table.delta_plus) * np.sin(table.delta_plus))
-    gm = 1j * np.sum(w * np.exp(1j * table.delta_minus) * np.sin(table.delta_minus))
+    deltas = np.stack([table.delta_plus, table.delta_minus])
+    gp, gm = 1j * np.sum(w * np.exp(1j * deltas) * np.sin(deltas), axis=1)
     return complex(gp), complex(gm)
 
 

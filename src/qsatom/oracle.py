@@ -46,6 +46,7 @@ _RK4_STEP = 1e-3
 _ODE_TAU_MAX = 1e305
 # time-domain stop: the Laplace tail dropped is of this order (tolerance 1e-6)
 _KERNEL_TAIL = 1e-12
+_KERNEL_TAU_MAX = 500.0  # a kernel still above the tail at this tau raises
 
 
 def _rk4_step(m: np.ndarray, h: float) -> np.ndarray:
@@ -94,8 +95,7 @@ def _shifted_drift(rs: ReducedScalars, x) -> np.ndarray:
     return build_drift(rs) * d / np.swapaxes(d, -1, -2) + shift
 
 
-def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
-                         tau_max: float = 500.0) -> float:
+def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> float:
     """Inelastic spectral density by time-domain integration.
 
     Integrates the regression kernel: propagates the two right vectors
@@ -107,12 +107,12 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
     grow with the log of the decay time; every stride is a power of the
     one RK4 step.  The step shrinks with the spectral radius so the
     O(h^4) error stays below the comparison tolerances.  Raises
-    ValueError for a non-finite ``x`` or ``tau_max`` and RuntimeError
-    when the kernel has not decayed by ``tau_max`` (the last stride, as
-    long as all before it plus 25 steps, ends before 2 tau_max + 25 h).
+    ValueError for a non-finite ``x`` and RuntimeError when the kernel
+    has not decayed by tau = _KERNEL_TAU_MAX (the last stride, as long as
+    all before it plus 25 steps, ends before 2 _KERNEL_TAU_MAX + 25 h).
     """
-    if not (math.isfinite(x) and math.isfinite(tau_max)):
-        raise ValueError("x and tau_max must be finite")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     if dc.eta == 0.0:
         return 0.0
     rs = reduced_scalars(sc, dc)
@@ -132,7 +132,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
     tau = 0.0
     steps_per_check = 25
     stride = np.linalg.matrix_power(_rk4_step(big, h), steps_per_check)
-    while tau < tau_max:
+    while tau < _KERNEL_TAU_MAX:
         y = stride @ y
         tau += steps_per_check * h
         if max(np.linalg.norm(y[0:3]), np.linalg.norm(y[4:7])) < _KERNEL_TAIL:
@@ -141,7 +141,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float,
         steps_per_check *= 2
     else:
         raise RuntimeError("time-domain kernel did not decay below the "
-                           f"threshold within tau = {tau_max}")
+                           f"threshold within tau = {_KERNEL_TAU_MAX}")
     bilinear = y[3] + sc.norm2_pdg * y[7]
     return float(dc.eta ** 2 / (math.pi * rs.den ** 2) * 2.0 * bilinear.real)
 
@@ -258,7 +258,7 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
 # ---------------------------------------------------------------------------
 # finite-beam photon balance
 
-# exact (to rounding) for P_l up to l = 127, thrice the lmax = 40 of verify
+# exact (to rounding) for P_l up to l = 127, thrice the lmax = 40 verify takes for short tables
 _OVERLAP_NODES = 64
 
 
@@ -295,13 +295,10 @@ def _beam_channels(table: PhaseShiftTable, dc: DriveConfig, dtheta: float,
     # the profile norm is 1/dtheta, so the overlap mass is capped by it
     if np.sum(ov ** 2) > (1.0 + 1e-9) / dtheta ** 2:
         raise ValueError("overlap mass exceeds the beam norm")
-    dp = np.zeros(lmax + 1)
-    dm = np.zeros(lmax + 1)
-    dp[:table.lmax + 1] = table.delta_plus
-    dm[:table.lmax + 1] = table.delta_minus
+    deltas = np.zeros((2, lmax + 1))
+    deltas[:, :table.lmax + 1] = table.delta_plus, table.delta_minus
     r = np.zeros((lmax + 1, 2, 2), dtype=complex)
-    r[:, 0, 0] = dc.eta * np.exp(2j * dp) * ov
-    r[:, 1, 1] = dc.eta * np.exp(2j * dm) * ov
+    r[:, 0, 0], r[:, 1, 1] = dc.eta * np.exp(2j * deltas) * ov
     r[0, 1, 0] = np.exp(-1j * (math.pi - 2.0 * float(table.delta_minus[0])))
     return ov, r
 
@@ -514,7 +511,8 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
     # finite-beam photon balance (needs angular resolution)
     if is_table:
         drive = next((d for d in drives if d.eta > 0), DEFAULT_DRIVES[0])
-        bal = np.max([finite_beam_balance(source, drive, dth, 40) for dth in (0.2, 0.1, 0.05)])
+        lmax = max(40, source.lmax)
+        bal = np.max([finite_beam_balance(source, drive, dth, lmax) for dth in (0.2, 0.1, 0.05)])
         checks.append(VerificationCheck("finite-beam photon balance", 1e-8, bal, 3))
 
         # beam overlaps: quadrature against the closed Legendre integral

@@ -7,8 +7,8 @@ section.  For strong drive and weak direct scattering the familiar
 Mollow triplet appears; direct scattering distorts it and makes the
 spectrum asymmetric in x.
 
-Every row of the resolvent adjugate is a closed expression in the
-scalars: the spectra read rows 1 and 3, :func:`resolvent` adds row 2.
+One builder forms all three adjugate rows of the resolvent, closed in
+the scalars: the spectra read rows 1 and 3, :func:`resolvent` all three.
 Both spectra contract those rows by one fixed-order sum of float
 products, so a value depends neither on its x grid nor on the BLAS.
 
@@ -64,10 +64,11 @@ def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _det_and_rows(rs: ReducedScalars, x):
-    """Determinant and adjugate rows 1 and 3 of (Gtilde + 2ix), closed in
-    the scalars, over finite x made 1-d, since numpy's scalar complex
+    """Determinant and adjugate rows 1, 2 and 3 of A = Gtilde + 2ix, closed
+    in the scalars, over finite x made 1-d, since numpy's scalar complex
     product rounds unlike its array loops; kplus * kminus stands for
-    khat^2 + w^2, which cancels on a far-detuned sideband."""
+    khat^2 + w^2, which cancels on a far-detuned sideband.  Row 2 follows
+    from the zeros A23 = A32 = 0 as (-A21 A33, A11 A33 - A13 A31, A13 A21)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("the resolvent needs a finite x")
@@ -77,19 +78,19 @@ def _det_and_rows(rs: ReducedScalars, x):
     khat = k2 + gt + 2j * x
     kplus = k2 + gt + 1j * (2.0 * x + w)
     kminus = k2 + gt + 1j * (2.0 * x - w)
-    det = (2.0 + gt + 2j * x) * (kplus * kminus) \
-        + 4.0 * eta2 * cs * (khat * cs - w * sins)
+    a11 = 2.0 + gt + 2j * x
+    det = a11 * (kplus * kminus) + 4.0 * eta2 * cs * (khat * cs - w * sins)
     singular = np.abs(det) < _DET_FLOOR
     if singular.any():  # the first such x of a grid, or the one x of columns
         raise ArithmeticError(f"resolvent singular at x = {x.flat[np.argmax(singular) % x.size]}")
     emis = np.exp(-1j * s)
-    row1 = np.stack([kplus * kminus,
-                     kplus * np.ones_like(khat),
-                     -eta2 * kminus])
+    a21, a31 = 2.0 * eta2 * np.conj(emis) * cs, -2.0 * emis * cs
+    row1 = np.stack([kplus * kminus, kplus, -eta2 * kminus])
+    row2 = np.stack([-(a21 * kplus), a11 * kplus - eta2 * a31, eta2 * a21 * np.ones_like(khat)])
     row3 = np.stack([2.0 * emis * cs * kminus,
                      2.0 * emis * cs * np.ones_like(khat),
-                     (2.0 + gt + 2j * x) * kminus + 2.0 * eta2 * np.conj(emis) * cs])
-    return det, row1, row3
+                     a11 * kminus + a21])
+    return det, row1, row2, row3
 
 
 def _contract(d, rows):
@@ -105,22 +106,14 @@ def _contract(d, rows):
 
 
 def resolvent(rs: ReducedScalars, x) -> np.ndarray:
-    """Full 3x3 inverse of A = Gtilde + 2ix, every row closed.
-
-    Rows 1 and 3 are those of the spectra; row 2 follows from the zeros
-    A23 = A32 = 0 as (-A21 A33, A11 A33 - A13 A31, A13 A21).  Raises
-    ValueError for a non-finite x, and ArithmeticError if the determinant
-    underflows, which is only possible at gammatilde = 0 on the boundary
-    of the spectrum.  Columns of ``rs`` and x give an (n, 3, 3) stack.
+    """Full 3x3 inverse of A = Gtilde + 2ix, the three closed adjugate rows
+    of :func:`_det_and_rows` over its determinant.  Raises ValueError for a
+    non-finite x, and ArithmeticError if the determinant underflows, which
+    is only possible at gammatilde = 0 on the boundary of the spectrum.
+    Columns of ``rs`` and x give an (n, 3, 3) stack.
     """
-    x1 = np.atleast_1d(np.asarray(x, dtype=float))
-    det, row1, row3 = _det_and_rows(rs, x1)
-    eta2, cs, eis = _sq(rs.eta), _cos(rs.s), np.exp(1j * rs.s)
-    a11, a33 = 2.0 + rs.gammatilde + 2j * x1, row1[1]
-    a21 = 2.0 * eta2 * eis * cs
-    a31 = -2.0 * np.conj(eis) * cs
-    row2 = np.stack([-(a21 * a33), a11 * a33 - eta2 * a31, eta2 * a21 * np.ones_like(a11)])
-    m = np.moveaxis(np.stack([row1, row2, row3]) / det, (0, 1), (-2, -1))
+    det, *rows = _det_and_rows(rs, x)
+    m = np.moveaxis(np.stack(rows) / det, (0, 1), (-2, -1))
     return m.reshape(3, 3) if np.ndim(x) == 0 else m
 
 
@@ -136,9 +129,9 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
     """
     rs = reduced_scalars(sc, dc)
     cprime, dprime, ddoubleprime = spectral_coefficients(rs)
-    det, row1, row3 = _det_and_rows(rs, x)
+    det, row1, _, row3 = _det_and_rows(rs, x)
     bilinear = (np.conj(cprime[0]) * _contract(dprime, row1)
-                + np.conj(cprime[2]) * _contract(dprime, row3)
+                + _contract(dprime, row3)  # c'_3 = 1
                 + sc.norm2_pdg * _contract(ddoubleprime, row1)) / det
     out = _sq(rs.eta) / (math.pi * _sq(rs.den)) * 2.0 * bilinear.real
     return out.item() if np.ndim(x) == 0 else out
@@ -237,7 +230,7 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
                   + k2 * y * math.sin(2.0 * sc.s) + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2])
     c3 = e2 / SQRT_4PI
     d = (dg * spectral_coefficients(rs)[2] + c3 * q) / den ** 2
-    det, row1, row3 = _det_and_rows(rs, x)
+    det, row1, _, row3 = _det_and_rows(rs, x)
     bilinear = (np.conj(dg) * _contract(d, row1) + np.conj(c3) * _contract(d, row3)) / det
     inel = (2.0 / math.pi) * dc.eta ** 2 * bilinear.real.item()
     return float(el), inel

@@ -240,7 +240,7 @@ def test_propagator_matches_mpmath_on_the_mollow_threshold(eta):
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(eta, 0.0))
     g = build_drift(rs)
     ref = _mp_propagator(g, 3.0)
-    assert np.max(np.abs(_expm(-0.5 * 3.0 * g) - ref)) <= 1e-14
+    assert np.max(np.abs(_expm(-0.5 * 3.0, g) - ref)) <= 1e-14
     x0 = BlochVector(0.3, 0.1 - 0.2j)
     ueq = np.linalg.solve(g, np.array([0.0, eta, eta], dtype=complex))
     want = ueq + ref @ (x0.vector() - ueq)
@@ -253,7 +253,7 @@ def test_propagator_matches_mpmath_on_random_drifts():
     for _ in range(20):
         _, g = _drift(random_scalars(rng), random_drive(rng))
         tau = rng.uniform(0.1, 20.0)
-        assert np.max(np.abs(_expm(-0.5 * tau * g) - _mp_propagator(g, tau))) <= 1e-14
+        assert np.max(np.abs(_expm(-0.5 * tau, g) - _mp_propagator(g, tau))) <= 1e-14
 
 
 def test_propagator_matches_mpmath_under_strong_drive():
@@ -265,7 +265,7 @@ def test_propagator_matches_mpmath_under_strong_drive():
         dc = DriveConfig(rng.uniform(0.0, 60.0), rng.uniform(-50.0, 50.0))
         _, g = _drift(random_scalars(rng), dc)
         tau = (1e-3, 0.3, rng.uniform(0.5, 40.0))[i % 3]
-        assert np.max(np.abs(_expm(-0.5 * tau * g) - _mp_propagator(g, tau))) <= 3e-14
+        assert np.max(np.abs(_expm(-0.5 * tau, g) - _mp_propagator(g, tau))) <= 3e-14
 
 
 @pytest.mark.parametrize("tau", [-0.1, math.inf, math.nan])
@@ -277,12 +277,29 @@ def test_propagators_reject_negative_or_non_finite_tau(tau):
 
 def test_evolve_converges_where_the_scaled_drift_overflows():
     # -tau G'/2 overflows at tau = 1e307 (||G'||_1 ~ 80 at eta = 40), where
-    # the halving count used to be ceil(inf); evolve now halves tau first
+    # the halving count used to be ceil(inf); it is now counted in logarithms
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0))
     eq = equilibrium(rs)
     for tau in (1e307, 1.7e308):
         out = evolve(rs, BlochVector(0.0, 0.0), tau)
         assert abs(out.u - eq.u) <= 1e-12 and abs(out.v - eq.v) <= 1e-12
+
+
+def test_expm_scales_c_alone_where_c_g_overflows():
+    g = build_drift(reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0)))
+    c = -0.85e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.linalg.norm(c * g, 1))
+    p = _expm(c, g)
+    assert np.all(np.isfinite(p)) and np.max(np.abs(p)) <= 1e-300
+
+
+def test_expm_of_a_vanishing_c_is_the_identity():
+    # -tau/2 rounds to -0.0 at the smallest subnormal tau, where log2|c| is undefined
+    rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0))
+    assert np.array_equal(_expm(-0.5 * 5e-324, build_drift(rs)), np.eye(3))
+    out = evolve(rs, BlochVector(0.3, 0.1 - 0.2j), 5e-324)
+    assert abs(out.u - 0.3) <= 1e-15 and abs(out.v - (0.1 - 0.2j)) <= 1e-15
 
 
 def test_bloch_vector_validation():

@@ -587,6 +587,21 @@ def test_verify_reports_finite_beam_in_phase_shift_mode(tmp_path, capsys):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("entries", [45, 130])
+def test_verify_runs_the_finite_beam_on_tables_beyond_l40(tmp_path, capsys, entries):
+    # the beam truncation covers the table, not a fixed l = 40
+    tail = entries - 3
+    doc = {"mode": "phase_shifts",
+           "phase_shifts": {"delta_plus": [-0.03, 0.0, 0.0633] + [0.001] * tail,
+                            "delta_minus": [0.13, 0.0, 0.0] + [-0.001] * tail},
+           "eta2": [4.0], "ztilde": [0.0], "gammatilde": 0.6}
+    cfg = _write(tmp_path, "long.json", doc)
+    assert main(["verify", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "finite-beam photon balance" in out
+    assert "overall: PASS (14/14)" in out
+
+
 def test_verify_scalars_mode_skips_finite_beam(tmp_path, capsys):
     cfg = _write(tmp_path, "sc.json", _fano_config())
     assert main(["verify", "--config", cfg, "--format", "json"]) == 0

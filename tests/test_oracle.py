@@ -84,14 +84,11 @@ def test_ode_evolve_names_its_largest_span():
         ode_evolve(rs, BlochVector(0.0, 0.0), 1e306)
 
 
-@pytest.mark.parametrize("x, tau_max", [(math.nan, 500.0), (math.inf, 500.0),
-                                        (-math.inf, 500.0), (0.5, math.inf),
-                                        (0.5, math.nan)])
-def test_time_domain_rejects_non_finite_inputs(fano_scalars, x, tau_max):
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_time_domain_rejects_non_finite_inputs(fano_scalars, x):
     for eta in (2.0, 0.0):
         with pytest.raises(ValueError, match="finite"):
-            spectrum_time_domain(fano_scalars, DriveConfig(eta, 0.0, 0.6), x,
-                                 tau_max=tau_max)
+            spectrum_time_domain(fano_scalars, DriveConfig(eta, 0.0, 0.6), x)
 
 
 def test_integrate_line_gaussian():
@@ -177,11 +174,11 @@ def test_time_domain_cost_is_flat_in_intensity(fano_scalars, eta2, x):
     assert elapsed < 1.0
 
 
-def test_time_domain_signals_stalled_decay(fano_scalars):
+def test_time_domain_signals_stalled_decay(fano_scalars, monkeypatch):
     # an absurdly small horizon cannot reach the decay threshold
-    with pytest.raises(RuntimeError):
-        spectrum_time_domain(fano_scalars, DriveConfig(2.0, 0.0, 0.6), 0.5,
-                             tau_max=0.01)
+    monkeypatch.setattr(oracle, "_KERNEL_TAU_MAX", 0.01)
+    with pytest.raises(RuntimeError, match="within tau = 0.01"):
+        spectrum_time_domain(fano_scalars, DriveConfig(2.0, 0.0, 0.6), 0.5)
 
 
 def test_quad_sum_rules_mollow_saturated():
