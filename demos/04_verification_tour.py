@@ -50,8 +50,8 @@ def main():
     print("  half-angle   balance residual   excited population   (collimated limit "
           f"{u_limit:.8f})")
     for dtheta in (0.2, 0.1, 0.05, 0.01):
-        residual = finite_beam_balance(TABLE, dc, dtheta, lmax=40)
-        u = finite_beam_equilibrium(TABLE, dc, dtheta, lmax=40)[0, 0].real
+        residual = finite_beam_balance(TABLE, dc, dtheta)
+        u = finite_beam_equilibrium(TABLE, dc, dtheta)[0, 0].real
         print(f"  {dtheta:9.2f}   {residual:16.3e}   {u:.8f}")
 
 

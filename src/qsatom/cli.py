@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, oracle, spectrum, xsection
+from . import oracle, spectrum, xsection
 from .model import DriveConfig, PhaseShiftTable, ScatteringScalars, scalars_from_phase_shifts
 
 SCHEMA = "qsatom v1"
@@ -175,7 +175,7 @@ def run_spectrum_sweep(cfg: RunConfig):
         for e2, block in zip(e2s, out.swapaxes(0, 1)):
             dc = DriveConfig(np.full_like(zt, math.sqrt(e2)), zt, gt)
             inel = spectrum.sigma_inel_x(sc, dc, xs)
-            el = xsection._elastic(sc, model.reduced_scalars(sc, dc))
+            el = xsection.sigma_el(sc, dc)
             lor = spectrum.elastic_lorentzian(el, gt, xs)
             block[:3] = lor + inel, inel, lor
             if cfg.mollow_reference:

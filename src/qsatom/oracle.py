@@ -163,7 +163,7 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def integrate_line(f, scale: float, tol: float = 1e-9):
+def integrate_line(f, scale: float, tol: float):
     """Integral of a smooth f (taking a 1-d ndarray) over the real axis.
 
     x = scale tan(u) turns the 1/x^2 spectral tails into a bounded
@@ -258,7 +258,7 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
 # ---------------------------------------------------------------------------
 # finite-beam photon balance
 
-# exact (to rounding) for P_l up to l = 127, thrice the lmax = 40 verify takes for short tables
+# exact (to rounding) for P_l up to l = 127; the finite beam needs l up to the table's last entry
 _OVERLAP_NODES = 64
 
 
@@ -283,21 +283,19 @@ def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
     return pref * np.sqrt((2.0 * ls + 1.0) / (4.0 * math.pi)) * integrals
 
 
-def _beam_channels(table: PhaseShiftTable, dc: DriveConfig, dtheta: float,
-                   lmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Profile overlaps and the channel operators R_l stacked as one
-    (lmax + 1, 2, 2) array: the P+ and P- couplings on the diagonal,
-    sigma_minus in channel 0 only.  ``lmax`` must cover the table, so
-    every neglected channel is a pure pass-through."""
-    if lmax < table.lmax:
-        raise ValueError("beam truncation must cover the phase-shift table")
-    ov = beam_overlaps(lmax, dtheta)
+def _beam_channels(table: PhaseShiftTable, dc: DriveConfig,
+                   dtheta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Profile overlaps and the channel operators R_l of the table's
+    channels, stacked as one (channels, 2, 2) array: the P+ and P-
+    couplings on the diagonal, sigma_minus in channel 0 only.  Every
+    channel above the table has zero phase shift, a pure pass-through
+    whose terms cancel from the master equation."""
+    deltas = np.stack([table.delta_plus, table.delta_minus])
+    ov = beam_overlaps(deltas.shape[1] - 1, dtheta)
     # the profile norm is 1/dtheta, so the overlap mass is capped by it
     if np.sum(ov ** 2) > (1.0 + 1e-9) / dtheta ** 2:
         raise ValueError("overlap mass exceeds the beam norm")
-    deltas = np.zeros((2, lmax + 1))
-    deltas[:, :table.lmax + 1] = table.delta_plus, table.delta_minus
-    r = np.zeros((lmax + 1, 2, 2), dtype=complex)
+    r = np.zeros((len(ov), 2, 2), dtype=complex)
     r[:, 0, 0], r[:, 1, 1] = dc.eta * np.exp(2j * deltas) * ov
     r[0, 1, 0] = np.exp(-1j * (math.pi - 2.0 * float(table.delta_minus[0])))
     return ov, r
@@ -338,22 +336,22 @@ def _beam_state(dc: DriveConfig, ov: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def finite_beam_equilibrium(table: PhaseShiftTable, dc: DriveConfig,
-                            dtheta: float, lmax: int) -> np.ndarray:
+                            dtheta: float) -> np.ndarray:
     """Stationary 2x2 state of the finite-beam master equation."""
-    return _beam_state(dc, *_beam_channels(table, dc, dtheta, lmax))
+    return _beam_state(dc, *_beam_channels(table, dc, dtheta))
 
 
 def finite_beam_balance(table: PhaseShiftTable, dc: DriveConfig,
-                        dtheta: float, lmax: int) -> float:
+                        dtheta: float) -> float:
     """Relative stationary photon-flux imbalance |out - in| / in.
 
     Ingoing flux is the beam norm eta^2/dtheta^2.  Outgoing flux sums
-    Tr{R_l^dag R_l rho_eq} over the assembled channels plus the exact
-    pass-through of the neglected channels (unitarity of the identity
-    scattering above lmax).  The identity holds at every dtheta, so the
-    returned number measures numerics only.
+    Tr{R_l^dag R_l rho_eq} over the table's channels plus the exact
+    pass-through eta^2 (1/dtheta^2 - sum_l ov_l^2) of every channel above
+    the table (unitarity of the identity scattering there).  The identity
+    holds at every dtheta, so the returned number measures numerics only.
     """
-    ov, r = _beam_channels(table, dc, dtheta, lmax)
+    ov, r = _beam_channels(table, dc, dtheta)
     rho = _beam_state(dc, ov, r)
     influx = dc.eta ** 2 / dtheta ** 2
     outflux = float(np.einsum('lji,ljk,ki->', r.conj(), r, rho).real)
@@ -511,8 +509,7 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
     # finite-beam photon balance (needs angular resolution)
     if is_table:
         drive = next((d for d in drives if d.eta > 0), DEFAULT_DRIVES[0])
-        lmax = max(40, source.lmax)
-        bal = np.max([finite_beam_balance(source, drive, dth, lmax) for dth in (0.2, 0.1, 0.05)])
+        bal = np.max([finite_beam_balance(source, drive, dth) for dth in (0.2, 0.1, 0.05)])
         checks.append(VerificationCheck("finite-beam photon balance", 1e-8, bal, 3))
 
         # beam overlaps: quadrature against the closed Legendre integral

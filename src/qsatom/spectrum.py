@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _cos, _sin, _sq, g_pm, reduced_scalars,
+                    ScatteringScalars, _any, _cos, _sin, _sq, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
 from .xsection import sigma_el
 
@@ -139,7 +139,7 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
 
 def elastic_lorentzian(weight, gammatilde: float, x):
     """Lorentzian line of integral ``weight`` and full width gammatilde at x."""
-    return weight * (gammatilde / (2.0 * math.pi)) / (x ** 2 + (gammatilde / 2.0) ** 2)
+    return weight * (gammatilde / (2.0 * math.pi)) / (x ** 2 + _sq(gammatilde / 2.0))
 
 
 def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
@@ -148,13 +148,13 @@ def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
     elastic line is a delta at x = 0 of weight :func:`~qsatom.xsection.sigma_el`,
     and a non-finite x."""
     gt = dc.gammatilde
-    if gt <= 0:
+    if _any(gt <= 0):
         raise ValueError("sigma_tot_x needs gammatilde > 0; at zero width the elastic "
                          "part is a delta at x = 0 of weight sigma_el, and sigma_inel_x "
                          "gives the rest from the closed rows of the resolvent")
     lorentz = elastic_lorentzian(sigma_el(sc, dc), gt, np.asarray(x, dtype=float))
     out = lorentz + sigma_inel_x(sc, dc, x)
-    return float(out) if (np.isscalar(x) or np.ndim(x) == 0) else out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def mollow_inel_x(ztilde: float, eta: float, gammatilde: float, x):

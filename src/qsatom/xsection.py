@@ -104,7 +104,8 @@ def sigma_el(sc: ScatteringScalars, dc: DriveConfig) -> float:
     through the derived cross term, which is the only way the scalar set
     closes on itself.
     """
-    return float(_elastic(sc, reduced_scalars(sc, dc)))
+    el = _elastic(sc, reduced_scalars(sc, dc))
+    return el.item() if np.ndim(el) == 0 else el
 
 
 def sigma_inel(sc: ScatteringScalars, dc: DriveConfig) -> float:

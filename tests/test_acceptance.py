@@ -224,10 +224,10 @@ def test_criterion_09_finite_beam_balance():
     dc = DriveConfig(2.0, 0.0)
     worst = 0.0
     for dtheta in (0.2, 0.1, 0.05):
-        worst = max(worst, finite_beam_balance(DWAVE_TABLE, dc, dtheta, lmax=40))
+        worst = max(worst, finite_beam_balance(DWAVE_TABLE, dc, dtheta))
     mollow_table = PhaseShiftTable([0.0], [0.0])
     dc4 = DriveConfig(2.0, 0.0)
-    worst = max(worst, finite_beam_balance(mollow_table, dc4, 0.1, lmax=40))
+    worst = max(worst, finite_beam_balance(mollow_table, dc4, 0.1))
     ok = worst <= 1e-8
     assert _report(9, "finite-beam photon balance", ok, f"worst {worst:.1e}")
 

@@ -326,9 +326,9 @@ def test_finite_beam_rejects_bad_half_angle(dwave_table, dtheta):
     with pytest.raises(ValueError, match="dtheta"):
         beam_overlaps(10, dtheta)
     with pytest.raises(ValueError, match="dtheta"):
-        finite_beam_balance(dwave_table, dc, dtheta, lmax=10)
+        finite_beam_balance(dwave_table, dc, dtheta)
     with pytest.raises(ValueError, match="dtheta"):
-        finite_beam_equilibrium(dwave_table, dc, dtheta, lmax=10)
+        finite_beam_equilibrium(dwave_table, dc, dtheta)
 
 
 def test_beam_overlaps_rejects_negative_lmax():
@@ -339,14 +339,14 @@ def test_beam_overlaps_rejects_negative_lmax():
 def test_finite_beam_balance_no_scattering():
     table = PhaseShiftTable([0.0], [0.0])
     dc = DriveConfig(2.0, 0.0)
-    assert finite_beam_balance(table, dc, 0.1, lmax=40) <= 1e-8
+    assert finite_beam_balance(table, dc, 0.1) <= 1e-8
 
 
 def test_finite_beam_balance_zero_drive():
     table = PhaseShiftTable([0.1, 0.0, 0.05], [0.2, 0.0, 0.0])
     dc = DriveConfig(0.0, 0.0)
-    assert finite_beam_balance(table, dc, 0.1, lmax=20) <= 1e-14
-    rho = finite_beam_equilibrium(table, dc, 0.1, lmax=20)
+    assert finite_beam_balance(table, dc, 0.1) <= 1e-14
+    rho = finite_beam_equilibrium(table, dc, 0.1)
     assert rho[0, 0].real == pytest.approx(0.0, abs=1e-14)
     assert rho[1, 1].real == pytest.approx(1.0, abs=1e-14)
 
@@ -354,7 +354,7 @@ def test_finite_beam_balance_zero_drive():
 def test_finite_beam_balance_dwave_table(dwave_table):
     dc = DriveConfig(math.sqrt(6.0), 1.5)
     for dtheta in (0.2, 0.1, 0.05):
-        assert finite_beam_balance(dwave_table, dc, dtheta, lmax=40) <= 1e-8
+        assert finite_beam_balance(dwave_table, dc, dtheta) <= 1e-8
 
 
 def test_beam_liouvillian_matches_the_per_channel_kron_sum(dwave_table):
@@ -362,12 +362,9 @@ def test_beam_liouvillian_matches_the_per_channel_kron_sum(dwave_table):
     # L(rho) = R rho R^dag - {R^dag R, rho}/2 as column-stacked krons,
     # with R_l built from the table, the drive and the beam overlaps
     dc = DriveConfig(math.sqrt(6.0), 1.5)
-    dtheta, lmax = 0.05, 40
+    dtheta, lmax = 0.05, dwave_table.lmax
     ov = beam_overlaps(lmax, dtheta)
-    dp = np.zeros(lmax + 1)
-    dm = np.zeros(lmax + 1)
-    dp[:dwave_table.lmax + 1] = dwave_table.delta_plus
-    dm[:dwave_table.lmax + 1] = dwave_table.delta_minus
+    dp, dm = dwave_table.delta_plus, dwave_table.delta_minus
     eye = np.eye(2)
     h = np.array([[-0.5 * dc.ztilde, 0.5j * dc.eta * ov[0]],
                   [-0.5j * dc.eta * ov[0], 0.5 * dc.ztilde]])
@@ -379,11 +376,11 @@ def test_beam_liouvillian_matches_the_per_channel_kron_sum(dwave_table):
             r[1, 0] = -np.exp(2j * dwave_table.delta_minus[0])
         rdr = r.conj().T @ r
         ref += np.kron(r.conj(), r) - 0.5 * (np.kron(eye, rdr) + np.kron(rdr.T, eye))
-    # the same 41 channel terms summed in another order; they carry the beam
-    # norm eta^2 / dtheta^2 (2400 here) and largely cancel on the diagonal,
-    # so rounding is bounded by a few ulps of that norm per term
-    got = oracle._beam_liouvillian(dc, *oracle._beam_channels(dwave_table, dc, dtheta, lmax))
-    assert np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * dc.eta ** 2 / dtheta ** 2
+    # the same channel terms summed in another order; they carry the table's
+    # channel mass eta^2 sum_l ov_l^2 and largely cancel on the diagonal,
+    # so rounding is bounded by a few ulps of that mass per term
+    got = oracle._beam_liouvillian(dc, *oracle._beam_channels(dwave_table, dc, dtheta))
+    assert np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * dc.eta ** 2 * np.sum(ov ** 2)
 
 
 def test_finite_beam_equilibrium_converges_to_collimated(dwave_table):
@@ -392,15 +389,25 @@ def test_finite_beam_equilibrium_converges_to_collimated(dwave_table):
     u_limit = equilibrium(rs).u
     gaps = []
     for dtheta in (0.1, 0.05, 0.01):
-        rho = finite_beam_equilibrium(dwave_table, dc, dtheta, lmax=40)
+        rho = finite_beam_equilibrium(dwave_table, dc, dtheta)
         gaps.append(abs(rho[0, 0].real - u_limit))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-3
 
 
-def test_build_finite_beam_requires_covering_table(dwave_table):
-    with pytest.raises(ValueError):
-        finite_beam_balance(dwave_table, DriveConfig(1.0, 0.0), 0.1, lmax=1)
+def test_finite_beam_ignores_zero_padding_of_the_table(dwave_table):
+    # channels above the table have zero phase shift and cancel from the
+    # master equation, so padding the table to l = 40 changes only rounding
+    padded = PhaseShiftTable(*(np.pad(d, (0, 40 - dwave_table.lmax))
+                               for d in (dwave_table.delta_plus, dwave_table.delta_minus)))
+    assert padded.lmax == 40
+    for dc in (DriveConfig(2.0, 0.0), DriveConfig(math.sqrt(6.0), 1.5)):
+        for dtheta in (0.2, 0.1, 0.05):
+            rho = finite_beam_equilibrium(dwave_table, dc, dtheta)
+            rho_padded = finite_beam_equilibrium(padded, dc, dtheta)
+            assert np.max(np.abs(rho_padded - rho)) <= 1e-13
+            assert abs(finite_beam_balance(padded, dc, dtheta)
+                       - finite_beam_balance(dwave_table, dc, dtheta)) <= 1e-14
 
 
 def test_total_form_gap_small_at_fano_zero_and_sees_a_wrong_total(monkeypatch):

@@ -57,7 +57,7 @@ _SCALAR_FORMS = {
     "mollow_inel_x": lambda: qsatom.mollow_inel_x(0.3, 2.0, 0.6, 0.4),
     "low_intensity_x": lambda: qsatom.low_intensity_x(_SC, 0.3, 0.6, 0.1, 0.4),
     "low_intensity_tot": lambda: qsatom.low_intensity_tot(_SC, 0.3),
-    "finite_beam_balance": lambda: qsatom.finite_beam_balance(_TABLE, _DC, 0.1, 40),
+    "finite_beam_balance": lambda: qsatom.finite_beam_balance(_TABLE, _DC, 0.1),
 }
 
 

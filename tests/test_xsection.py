@@ -11,7 +11,7 @@ from qsatom import (CrossSectionTriple, DriveConfig, MOLLOW_SCALARS,
                     cross_sections, g_pm,
                     low_intensity_tot, mollow_xsections, reduced_scalars,
                     scalars_from_phase_shifts, sigma_diff, sigma_el,
-                    sigma_inel, sigma_tot)
+                    sigma_inel, sigma_tot, sigma_tot_x)
 from qsatom.model import SQRT_4PI
 
 MIXED_TABLE = PhaseShiftTable([-0.2, 0.15, 0.05, -0.3], [0.4, -0.1, 0.02, 0.11])
@@ -242,6 +242,28 @@ def test_cross_section_grid_is_bitwise_the_scalar_path(d0p, d0m, pgp, pgm, t, ep
         want = [getattr(cross_sections(sc, DriveConfig(math.sqrt(e2), zt)), name)
                 for e2, zt in zip(eta2.tolist(), ztilde.tolist())]
         assert getattr(grid, name).tobytes() == np.array(want).tobytes(), name
+
+
+def test_column_drives_give_the_per_point_floats_bit_for_bit(fano_scalars):
+    # DriveConfig takes columns; each column call must return, element by
+    # element, exactly the float its point gives, and a float for a float drive
+    rng = np.random.default_rng(7)
+    eta, zt = rng.uniform(0.0, 6.0, 40), rng.uniform(-8.0, 8.0, 40)
+    gt, x = rng.uniform(0.05, 1.5, 40), rng.uniform(-12.0, 12.0, 40)
+    points = [DriveConfig(*p) for p in zip(eta.tolist(), zt.tolist(), gt.tolist())]
+    cols = DriveConfig(eta, zt, gt)
+    assert type(sigma_el(fano_scalars, points[0])) is float
+    assert type(sigma_tot_x(fano_scalars, points[0], x[0])) is float
+    assert sigma_el(fano_scalars, cols).tobytes() == np.array(
+        [sigma_el(fano_scalars, dc) for dc in points]).tobytes()
+    triple = cross_sections(fano_scalars, cols)
+    for name in ("total", "elastic", "inelastic"):
+        want = [getattr(cross_sections(fano_scalars, dc), name) for dc in points]
+        assert getattr(triple, name).tobytes() == np.array(want).tobytes(), name
+    want = [sigma_tot_x(fano_scalars, dc, xi) for dc, xi in zip(points, x.tolist())]
+    assert sigma_tot_x(fano_scalars, cols, x).tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError, match="gammatilde > 0"):
+        sigma_tot_x(fano_scalars, DriveConfig(eta, zt, np.where(gt > 1.0, 0.0, gt)), x)
 
 
 def test_cross_section_grid_names_the_first_overflowing_point(fano_scalars):
