@@ -9,12 +9,15 @@ Sweeps are columnar: ``run_*_sweep`` return (names, axes, columns), the
 sorted sweep lists and one 1-D array per quantity over their product,
 computed and checked before the output is opened: xsection in one numpy
 pass, spectrum in one block per eta2 value (its ztilde list as columns
-against the x grid).  CSV is spelled by a numpy record builder in fixed
-blocks of rows, each axis value once: its digits come from a long double
-product, and printf rounds values near a tie.  JSON, and CSV where long
-double lacks a 64-bit mantissa, go through ``_write_rows``.  The bytes
-are those of per-point floats: the grid squares through ``float_power``
-and takes moduli through ``hypot``, as CPython's ``**`` and ``abs`` round.
+against the x grid).  Both formats are spelled by numpy record builders
+in fixed blocks of rows, each axis value once, from the 17 digits of a
+long double product: CSV as ``"%.16e"``, JSON as ``repr``'s shortest
+digits that read back, found by rounding those digits to fewer places
+until neither neighbouring decimal reads back.  printf or repr spells a
+value where the digits might be wrong, and every value where long
+double lacks a 64-bit mantissa.  The bytes are those of per-point
+floats: the grid squares through ``float_power`` and takes moduli
+through ``hypot``, as CPython's ``**`` and ``abs`` round.
 ``--threads N`` is accepted, for old scripts, and ignored.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 config error or
@@ -42,9 +45,9 @@ SCHEMA = "qsatom v1"
 _SCALAR_KEYS = ("delta0_plus", "delta0_minus", "norm2_pg_plus",
                 "norm2_pg_minus", "norm2_pdg", "eps_r")
 
-_LONG_MANTISSA = np.finfo(np.longdouble).nmant >= 63  # x86's 80 bits: the CSV records need it
-_TIE_WINDOW = 0.02  # printf rounds where |fraction - 1/2| < this (the error is <= 0.011)
-_BLOCK_ROWS = 1024  # CSV rows per record block: memory is flat in the grid size
+_LONG_MANTISSA = np.finfo(np.longdouble).nmant >= 63  # x86's 80 bits: the records need it
+_TIE_WINDOW = 0.02  # printf or repr decides this near a tie (the error is <= 0.011)
+_BLOCK_ROWS = 1024  # rows per record block: memory is flat in the grid size
 
 
 class ConfigError(ValueError):
@@ -204,20 +207,6 @@ def run_verify(cfg: RunConfig | None):
     return checks, code
 
 
-def _write_rows(out, axes, columns, num, sep, row_open="", row_close="", row_sep="\n"):
-    """Write the rows, one block of rows sharing all but the last axis
-    value at a time; ``num`` spells a float, and each axis value is
-    spelled once per block or once in all, never once per row."""
-    *lead, last = axes
-    n = len(last)
-    last = [num % v for v in last]
-    for k, values in enumerate(itertools.product(*lead)):
-        row = (row_open + "".join(num % v + sep for v in values) + "%s"
-               + (sep + num) * len(columns) + row_close)
-        block = [c[k * n:(k + 1) * n].tolist() for c in columns]
-        out.write((row_sep if k else "") + row_sep.join(map(row.__mod__, zip(last, *block))))
-
-
 @functools.cache
 def _spell_tables():
     """By k + 400, k in [-400, 400): 10^(16 - k) correctly rounded to long double
@@ -229,23 +218,44 @@ def _spell_tables():
             np.frombuffer(exps, np.uint32), quads.view(np.uint32)[:, 0])
 
 
-def _spell(v, rec):
-    """Spell finite ``v`` as ``"%.16e"`` into ``rec[..., :24]``: [sign][d][.][16 digits]
-    [e][exponent], NUL where the sign bit is clear and before a 2-digit exponent."""
-    powers, exps, digits = _spell_tables()
+@functools.cache
+def _repr_layouts():
+    """By (digit count n, k + 4 in fixed notation, -4 <= k <= 15, else 20):
+    the bytes of ``repr`` as indices into a ``"%.16e"`` record of its
+    digits extended by "0" and NUL, NUL-padded to 24."""
+    digit = [1, *range(3, 19)]
+    lay = np.full((18, 21, 24), 25, np.intp)  # 25: NUL
+    for n, k in itertools.product(range(1, 18), range(-4, 17)):
+        d = digit[:n]
+        if k == 16:
+            p = [0, 1, *[2] * (n > 1), *d[1:], 19, 20, 21, 22, 23]
+        elif k < 0:
+            p = [0, 24, 2, *[24] * (-k - 1), *d]
+        else:
+            p = [0, *d[:k + 1], *[24] * (k + 1 - n), 2, *(d[k + 1:] or [24])]
+        lay[n, k + 4, :len(p)] = p
+    return lay.reshape(-1, 24)
+
+
+def _scaled(v):
+    """|v|, k = floor(log10 |v|), 10^(16 - k) and y = |v| 10^(16 - k), the
+    last two in long double: y is within 0.011 of exact and < 1e17."""
+    powers = _spell_tables()[0]
     a = np.abs(v)
-    k = np.floor(np.log10(np.where(a > 0, a, 1.0))).astype(np.int64)
+    e = np.frexp(a)[1]  # 2^(e-1) <= |v| < 2^e: k is floor((e - 1) log10 2) or one more
+    k = np.floor((e - 1) * math.log10(2.0)).astype(np.int64)
     y = a * powers[k + 400]
     k += y >= 1e17
     k -= y < 1e16
-    y = a * powers[k + 400]  # within 0.011 of the exact 10^(16-k) |v| < 1e17
-    q = y.astype(np.int64)
-    frac = (y - q).astype(float)
-    slow = np.abs(frac - 0.5) < _TIE_WINDOW  # printf's digits end in q or q + 1: ask it
-    last = np.frombuffer(("%-23.16e" * np.count_nonzero(slow)
-                          % tuple(a[slow].tolist())).encode(), np.uint8)[17::23]
-    frac[slow] = last != q[slow] % 10 + ord("0")
-    q += frac > 0.5
+    p = powers[k + 400]
+    return a, k, p, a * p
+
+
+def _record(v, a, q, k, rec):
+    """Write ``v`` with the 17 digits ``q`` (10^17 carries) at exponent ``k``
+    as ``"%.16e"`` into ``rec[..., :24]``: [sign][d][.][16 digits][e][exponent],
+    NUL where the sign bit is clear and before a 2-digit exponent; returns k."""
+    _, exps, digits = _spell_tables()
     carry, q = np.divmod(q, 10**17)  # 10^17 at exponent k is 10^16 at k + 1
     q, k = np.where(carry, 10**16, q), np.where(a > 0, k + carry, 0)
     hi, lo = np.divmod(q, 10**8)
@@ -255,36 +265,105 @@ def _spell(v, rec):
     rec[..., 1], rec[..., 2] = lead + ord("0"), ord(".")
     rec[..., 3:19], rec[..., 19] = digits[quads].view(np.uint8), ord("e")
     rec[..., 20:24] = exps[k + 400][..., None].view(np.uint8)
+    return k
 
 
-def format_csv(out, names, axes, columns) -> None:
-    """Rows of ``"%.16e" % v``: ``_BLOCK_ROWS`` rows at a time of 25-byte slots
-    less their NUL bytes, each axis value spelled once; else ``_write_rows``."""
-    out.write(f"# {SCHEMA}, reduced units (alpha2=1), columns: " + ",".join(names) + "\n")
+def _spell(v, rec):
+    """Spell finite ``v`` as ``"%.16e"`` into ``rec[..., :24]`` (see ``_record``)."""
+    a, k, _, y = _scaled(v)
+    q = y.astype(np.int64)
+    frac = (y - q).astype(float)
+    slow = np.abs(frac - 0.5) < _TIE_WINDOW  # printf's digits end in q or q + 1: ask it
+    frac[slow] = _printf("%.16e", a[slow])[:, 17] != q[slow] % 10 + ord("0")
+    _record(v, a, q + (frac > 0.5), k, rec)
+
+
+def _shortest(v, rec):
+    """Spell finite ``v`` as ``repr(v)`` into ``rec[..., :24]``, NUL-padded: the
+    fewest digits that read back to v, the nearer of two (Steele & White).  In
+    units 10^j of y, the neighbours of n = 17 - j digits are y's floor and
+    ceiling; where neither reads back, no shorter decimal does.  ``repr``
+    decides where a distance lies within ``_TIE_WINDOW`` of a half-gap, or of
+    the other's."""
+    a, k, p, y = _scaled(v.ravel())
+    yi = y.astype(np.int64)
+    f = (y - yi).astype(float)
+    lo = ((a - np.nextafter(a, 0.0)) * p).astype(float) / 2  # half-gaps in units of y
+    two = (np.frexp(a)[0] == 0.5) & (a > np.finfo(float).smallest_normal)
+    hi = np.where(two, 2 * lo, lo)  # a power of two's upper gap is twice its lower one
+    lo[a == 0] = np.inf  # "0.0"
+    win = _TIE_WINDOW + hi * 2**-50  # float64 keeps 2^-53 of a subnormal's wide gap
+    n, slow, at = np.full(a.shape, 17), np.zeros(a.shape, bool), np.arange(a.size)
+    for j in range(1, 17):
+        rem = yi[at] % 10**j
+        d_lo, d_hi = rem + f[at], (10**j - rem) - f[at]
+        slow[at] |= (np.abs(d_lo - lo[at]) < win[at]) | (np.abs(d_hi - hi[at]) < win[at])
+        at = at[(d_lo < lo[at]) | (d_hi < hi[at])]
+        if not at.size:
+            break
+        n[at] = 17 - j
+    r = 10 ** (17 - n)
+    rem = yi % r
+    d_lo, d_hi = rem + f, (r - rem) - f
+    ok_lo, ok_hi = d_lo < lo, d_hi < hi  # one reads back; if both, the nearer
+    slow |= ok_lo & ok_hi & (np.abs(d_lo - d_hi) < 2 * win)
+    src = np.empty((a.size, 26), np.uint8)
+    src[:, 24:] = ord("0"), 0
+    k = _record(v.ravel(), a, yi - rem + (ok_hi & (~ok_lo | (d_hi < d_lo))) * r, k, src)
+    pick = np.take(_repr_layouts(), 21 * n + np.where((k >= -4) & (k <= 15), k + 4, 20), 0)
+    pick += 26 * np.arange(a.size)[:, None]
+    out = src.reshape(-1)[pick]
+    out[slow] = _printf("%r", v.ravel()[slow])
+    rec[..., :24] = out.reshape(*v.shape, 24)
+
+
+def _printf(num, v):
+    """``num % x`` for each x of ``v``, NUL-padded to 24 bytes: v.shape + (24,)."""
+    spelled = np.array([num % x for x in v.ravel().tolist()], "S24")
+    return spelled.view(np.uint8).reshape(*v.shape, 24)
+
+
+def _write_records(out, axes, columns, spell, num, seps, trailer="", drop=0) -> None:
+    """Write the rows ``_BLOCK_ROWS`` at a time: value i of a row spelled by
+    ``spell`` into 24 bytes and followed by ``seps[i]``, the row by ``trailer``,
+    NUL bytes dropped and the last ``drop`` bytes of all left out; each axis
+    value is spelled once and gathered by index.  ``spell`` needs a 64-bit long
+    double mantissa and finite values; else each value is ``num % v``."""
     if not (_LONG_MANTISSA and all(np.isfinite(c).all() for c in (*axes, *columns))):
-        _write_rows(out, axes, columns, "%.16e", ",")
-        out.write("\n")
-        return
-    lens, n_ax = [len(axis) for axis in axes], len(axes)
-    n_rows = math.prod(lens)
-    mat = np.empty((min(_BLOCK_ROWS, n_rows), n_ax + len(columns), 25), np.uint8)
-    spelled, offsets = np.empty((sum(lens), 25), np.uint8), np.cumsum([0] + lens[:-1])
-    _spell(np.concatenate(axes).astype(float), spelled)
+        def spell(v, rec):
+            rec[..., :24] = _printf(num, v)
+    lens, n_ax, n_vals = [len(axis) for axis in axes], len(axes), len(seps)
+    n_rows, width = math.prod(lens), 24 + len(seps[0])
+    mat = np.empty((min(_BLOCK_ROWS, n_rows), n_vals * width + len(trailer)), np.uint8)
+    slots = mat[:, :n_vals * width].reshape(len(mat), n_vals, width)
+    slots[..., 24:] = np.frombuffer("".join(seps).encode(), np.uint8).reshape(n_vals, -1)
+    mat[:, n_vals * width:] = np.frombuffer(trailer.encode(), np.uint8)
+    spelled, offsets = np.empty((sum(lens), 24), np.uint8), np.cumsum([0] + lens[:-1])
+    spell(np.concatenate(axes).astype(float), spelled)
     for r0 in range(0, n_rows, _BLOCK_ROWS):
         m = mat[:min(_BLOCK_ROWS, n_rows - r0)]
         at = np.stack(np.unravel_index(np.arange(r0, r0 + len(m)), lens), 1) + offsets
-        m.view("V25")[:, :n_ax, 0] = spelled.view("V25")[at, 0]
-        _spell(np.stack([c[r0:r0 + len(m)] for c in columns], 1), m[:, n_ax:])
-        m[..., 24], m[:, -1, 24] = ord(","), ord("\n")
-        out.write(m[m > 0].tobytes().decode("ascii"))
+        slots[:len(m), :n_ax, :24].view("V24")[..., 0] = spelled.view("V24")[at, 0]
+        spell(np.stack([c[r0:r0 + len(m)] for c in columns], 1), slots[:len(m), n_ax:])
+        if r0 + len(m) == n_rows:
+            m[-1, m.shape[1] - drop:] = 0
+        out.write(m.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def format_csv(out, names, axes, columns) -> None:
+    """Rows of ``"%.16e" % v``, spelled by ``_spell``."""
+    out.write(f"# {SCHEMA}, reduced units (alpha2=1), columns: " + ",".join(names) + "\n")
+    seps = [","] * (len(axes) + len(columns) - 1) + ["\n"]
+    _write_records(out, axes, columns, _spell, "%.16e", seps)
 
 
 def format_json(out, names, axes, columns) -> None:
-    """The bytes of ``json.dumps(doc, indent=1)``, written in blocks."""
+    """The bytes of ``json.dumps(doc, indent=1)``, values spelled by ``_shortest``."""
     head = json.dumps({"schema": SCHEMA, "units": "reduced (alpha2=1)",
                        "columns": list(names)}, indent=1)
-    out.write(head[:-2] + ',\n "rows": [\n')
-    _write_rows(out, axes, columns, "%r", ",\n   ", "  [\n   ", "\n  ]", ",\n")
+    out.write(head[:-2] + ',\n "rows": [\n  [\n   ')
+    seps = [",\n   "] * (len(axes) + len(columns) - 1) + ["\n  ],"]
+    _write_records(out, axes, columns, _shortest, "%r", seps, "\n  [\n   ", drop=9)
     out.write("\n ]\n}\n")
 
 

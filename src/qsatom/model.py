@@ -49,6 +49,18 @@ def _any(flags) -> bool:
     return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
 
 
+def _point(out, *inputs):
+    """The return rule of the closed forms: ``out`` as one float, or as the
+    resolvent's one matrix, where every input (each field of a scalars or
+    drive object too) is 0-d; else ``out`` as computed."""
+    for i in inputs:
+        for v in (vars(i).values() if hasattr(i, "__dict__") else (i,)):
+            if not isinstance(v, float) and np.ndim(v):  # a float skips np.ndim's ~2 us
+                return out
+    out = np.asarray(out)
+    return out.item() if out.ndim < 2 else out.reshape(out.shape[1:])
+
+
 @dataclass(frozen=True)
 class PhaseShiftTable:
     """Truncated partial-wave phase shifts of the direct-scattering matrices.

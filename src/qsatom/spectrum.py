@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _any, _cos, _sin, _sq, g_pm, reduced_scalars,
+                    ScatteringScalars, _any, _cos, _point, _sin, _sq, g_pm, reduced_scalars,
                     scalars_from_phase_shifts)
 from .xsection import sigma_el
 
@@ -114,7 +114,7 @@ def resolvent(rs: ReducedScalars, x) -> np.ndarray:
     """
     det, *rows = _det_and_rows(rs, x)
     m = np.moveaxis(np.stack(rows) / det, (0, 1), (-2, -1))
-    return m.reshape(3, 3) if np.ndim(x) == 0 else m
+    return _point(m, rs, x)
 
 
 def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
@@ -134,12 +134,15 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
                 + _contract(dprime, row3)  # c'_3 = 1
                 + sc.norm2_pdg * _contract(ddoubleprime, row1)) / det
     out = _sq(rs.eta) / (math.pi * _sq(rs.den)) * 2.0 * bilinear.real
-    return out.item() if np.ndim(x) == 0 else out
+    return _point(out, rs, x)
 
 
 def elastic_lorentzian(weight, gammatilde: float, x):
-    """Lorentzian line of integral ``weight`` and full width gammatilde at x."""
-    return weight * (gammatilde / (2.0 * math.pi)) / (x ** 2 + _sq(gammatilde / 2.0))
+    """Lorentzian line of integral ``weight`` and full width gammatilde at x,
+    a float x rounding as it does in a grid."""
+    x = np.asarray(x, dtype=float)
+    line = weight * (gammatilde / (2.0 * math.pi)) / (x ** 2 + _sq(gammatilde / 2.0))
+    return _point(line, weight, gammatilde, x)
 
 
 def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
@@ -152,29 +155,27 @@ def sigma_tot_x(sc: ScatteringScalars, dc: DriveConfig, x):
         raise ValueError("sigma_tot_x needs gammatilde > 0; at zero width the elastic "
                          "part is a delta at x = 0 of weight sigma_el, and sigma_inel_x "
                          "gives the rest from the closed rows of the resolvent")
-    lorentz = elastic_lorentzian(sigma_el(sc, dc), gt, np.asarray(x, dtype=float))
-    out = lorentz + sigma_inel_x(sc, dc, x)
-    return float(out) if np.ndim(x) == 0 else out
+    return elastic_lorentzian(sigma_el(sc, dc), gt, x) + sigma_inel_x(sc, dc, x)
 
 
 def mollow_inel_x(ztilde: float, eta: float, gammatilde: float, x):
     """Closed-form inelastic spectrum of the pure absorption/emission
     model (no direct scattering), even in x and in ztilde; columns of
-    ztilde and eta broadcast against x and round as their floats."""
+    ztilde, eta and gammatilde broadcast against x and round as their
+    floats, and x is made 1-d, so that a float x rounds as in a grid."""
     z = 2.0 * ztilde
     gt, eta2, z2 = gammatilde, _sq(eta), _sq(z)
-    x = np.asarray(x, dtype=float)
-    x2 = x ** 2
-    p = ((2.0 + gt) * ((1.0 + gt) ** 2 + 2.0 * eta2 + z2)
-         * ((2.0 + gt) ** 2 + 2.0 * eta2 + 4.0 * x2)
+    x2 = np.array(x, dtype=float, ndmin=1) ** 2
+    p = ((2.0 + gt) * (_sq(1.0 + gt) + 2.0 * eta2 + z2)
+         * (_sq(2.0 + gt) + 2.0 * eta2 + 4.0 * x2)
          + 2.0 * gt * (2.0 * (2.0 * x2 - eta2) ** 2
-                       + (2.0 + gt) ** 2 * (2.0 * x2 + eta2)))
-    q = (((2.0 + gt) * ((1.0 + gt) ** 2 + z2) + 4.0 * (1.0 + gt) * eta2
+                       + _sq(2.0 + gt) * (2.0 * x2 + eta2)))
+    q = (((2.0 + gt) * (_sq(1.0 + gt) + z2) + 4.0 * (1.0 + gt) * eta2
           - 4.0 * (4.0 + 3.0 * gt) * x2) ** 2
-         + 4.0 * x2 * (3.0 * gt ** 2 + 8.0 * gt + 5.0 + z2
+         + 4.0 * x2 * (3.0 * _sq(gt) + 8.0 * gt + 5.0 + z2
                        + 4.0 * eta2 - 4.0 * x2) ** 2)
     out = 4.0 * eta2 * p / (math.pi * q * _sq(z2 + 1.0 + 2.0 * eta2))
-    return float(out) if np.ndim(out) == 0 else out
+    return _point(out, ztilde, eta, gammatilde, x)
 
 
 def low_intensity_x(sc: ScatteringScalars, ztilde: float, gammatilde: float,
@@ -188,19 +189,18 @@ def low_intensity_x(sc: ScatteringScalars, ztilde: float, gammatilde: float,
     gt = gammatilde
     s = sc.s
     x = np.asarray(x, dtype=float)
-    zt2 = ztilde ** 2 + 0.25
-    wsq = (1.0 + gt) ** 2
-    lor_p = 4.0 * (x + ztilde) ** 2 + wsq
-    lor_m = 4.0 * (x - ztilde) ** 2 + wsq
-    tilt = (2.0 * ztilde * math.sin(s) + math.cos(s)) ** 2
-    pair = (eta ** 2 / (2.0 * math.pi)) \
-        * (sc.norm2_pdg * (1.0 + gt) / zt2 + gt * tilt / (4.0 * zt2 ** 2)) \
+    zt2 = _sq(ztilde) + 0.25
+    wsq = _sq(1.0 + gt)
+    lor_p = 4.0 * _sq(x + ztilde) + wsq
+    lor_m = 4.0 * _sq(x - ztilde) + wsq
+    tilt = _sq(2.0 * ztilde * math.sin(s) + math.cos(s))
+    pair = (_sq(eta) / (2.0 * math.pi)) \
+        * (sc.norm2_pdg * (1.0 + gt) / zt2 + gt * tilt / (4.0 * _sq(zt2))) \
         * (1.0 / lor_p + 1.0 / lor_m)
     # grouping (lor_p * lor_m) keeps the x -> -x symmetry exact in floats
-    product = (2.0 * eta ** 2 * tilt * (ztilde ** 2 + wsq / 4.0)
-               / (math.pi * zt2 ** 2 * (lor_p * lor_m)))
-    out = pair + product
-    return float(out) if np.ndim(x) == 0 else out
+    product = (2.0 * _sq(eta) * tilt * (_sq(ztilde) + wsq / 4.0)
+               / (math.pi * _sq(zt2) * (lor_p * lor_m)))
+    return _point(pair + product, sc, ztilde, gammatilde, eta, x)
 
 
 def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
@@ -233,7 +233,7 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
     det, row1, _, row3 = _det_and_rows(rs, x)
     bilinear = (np.conj(dg) * _contract(d, row1) + np.conj(c3) * _contract(d, row3)) / det
     inel = (2.0 / math.pi) * dc.eta ** 2 * bilinear.real.item()
-    return float(el), inel
+    return el, inel
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _any, _cos, _sin, _sq, g_pm,
+                    ScatteringScalars, _any, _cos, _point, _sin, _sq, g_pm,
                     reduced_scalars, scalars_from_phase_shifts)
 
 _CLOSURE_TOL = 1e-12
@@ -94,7 +94,7 @@ def sigma_tot(sc: ScatteringScalars, dc: DriveConfig) -> float:
     the expanded form (norms of g+- plus the s-wave interference term),
     which cancels there, is the "total cross-section forms" verify check.
     """
-    return _total(sc, reduced_scalars(sc, dc))
+    return _point(_total(sc, reduced_scalars(sc, dc)), sc, dc)
 
 
 def sigma_el(sc: ScatteringScalars, dc: DriveConfig) -> float:
@@ -104,14 +104,13 @@ def sigma_el(sc: ScatteringScalars, dc: DriveConfig) -> float:
     through the derived cross term, which is the only way the scalar set
     closes on itself.
     """
-    el = _elastic(sc, reduced_scalars(sc, dc))
-    return el.item() if np.ndim(el) == 0 else el
+    return _point(_elastic(sc, reduced_scalars(sc, dc)), sc, dc)
 
 
 def sigma_inel(sc: ScatteringScalars, dc: DriveConfig) -> float:
     """Inelastic (incoherent) integral cross section:
     eta^2 (1 + kappa^2) E(y) / (z^2 + zeta^2)^2."""
-    return _inelastic(sc, reduced_scalars(sc, dc))
+    return _point(_inelastic(sc, reduced_scalars(sc, dc)), sc, dc)
 
 
 def cross_sections(sc: ScatteringScalars, dc: DriveConfig) -> CrossSectionTriple:

@@ -18,7 +18,7 @@ import qsatom
 import qsatom.spectrum
 from helpers import random_scalars
 from qsatom import DriveConfig, cli, mollow_xsections
-from qsatom.cli import (ConfigError, format_csv, main, parse_config,
+from qsatom.cli import (ConfigError, format_csv, format_json, main, parse_config,
                         run_spectrum_sweep, run_xsection_sweep)
 from qsatom.spectrum import elastic_lorentzian, mollow_inel_x, sigma_inel_x
 from qsatom.xsection import sigma_el
@@ -368,9 +368,10 @@ def test_csv_header_carries_schema_and_columns():
     assert first.endswith("a,b")
 
 
-# The CSV writer spells values through a numpy record builder, with
-# printf deciding the rounding near a tie; its bytes must be those of one
-# "%.16e" % v per value, as a plain row writer spells them.
+# The writers spell values through numpy record builders, with printf or
+# repr deciding where the digits may be wrong; their bytes must be those
+# of one "%.16e" % v per value, as a plain row writer spells them, and of
+# json.dumps(doc, indent=1), whose floats are repr's shortest digits.
 
 def _naive_csv(names, axes, columns):
     rows = [",".join("%.16e" % v for v in (*point, *(c[i] for c in columns)))
@@ -379,10 +380,20 @@ def _naive_csv(names, axes, columns):
             + "\n" + "\n".join(rows) + "\n")
 
 
-def _csv(names, axes, columns):
+def _naive_json(names, axes, columns):
+    rows = [[*point, *(c[i] for c in columns)] for i, point in enumerate(itertools.product(*axes))]
+    return json.dumps({"schema": "qsatom v1", "units": "reduced (alpha2=1)",
+                       "columns": names, "rows": np.array(rows).tolist()}, indent=1) + "\n"
+
+
+def _written(fmt, names, axes, columns):
     buf = io.StringIO()
-    format_csv(buf, names, axes, columns)
+    {"csv": format_csv, "json": format_json}[fmt](buf, names, axes, columns)
     return buf.getvalue()
+
+
+def _csv(names, axes, columns):
+    return _written("csv", names, axes, columns)
 
 
 def _assert_spelled_as_printf(values):
@@ -391,11 +402,22 @@ def _assert_spelled_as_printf(values):
     assert _csv(["a", "b"], axes, columns) == _naive_csv(["a", "b"], axes, columns)
 
 
+def _assert_spelled_as_repr(values):
+    """The JSON speller's records of ``values``, less their NUL bytes, as repr."""
+    rec = np.full((len(values), 25), ord("\n"), np.uint8)
+    cli._shortest(np.array(values, float), rec)
+    assert rec.tobytes().translate(None, b"\0").decode() == "".join(f"{v!r}\n" for v in values)
+
+
 _POWERS_OF_TEN = np.array([float(f"1e{p}") for p in range(-323, 309)])
 _TIES = np.random.default_rng(0).integers(16_000_000_000_000, 160_000_000_000_000, 500)
+_EDGES = np.array([1e-5, 1e-4, 1e15, 1e16])  # where repr turns to and from exponents
 HARD_FLOATS = [
-    0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max, 1e16, 1e17,
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max, 1e16, 1e17,
     1e-100, 1e100, 9.5e-100, 9.99999999999999999e99, 123.456e-300,
+    1200.0, 1e22, 1e23, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 123456789012345680.0, 0.1, 0.3,
+    *np.ldexp(1.0, np.arange(-1074, 1024)),  # a power of two: half a gap below
+    *_EDGES, *np.nextafter(_EDGES, 0.0), *np.nextafter(_EDGES, np.inf),
     # powers of ten (many round up to 1.0000000000000000e+k), and their neighbours
     *_POWERS_OF_TEN, *np.nextafter(_POWERS_OF_TEN, 0.0), *np.nextafter(_POWERS_OF_TEN, np.inf),
     # exact ties at the 17th digit: m / 32 with m odd in [3.2e13, 3.2e14)
@@ -420,28 +442,60 @@ def test_record_builder_spells_any_finite_bit_pattern_as_printf(patterns):
     _assert_spelled_as_printf(values[np.isfinite(values)].tolist() or [-0.0])
 
 
-@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7, 1])
-@pytest.mark.parametrize("axes", [
+def test_record_builder_spells_hard_floats_as_repr():
+    _assert_spelled_as_repr([float(v) for h in HARD_FLOATS for v in (h, -h)])
+
+
+def test_record_builder_spells_random_bit_patterns_as_repr():
+    bits = np.random.default_rng(43).integers(0, 2**64, 100_000, np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    _assert_spelled_as_repr(values[np.isfinite(values)].tolist())
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_record_builder_spells_any_finite_bit_pattern_as_repr(patterns):
+    values = np.array(patterns, np.uint64).view(np.float64)
+    _assert_spelled_as_repr(values[np.isfinite(values)].tolist() or [-0.0])
+
+
+_GRIDS = [
     [[2.5]],                                            # one row
     [[-0.0, 1.0], [3.0]],                               # a one-value last axis
     [[0.0, 1e-300, 4.0], [-1e4, -0.0, 1e4]],            # a 2-axis xsection grid
     [[1.0, 2.0, 3.0], [-1.0, 1.0], np.linspace(-20.0, 20.0, 171).tolist()],
-])
-def test_format_csv_is_a_naive_row_writer(monkeypatch, axes, block):
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+]
+
+
+def _random_grid(axes):
     n = math.prod(len(a) for a in axes)
     rng = np.random.default_rng(n)
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n) for _ in range(3)]
     columns[1][::2] = -0.0
-    names = ["eta2", "ztilde", "x"][:len(axes)] + ["a", "b", "c"]
-    assert _csv(names, axes, columns) == _naive_csv(names, axes, columns)
+    columns[2][1::3] = np.round(rng.uniform(-1e4, 1e4, len(columns[2][1::3])), 3)  # short, fixed
+    return ["eta2", "ztilde", "x"][:len(axes)] + ["a", "b", "c"], axes, columns
 
 
-@pytest.mark.parametrize("command", ["spectrum", "xsection"])
-@pytest.mark.parametrize("doc", [_random_spectrum_doc(11), HARD_CORNERS])
-def test_csv_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatch, command, doc):
-    # the printf route of every value (window 1), and the row writer that
-    # platforms without a 64-bit long double mantissa take
+@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7, 1])
+@pytest.mark.parametrize("axes", _GRIDS)
+def test_format_csv_is_a_naive_row_writer(monkeypatch, axes, block):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    grid = _random_grid(axes)
+    assert _csv(*grid) == _naive_csv(*grid)
+
+
+@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7])  # the block loop is format_csv's
+@pytest.mark.parametrize("axes", _GRIDS)
+def test_format_json_is_json_dumps(monkeypatch, axes, block):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    grid = _random_grid(axes)
+    assert _written("json", *grid) == _naive_json(*grid)
+
+
+def _assert_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatch,
+                                                           command, doc, fmt):
+    # the printf or repr route of more values (window 1), and of every value,
+    # which platforms without a 64-bit long double mantissa take
     assert doc["mollow_reference"]
     cfg = _write(tmp_path, "doc.json", doc)
 
@@ -449,12 +503,27 @@ def test_csv_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatc
         with monkeypatch.context() as m:
             for attr, value in patch.items():
                 m.setattr(cli, attr, value)
-            assert main([command, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            out = str(tmp_path / name)
+            assert main([command, "--config", cfg, "--format", fmt, "--out", out]) == 0
         return (tmp_path / name).read_bytes()
 
-    records = written("records.csv")
-    assert written("printf.csv", _TIE_WINDOW=1.0) == records
-    assert written("rows.csv", _LONG_MANTISSA=False) == records
+    records = written("records")
+    assert written("window", _TIE_WINDOW=1.0) == records
+    assert written("each", _LONG_MANTISSA=False) == records
+
+
+@pytest.mark.parametrize("command", ["spectrum", "xsection"])
+@pytest.mark.parametrize("doc", [_random_spectrum_doc(11), HARD_CORNERS])
+def test_csv_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatch, command, doc):
+    _assert_fallback_routes_write_the_record_builder_bytes(
+        tmp_path, monkeypatch, command, doc, "csv")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "xsection"])
+@pytest.mark.parametrize("doc", [_random_spectrum_doc(11), HARD_CORNERS])
+def test_json_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatch, command, doc):
+    _assert_fallback_routes_write_the_record_builder_bytes(
+        tmp_path, monkeypatch, command, doc, "json")
 
 
 class _KeepingStream:
@@ -470,35 +539,75 @@ class _KeepingStream:
         return sum(sys.getsizeof(s) for s in self.parts)
 
 
-def _csv_peak_traced_bytes(result):
+def _peak_traced_bytes_of(fmt, result):
     stream = _KeepingStream()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        format_csv(stream, *result)
+        fmt(stream, *result)
         return tracemalloc.get_traced_memory()[1] - base, stream.size()
     finally:
         tracemalloc.stop()
 
 
-def test_csv_writer_temporaries_scale_with_a_block_not_the_grid():
+def _assert_writer_temporaries_scale_with_a_block_not_the_grid(fmt):
     # four times the eta2 list may add its output strings and little more
     # (64 KB of allocator slack): no temporary grows with the grid
     doc = _random_spectrum_doc(7, n_eta=3, n_z=16, n_x=200)
     small = run_spectrum_sweep(parse_config(doc))
     large = run_spectrum_sweep(parse_config(dict(doc, eta2=np.linspace(0.5, 40.0, 12).tolist())))
-    format_csv(io.StringIO(), *small)  # build the digit and power tables
-    (peak_small, out_small), (peak_large, out_large) = map(_csv_peak_traced_bytes, (small, large))
+    fmt(io.StringIO(), *small)  # build the digit, power and layout tables
+    (peak_small, out_small), (peak_large, out_large) = (
+        _peak_traced_bytes_of(fmt, result) for result in (small, large))
     assert peak_large - peak_small <= out_large - out_small + 64 * 1024, (
         peak_large - peak_small, out_large - out_small)
 
 
-def test_spectrum_csv_on_stdout_is_the_file_bytes(tmp_path, capsysbinary):
+def test_csv_writer_temporaries_scale_with_a_block_not_the_grid():
+    _assert_writer_temporaries_scale_with_a_block_not_the_grid(format_csv)
+
+
+def test_json_writer_temporaries_scale_with_a_block_not_the_grid():
+    _assert_writer_temporaries_scale_with_a_block_not_the_grid(format_json)
+
+
+def _assert_stdout_is_the_file_bytes(tmp_path, capsysbinary, command, fmt):
     cfg = _write(tmp_path, "doc.json", _random_spectrum_doc(5))
-    out = tmp_path / "out.csv"
-    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["spectrum", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+    assert main([command, "--config", cfg, "--format", fmt]) == 0
     assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_spectrum_csv_on_stdout_is_the_file_bytes(tmp_path, capsysbinary):
+    _assert_stdout_is_the_file_bytes(tmp_path, capsysbinary, "spectrum", "csv")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "xsection"])
+def test_json_on_stdout_is_the_file_bytes(tmp_path, capsysbinary, command):
+    _assert_stdout_is_the_file_bytes(tmp_path, capsysbinary, command, "json")
+
+
+_TABLES = """
+import json, sys
+from qsatom import cli
+cli.load_config(sys.argv[1])
+built = lambda: [t.cache_info().currsize for t in (cli._spell_tables, cli._repr_layouts)]
+before = built()
+cli.main(["xsection", "--config", sys.argv[1], "--format", "json", "--out", sys.argv[2]])
+print(json.dumps([before, built()]))
+"""
+
+
+def test_set_up_builds_no_speller_table(tmp_path):
+    # the writers' tables are built on first use, not by import or load_config
+    cfg = _write(tmp_path, "small.json", _fano_config())
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(qsatom.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _TABLES, cfg, str(tmp_path / "out")],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [[0, 0], [1, 1]]
 
 
 def test_output_byte_stable_and_thread_independent(tmp_path):

@@ -3,16 +3,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mirror, random_drive, random_scalars
 from qsatom import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
-                    build_drift, local_maxima,
+                    build_drift, cross_sections, local_maxima,
                     low_intensity_x, mollow_inel_x, mollow_xsections, reduced_scalars, resolvent,
                     scalars_from_phase_shifts, sigma_el, sigma_inel,
-                    sigma_inel_x, sigma_tot_x,
+                    sigma_inel_x, sigma_tot, sigma_tot_x,
                     spectral_coefficients, spectral_diff)
 from qsatom.model import SQRT_4PI
 from qsatom.oracle import _shifted_drift
+from qsatom.spectrum import elastic_lorentzian
 
 MIXED_TABLE = PhaseShiftTable([-0.2, 0.15, 0.05, -0.3], [0.4, -0.1, 0.02, 0.11])
 
@@ -423,3 +426,43 @@ def test_local_maxima_on_known_function():
     assert [round(p[0] / math.pi) for p in peaks] == [2, 4]
     for p in peaks:
         assert p[0] == pytest.approx(round(p[0] / math.pi) * math.pi, abs=1e-6)
+
+
+# The return rule of every public closed form: a float (the resolvent: one
+# 3x3 matrix) where every input is 0-d; else an array whose entries are the
+# per-point calls, bit for bit, whichever of the drive and x are columns.
+_DRIVE_FORMS = {
+    "sigma_tot": lambda sc, dc, x: sigma_tot(sc, dc),
+    "sigma_el": lambda sc, dc, x: sigma_el(sc, dc),
+    "sigma_inel": lambda sc, dc, x: sigma_inel(sc, dc),
+    "cross_sections": lambda sc, dc, x: cross_sections(sc, dc).elastic,
+    "mollow_xsections": lambda sc, dc, x: mollow_xsections(dc.ztilde, dc.eta).inelastic,
+}
+_X_FORMS = {
+    "sigma_inel_x": sigma_inel_x,
+    "sigma_tot_x": sigma_tot_x,
+    "elastic_lorentzian": lambda sc, dc, x: elastic_lorentzian(sigma_el(sc, dc), dc.gammatilde, x),
+    "mollow_inel_x": lambda sc, dc, x: mollow_inel_x(dc.ztilde, dc.eta, dc.gammatilde, x),
+    "resolvent": lambda sc, dc, x: resolvent(reduced_scalars(sc, dc), x),
+}
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+@settings(max_examples=30, deadline=None)
+def test_float_inputs_give_floats_and_columns_the_per_point_floats(seed, n):
+    rng = np.random.default_rng(seed)
+    sc = random_scalars(rng)
+    eta, zt = rng.uniform(0.0, 6.0, n), rng.uniform(-8.0, 8.0, n)
+    gt, x = rng.uniform(0.05, 1.5, n), rng.uniform(-12.0, 12.0, n)
+    points = [DriveConfig(*p) for p in zip(eta.tolist(), zt.tolist(), gt.tolist())]
+    cols, xs = DriveConfig(eta, zt, gt), x.tolist()
+    for name, form in {**_DRIVE_FORMS, **_X_FORMS}.items():
+        one = form(sc, points[0], xs[0])
+        assert type(one) is float or (name == "resolvent" and one.shape == (3, 3)), name
+        cases = [(cols, x, zip(points, xs)), (cols, xs[0], zip(points, [xs[0]] * n))]
+        if name in _X_FORMS:
+            cases.append((points[0], x, zip([points[0]] * n, xs)))
+        for drive, at, pairs in cases:
+            want = np.array([form(sc, p, xi) for p, xi in pairs])
+            got = form(sc, drive, at)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
