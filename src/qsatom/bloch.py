@@ -15,7 +15,7 @@ alone, which carry the eta and s they were dressed with; the stationary
 state is a plain :class:`BlochVector`, and :func:`evolve` relaxes to that
 one state.  Its propagator is a numpy [13/13] Pade scaling and squaring
 whose one halving count, taken in logarithms, also covers a -tau G'/2
-that overflows; no part of the package calls scipy.
+that overflows; no physics layer imports or calls scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy  # noqa: F401  kept only for the benchmark worker's version record
 
 from .model import ReducedScalars, _any, _cos, _sq
 
@@ -127,6 +126,8 @@ def _expm(c: float, g: np.ndarray) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
+    if k and r[0, 0].real == 1.0:  # a decay rounded away: squarings cannot restore it
+        raise ValueError("drive too strong: the scaled propagator step lost the population")
     for _ in range(k):
         r = r @ r
     return r
@@ -139,7 +140,8 @@ def evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
     with u_eq the closed-form stationary state of :func:`equilibrium`.
     The propagator is :func:`_expm` of (-tau/2, G'), accurate also where G'
     is defective (the Mollow triplet threshold) and finite for every finite
-    tau.  Raises ValueError for a negative or non-finite ``tau``.
+    tau.  Raises ValueError for a negative or non-finite ``tau``, and where the
+    drive is too strong for its scaled step (at norm2_dg ~0.05, from eta ~2e9 on).
     """
     if not math.isfinite(tau) or tau < 0:
         raise ValueError("tau must be finite and nonnegative")

@@ -18,7 +18,8 @@ value where the digits might be wrong, and every value where long
 double lacks a 64-bit mantissa.  The bytes are those of per-point
 floats: the grid squares through ``float_power`` and takes moduli
 through ``hypot``, as CPython's ``**`` and ``abs`` round.
-``--threads N`` is accepted, for old scripts, and ignored.
+``--threads N`` is accepted, for old scripts, and ignored.  Sweeps import
+only ``model``, ``xsection`` and ``spectrum``; ``verify`` loads ``oracle``.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 config error or
 unwritable output.  All numbers are reduced units; CSV rows carry 17
@@ -36,8 +37,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy  # noqa: F401  kept only for the benchmark worker's version record
 
-from . import oracle, spectrum, xsection
+from . import spectrum, xsection
 from .model import DriveConfig, PhaseShiftTable, ScatteringScalars, scalars_from_phase_shifts
 
 SCHEMA = "qsatom v1"
@@ -169,7 +171,8 @@ def run_spectrum_sweep(cfg: RunConfig):
     axes = e2s, zts, x_grid = _axes(cfg, "eta2", "ztilde", "x_grid")
     if cfg.gammatilde <= 0:
         raise ConfigError("spectrum sweeps need gammatilde > 0")
-    sc, gt, xs, zt = cfg.scalars, cfg.gammatilde, np.array(x_grid), np.array(zts)[:, None]
+    sc, xs, zt = cfg.scalars, np.array(x_grid), np.array(zts)[:, None]
+    gt = np.full_like(zt, cfg.gammatilde)  # a column: an overflow is inf, refused below
     names = ["eta2", "ztilde", "x", "Sigma_tot", "Sigma_inel", "Sigma_el_lorentzian"]
     if cfg.mollow_reference:
         names.append("Sigma_tot_mollow")
@@ -196,6 +199,7 @@ def run_verify(cfg: RunConfig | None):
     """Full oracle and invariant suite; returns (checks, exit_code).  A config's
     table or scalars is checked at its two smallest eta2, each at its smallest
     ztilde and its gammatilde (0 read as 0.6); with an empty list, the defaults."""
+    from . import oracle
     source = (cfg.table or cfg.scalars) if cfg else oracle.DEFAULT_TABLE
     drives = oracle.DEFAULT_DRIVES
     if cfg and cfg.eta2 and cfg.ztilde:

@@ -13,9 +13,9 @@ Both RK4 oracles integrate constant-coefficient linear systems, so each
 runs as RK4 as a precomputed step matrix raised to the number of steps:
 the same truncation error, and none of the machinery it checks.
 
-Oracles never run inside production computations; they exist so a
-verification pass can fail loudly when a formula and its independent
-counterpart drift apart.
+Oracles never run inside production computations, and no sweep loads
+this module; they exist so a verification pass can fail loudly
+when a formula and its independent counterpart drift apart.
 """
 
 from __future__ import annotations
@@ -154,13 +154,8 @@ _MAX_HALVINGS = 30
 _MAX_PANELS = 4096
 # largest relative gap between a spectral integral and its closed form
 _SUM_RULE_TOL = 1e-6
-
-
-@functools.cache
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss-Legendre (nodes, weights) on [-1, 1], built once on
-    first use: the sweeps import this module but never integrate."""
-    return np.polynomial.legendre.leggauss(n)
+# the panel pair's 8- and 16-node Gauss-Legendre (nodes, weights) on [-1, 1]
+_GAUSS_PAIR = tuple(np.polynomial.legendre.leggauss(n) for n in (8, 16))
 
 
 def integrate_line(f, scale: float, tol: float):
@@ -186,7 +181,7 @@ def integrate_line(f, scale: float, tol: float):
     width = math.pi / 16
     value, err = 0.0, 0.0
     for halvings in range(_MAX_HALVINGS + 1):
-        coarse, fine = (panel_rule(*_leggauss(n)) for n in (8, 16))
+        coarse, fine = (panel_rule(*rule) for rule in _GAUSS_PAIR)
         gap = np.abs(fine - coarse)
         done = gap <= tol * width / math.pi
         if done.all() or halvings == _MAX_HALVINGS or 2 * np.count_nonzero(~done) > _MAX_PANELS:
@@ -259,7 +254,7 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
 # finite-beam photon balance
 
 # exact (to rounding) for P_l up to l = 127; the finite beam needs l up to the table's last entry
-_OVERLAP_NODES = 64
+_OVERLAP_RULE = np.polynomial.legendre.leggauss(64)
 
 
 def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
@@ -273,7 +268,7 @@ def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
         raise ValueError("dtheta must be finite and positive")
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
-    xg, wg = _leggauss(_OVERLAP_NODES)
+    xg, wg = _OVERLAP_RULE
     a = math.cos(dtheta)
     xi = 0.5 * (xg + 1.0) * (1.0 - a) + a
     ww = 0.5 * (1.0 - a) * wg

@@ -285,6 +285,27 @@ def test_evolve_converges_where_the_scaled_drift_overflows():
         assert abs(out.u - eq.u) <= 1e-12 and abs(out.v - eq.v) <= 1e-12
 
 
+# The reference scalars driven on resonance: their coherence rates grow as
+# eta^2, and from eta = 2e9 on the scaled Pade step holds the population's
+# (0, 0) entry as exactly 1 (at 1e9, 4 ulps below it).
+@pytest.mark.parametrize("eta", [2e9, 3e9, 1e17])
+@pytest.mark.parametrize("tau", [0.5, 50.0])
+def test_evolve_refuses_where_the_scaled_step_lost_the_population(fano_scalars, eta, tau):
+    rs = reduced_scalars(fano_scalars, DriveConfig(eta, 0.0))
+    with pytest.raises(ValueError, match="lost the population"):
+        evolve(rs, BlochVector(0.0, 0.0), tau)
+
+
+def test_evolve_below_the_refusal_matches_mpmath_at_60_digits(fano_scalars):
+    rs = reduced_scalars(fano_scalars, DriveConfig(1e9, 0.0))
+    with mpmath.workdps(60):  # from the ground state: ueq - e^{-G' tau/2} ueq
+        ueq = mpmath.matrix(equilibrium(rs).vector().tolist())
+        e = mpmath.expm(mpmath.matrix(build_drift(rs).tolist()) * -25)
+        want = np.array((ueq - e * ueq).tolist(), dtype=complex)[:, 0]
+    got = evolve(rs, BlochVector(0.0, 0.0), 50.0)
+    assert abs(got.u - want[0]) <= 1e-15 and abs(got.v - want[1]) <= 1e-24
+
+
 def test_expm_scales_c_alone_where_c_g_overflows():
     g = build_drift(reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0)))
     c = -0.85e308

@@ -131,6 +131,8 @@ def test_unwritable_output_is_an_error_not_a_traceback(tmp_path, capsys, command
     ("spectrum", {"eta2": [1e200]}, "(1e+200, -4.0)"),
     # z^2 overflows at the last ztilde of the first eta2 block
     ("spectrum", {"ztilde": [-4.0, 0.0, 1e160]}, "(10.0, 1e+160)"),
+    # the detector width squared overflows in the elastic line and the Mollow reference
+    ("spectrum", {"gammatilde": 1e300, "mollow_reference": True}, "(10.0, -4.0)"),
 ])
 def test_numerical_failure_is_one_stderr_line(tmp_path, command, over, point):
     # numpy overflow warnings must not reach the user ahead of the one
@@ -166,8 +168,9 @@ def test_oversized_integer_is_a_config_error(tmp_path, capsys, command, key, dig
 
 # No path of the package loads scipy.linalg: the sweeps never propagate a
 # state, and the propagators and verify run on numpy's own matrix
-# exponential.  Only the scipy package stub is imported.  Module sets,
-# not times, so the test cannot flake.
+# exponential.  Only the scipy package stub is imported, by ``cli``, for
+# the benchmark worker's version record.  Module sets, not times, so the
+# tests cannot flake.
 _FOOTPRINT = """
 import json, sys
 from qsatom import MOLLOW_SCALARS, DriveConfig, bloch, cli, reduced_scalars
@@ -182,17 +185,48 @@ print(json.dumps([codes, after_sweeps, loaded()]))
 """
 
 
-def test_sweeps_leave_scipy_linalg_unloaded(tmp_path):
+def _run_script(tmp_path, script):
+    """The JSON that ``script`` prints, run in a fresh interpreter with the
+    small sweep config and an output path as its two arguments."""
     cfg = _write(tmp_path, "small.json", _fano_config())
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(qsatom.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, cfg, str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
-    codes, after_sweeps, after_evolve = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_sweeps_leave_scipy_linalg_unloaded(tmp_path):
+    codes, after_sweeps, after_evolve = _run_script(tmp_path, _FOOTPRINT)
     assert codes == [0, 0, 0]
     assert after_sweeps == [True, False]
     assert after_evolve == [True, False]
+
+
+# Each layer loads where it is used: ``import qsatom`` loads none, the
+# sweeps need model, xsection and spectrum alone, and verify brings in
+# the propagator and the oracles.
+_LAYER_FOOTPRINT = """
+import json, sys
+import qsatom
+layers = lambda: sorted(m for m in sys.modules if m.startswith("qsatom."))
+on_import = layers()
+from qsatom import cli
+codes = [cli.main([c, "--config", sys.argv[1], "--out", sys.argv[2]])
+         for c in ("xsection", "spectrum")]
+after_sweeps = layers()
+codes.append(cli.main(["verify", "--out", sys.argv[2]]))
+print(json.dumps([codes, on_import, after_sweeps, layers()]))
+"""
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    codes, on_import, after_sweeps, after_verify = _run_script(tmp_path, _LAYER_FOOTPRINT)
+    assert codes == [0, 0, 0]
+    assert on_import == []
+    assert after_sweeps == ["qsatom.cli", "qsatom.model", "qsatom.spectrum", "qsatom.xsection"]
+    assert {"qsatom.bloch", "qsatom.oracle"} <= set(after_verify)
 
 
 # Recorded before the sweeps became columnar, from the per-point path;
@@ -601,13 +635,7 @@ print(json.dumps([before, built()]))
 
 def test_set_up_builds_no_speller_table(tmp_path):
     # the writers' tables are built on first use, not by import or load_config
-    cfg = _write(tmp_path, "small.json", _fano_config())
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(qsatom.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _TABLES, cfg, str(tmp_path / "out")],
-                          capture_output=True, env=env)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(proc.stdout) == [[0, 0], [1, 1]]
+    assert _run_script(tmp_path, _TABLES) == [[0, 0], [1, 1]]
 
 
 def test_output_byte_stable_and_thread_independent(tmp_path):

@@ -17,6 +17,26 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_star_import_binds_each_name_to_its_layers_object():
+    ns = {}
+    exec("from qsatom import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == sorted(qsatom.__all__)
+    assert len(set(qsatom.__all__)) == len(qsatom.__all__) == 37
+    homes = (model, bloch, xsection, spectrum, oracle)
+    for name in qsatom.__all__:
+        # the object its layer defines: a function's or class's own module,
+        # and for the one constant, the module of its class
+        layer = next(m for m in homes if m.__name__ == ns[name].__module__)
+        assert ns[name] is getattr(layer, name), name
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_sq", "np", "oracle_check"])
+def test_unknown_package_attribute_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(qsatom, name)
+    assert not hasattr(qsatom, name)
+
+
 def test_readme_names_every_exported_name():
     text = README.read_text(encoding="utf-8")
     missing = [name for name in qsatom.__all__ if not re.search(rf"\b{name}\b", text)]
