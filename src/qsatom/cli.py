@@ -10,12 +10,13 @@ sorted sweep lists and one 1-D array per quantity over their product,
 computed and checked before the output is opened: xsection in one numpy
 pass, spectrum in one block per eta2 value (its ztilde list as columns
 against the x grid).  Both formats are spelled by numpy record builders
-in fixed blocks of rows, each axis value once, from the 17 digits of a
-long double product: CSV as ``"%.16e"``, JSON as ``repr``'s shortest
-digits that read back, found by rounding those digits to fewer places
-until neither neighbouring decimal reads back.  printf or repr spells a
-value where the digits might be wrong, and every value where long
-double lacks a 64-bit mantissa.  The bytes are those of per-point
+in fixed blocks of rows, each axis value once, from 17 digits that an
+exact float64 double-word product gives to 2^-47: CSV as ``"%.16e"``,
+JSON as ``repr``'s shortest digits that read back, found by rounding
+those digits to fewer places until neither neighbouring decimal reads
+back.  printf or repr spells a value within 2^-30 of a rounding tie, and
+each value of a grid that holds a non-finite one; the bytes are the same
+on every IEEE-754 platform.  They are those of per-point
 floats: the grid squares through ``float_power`` and takes moduli
 through ``hypot``, as CPython's ``**`` and ``abs`` round.
 ``--threads N`` is accepted, for old scripts, and ignored.  Sweeps import
@@ -47,8 +48,9 @@ SCHEMA = "qsatom v1"
 _SCALAR_KEYS = ("delta0_plus", "delta0_minus", "norm2_pg_plus",
                 "norm2_pg_minus", "norm2_pdg", "eps_r")
 
-_LONG_MANTISSA = np.finfo(np.longdouble).nmant >= 63  # x86's 80 bits: the records need it
-_TIE_WINDOW = 0.02  # printf or repr decides this near a tie (the error is <= 0.011)
+# printf or repr decides where a fraction lies this near a tie: 2^17 times
+# its error bound of 2^-47 (see _scaled), and 2^-29 of random values
+_TIE_WINDOW = 2.0**-30
 _BLOCK_ROWS = 1024  # rows per record block: memory is flat in the grid size
 
 
@@ -211,14 +213,33 @@ def run_verify(cfg: RunConfig | None):
     return checks, code
 
 
+def _power_of_ten(p):
+    """10^p as (h, l, s): h + l = 10^p 2^-s to 2^-107, 1 <= h < 2, from exact integers."""
+    s = math.floor(p * math.log2(10.0))
+    num, den = 10**max(p, 0) << max(-s, 0), 10**max(-p, 0) << max(s, 0)
+    h = num / den  # int / int rounds correctly
+    return h, ((num << 52) - int(h * 2**52) * den) / den / 2**52, s
+
+
 @functools.cache
 def _spell_tables():
-    """By k + 400, k in [-400, 400): 10^(16 - k) correctly rounded to long double
-    and k as ``"%+03d"`` NUL-padded to 4 bytes; the digits of 0..9999 in 4 bytes."""
+    """The speller's tables, built on first use.  By e + 1073, for |v| = m 2^e
+    (``frexp``): the least double at or above 10^(k0 + 1) 2^-e, with
+    k0 = floor(log10 2^(e - 1)).  By i = 2 (e + 1073) + (m at or above it):
+    k = floor(log10 |v|) and T = 2^e 10^(16 - k) as hi + lo.  By k + 400: k
+    as ``"%+03d"`` NUL-padded to 4 bytes; the digits of 0..9999 in 4 bytes."""
+    h, l, s = map(np.array, zip(*map(_power_of_ten, range(-323, 341))))
+    e = np.arange(-1073, 1025)
+    k0 = np.floor((e - 1) * math.log10(2.0)).astype(np.int64)  # never 4.5e-4 from a tie
+    up = k0 + 324
+    thr = np.ldexp(np.where(l[up] > 0, np.nextafter(h[up], 2.0), h[up]), s[up] - e)
+    k, e = np.stack([k0, k0 + 1], 1).ravel(), np.repeat(e, 2)
+    p = 339 - k  # 10^(16 - k) times 2^e is exact
+    hi, lo = np.ldexp(h[p], s[p] + e), np.ldexp(l[p], s[p] + e)
     d = np.arange(48, 58, dtype=np.uint8)  # built in numpy: no heap of small strings
     quads = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), -1).reshape(-1, 4)
-    exps = "".join(f"{k:+03d}".rjust(4, "\0") for k in range(-400, 400)).encode()
-    return (np.array([np.longdouble(f"1e{16 - k}") for k in range(-400, 400)]),
+    exps = "".join(f"{j:+03d}".rjust(4, "\0") for j in range(-400, 400)).encode()
+    return (thr, k.astype(np.int16), hi, lo,
             np.frombuffer(exps, np.uint32), quads.view(np.uint32)[:, 0])
 
 
@@ -241,25 +262,39 @@ def _repr_layouts():
     return lay.reshape(-1, 24)
 
 
+def _split(x):
+    """Veltkamp's split of x into halves of at most 26 bits each."""
+    big = x * (2.0**27 + 1)
+    high = big - (big - x)
+    return high, x - high
+
+
 def _scaled(v):
-    """|v|, k = floor(log10 |v|), 10^(16 - k) and y = |v| 10^(16 - k), the
-    last two in long double: y is within 0.011 of exact and < 1e17."""
-    powers = _spell_tables()[0]
+    """|v|, k = floor(log10 |v|), y = |v| 10^(16 - k) in [1e16, 1e17) as q + f
+    (q an int64, 0 <= f <= 1) and hi, where T = 2^e 10^(16 - k) = hi + lo
+    and |v| = m 2^e (``_spell_tables``).  m hi is p + err exactly (Dekker,
+    Numer. Math. 18, 224 (1971)), p >= 2^53 is an integer and r = err + m lo.
+    f is within 2^-47 of exact: |err| <= 8 and |m lo| < 16, so r and m lo
+    round by 2^-49 and 2^-50, the tail m |T - hi - lo| is below 2^-50, and
+    r - floor(r) rounds by 2^-54."""
+    thr, ks, his, los = _spell_tables()[:4]
     a = np.abs(v)
-    e = np.frexp(a)[1]  # 2^(e-1) <= |v| < 2^e: k is floor((e - 1) log10 2) or one more
-    k = np.floor((e - 1) * math.log10(2.0)).astype(np.int64)
-    y = a * powers[k + 400]
-    k += y >= 1e17
-    k -= y < 1e16
-    p = powers[k + 400]
-    return a, k, p, a * p
+    m, e = np.frexp(a)
+    e += 1073
+    i = 2 * e + (m >= thr.take(e))  # take: much faster than indexing here
+    hi = his.take(i)
+    (m_h, m_l), (hi_h, hi_l), p = _split(m), _split(hi), m * hi
+    err = m_l * hi_l - (((p - m_h * hi_h) - m_l * hi_h) - m_h * hi_l)
+    r = err + m * los.take(i)
+    floor = np.floor(r)
+    return a, ks.take(i), p.astype(np.int64) + floor.astype(np.int64), r - floor, hi
 
 
 def _record(v, a, q, k, rec):
     """Write ``v`` with the 17 digits ``q`` (10^17 carries) at exponent ``k``
     as ``"%.16e"`` into ``rec[..., :24]``: [sign][d][.][16 digits][e][exponent],
     NUL where the sign bit is clear and before a 2-digit exponent; returns k."""
-    _, exps, digits = _spell_tables()
+    exps, digits = _spell_tables()[4:]
     carry, q = np.divmod(q, 10**17)  # 10^17 at exponent k is 10^16 at k + 1
     q, k = np.where(carry, 10**16, q), np.where(a > 0, k + carry, 0)
     hi, lo = np.divmod(q, 10**8)
@@ -274,12 +309,10 @@ def _record(v, a, q, k, rec):
 
 def _spell(v, rec):
     """Spell finite ``v`` as ``"%.16e"`` into ``rec[..., :24]`` (see ``_record``)."""
-    a, k, _, y = _scaled(v)
-    q = y.astype(np.int64)
-    frac = (y - q).astype(float)
-    slow = np.abs(frac - 0.5) < _TIE_WINDOW  # printf's digits end in q or q + 1: ask it
-    frac[slow] = _printf("%.16e", a[slow])[:, 17] != q[slow] % 10 + ord("0")
-    _record(v, a, q + (frac > 0.5), k, rec)
+    a, k, q, f, _ = _scaled(v)
+    slow = np.abs(f - 0.5) < _TIE_WINDOW  # printf's digits end in q or q + 1: ask it
+    f[slow] = _printf("%.16e".__mod__, a[slow])[:, 17] != q[slow] % 10 + ord("0")
+    _record(v, a, q + (f > 0.5), k, rec)
 
 
 def _shortest(v, rec):
@@ -289,12 +322,11 @@ def _shortest(v, rec):
     ceiling; where neither reads back, no shorter decimal does.  ``repr``
     decides where a distance lies within ``_TIE_WINDOW`` of a half-gap, or of
     the other's."""
-    a, k, p, y = _scaled(v.ravel())
-    yi = y.astype(np.int64)
-    f = (y - yi).astype(float)
-    lo = ((a - np.nextafter(a, 0.0)) * p).astype(float) / 2  # half-gaps in units of y
-    two = (np.frexp(a)[0] == 0.5) & (a > np.finfo(float).smallest_normal)
-    hi = np.where(two, 2 * lo, lo)  # a power of two's upper gap is twice its lower one
+    a, k, yi, f, t = _scaled(v.ravel())
+    m, e = np.frexp(a)  # half-gaps in units of y: T 2^-54, or T 2^(-1075 - e) if subnormal
+    hi = np.ldexp(t, np.maximum(-54, -1075 - e))
+    two = (m == 0.5) & (a > np.finfo(float).smallest_normal)
+    lo = np.where(two, hi / 2, hi)  # a power of two's lower gap is half its upper one
     lo[a == 0] = np.inf  # "0.0"
     win = _TIE_WINDOW + hi * 2**-50  # float64 keeps 2^-53 of a subnormal's wide gap
     n, slow, at = np.full(a.shape, 17), np.zeros(a.shape, bool), np.arange(a.size)
@@ -317,13 +349,13 @@ def _shortest(v, rec):
     pick = np.take(_repr_layouts(), 21 * n + np.where((k >= -4) & (k <= 15), k + 4, 20), 0)
     pick += 26 * np.arange(a.size)[:, None]
     out = src.reshape(-1)[pick]
-    out[slow] = _printf("%r", v.ravel()[slow])
+    out[slow] = _printf(repr, v.ravel()[slow])
     rec[..., :24] = out.reshape(*v.shape, 24)
 
 
 def _printf(num, v):
-    """``num % x`` for each x of ``v``, NUL-padded to 24 bytes: v.shape + (24,)."""
-    spelled = np.array([num % x for x in v.ravel().tolist()], "S24")
+    """``num(x)`` for each x of ``v``, NUL-padded to 24 bytes: v.shape + (24,)."""
+    spelled = np.array([num(x) for x in v.ravel().tolist()], "S24")
     return spelled.view(np.uint8).reshape(*v.shape, 24)
 
 
@@ -331,9 +363,9 @@ def _write_records(out, axes, columns, spell, num, seps, trailer="", drop=0) -> 
     """Write the rows ``_BLOCK_ROWS`` at a time: value i of a row spelled by
     ``spell`` into 24 bytes and followed by ``seps[i]``, the row by ``trailer``,
     NUL bytes dropped and the last ``drop`` bytes of all left out; each axis
-    value is spelled once and gathered by index.  ``spell`` needs a 64-bit long
-    double mantissa and finite values; else each value is ``num % v``."""
-    if not (_LONG_MANTISSA and all(np.isfinite(c).all() for c in (*axes, *columns))):
+    value is spelled once and gathered by index.  ``spell`` needs finite
+    values; else each value is ``num(v)``."""
+    if not all(np.isfinite(c).all() for c in (*axes, *columns)):
         def spell(v, rec):
             rec[..., :24] = _printf(num, v)
     lens, n_ax, n_vals = [len(axis) for axis in axes], len(axes), len(seps)
@@ -358,7 +390,7 @@ def format_csv(out, names, axes, columns) -> None:
     """Rows of ``"%.16e" % v``, spelled by ``_spell``."""
     out.write(f"# {SCHEMA}, reduced units (alpha2=1), columns: " + ",".join(names) + "\n")
     seps = [","] * (len(axes) + len(columns) - 1) + ["\n"]
-    _write_records(out, axes, columns, _spell, "%.16e", seps)
+    _write_records(out, axes, columns, _spell, "%.16e".__mod__, seps)
 
 
 def format_json(out, names, axes, columns) -> None:
@@ -367,7 +399,7 @@ def format_json(out, names, axes, columns) -> None:
                        "columns": list(names)}, indent=1)
     out.write(head[:-2] + ',\n "rows": [\n  [\n   ')
     seps = [",\n   "] * (len(axes) + len(columns) - 1) + ["\n  ],"]
-    _write_records(out, axes, columns, _shortest, "%r", seps, "\n  [\n   ", drop=9)
+    _write_records(out, axes, columns, _shortest, json.dumps, seps, "\n  [\n   ", drop=9)
     out.write("\n ]\n}\n")
 
 

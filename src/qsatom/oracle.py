@@ -414,11 +414,22 @@ def _total_form_gap(sc: ScatteringScalars, rs: ReducedScalars):
     return abs(_total(sc, rs) - sum(terms)) / functools.reduce(np.maximum, map(abs, terms))
 
 
+def _at_drive(dc: DriveConfig, f, *args):
+    """``f(*args)`` at the drive ``dc``, a float overflow named by the drive."""
+    try:
+        return f(*args)
+    except OverflowError as exc:  # CPython's float ** raises where numpy gives inf
+        raise ArithmeticError("float overflow at (eta2, ztilde, gammatilde) = "
+                              f"({dc.eta * dc.eta:.15g}, {dc.ztilde:.15g}, "
+                              f"{dc.gammatilde:.15g})") from exc
+
+
 def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE,
                      drives: tuple[DriveConfig, ...] = DEFAULT_DRIVES) -> list[VerificationCheck]:
     """Run the full oracle and invariant suite; one entry per check.  A
     phase-shift table as ``source`` adds the two finite-beam checks, which
-    need angular resolution; its scalar reduction alone gives twelve."""
+    need angular resolution; its scalar reduction alone gives twelve.  A
+    float overflow at a drive raises ArithmeticError naming the drive."""
     is_table = isinstance(source, PhaseShiftTable)
     sc_ref = scalars_from_phase_shifts(source) if is_table else source
     rng = np.random.default_rng(_RNG_SEED)
@@ -452,7 +463,8 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
     checks.append(VerificationCheck("adjugate resolvent vs generic inverse", 1e-12, ro, 100))
 
     # time-domain kernel against the resolvent spectrum
-    pairs = [(spectrum_time_domain(sc_ref, dc, x), sigma_inel_x(sc_ref, dc, x))
+    pairs = [_at_drive(dc, lambda: (spectrum_time_domain(sc_ref, dc, x),
+                                    sigma_inel_x(sc_ref, dc, x)))
              for dc in drives if dc.eta > 0.0 and dc.gammatilde > 0.0 for x in (0.0, 1.3, -2.7)]
     td = np.max([abs(a - b) / max(abs(b), 1e-30) for a, b in pairs], initial=0.0)
     checks.append(VerificationCheck("time-domain spectrum vs resolvent", 1e-6, td, len(pairs)))
@@ -475,7 +487,7 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
     checks.append(VerificationCheck("total cross-section forms", 1e-12, forms, 300 + 3 * 126))
 
     # spectral normalization for the configured drives
-    reports = [quad_sum_rules(sc_ref, dc) for dc in drives if dc.gammatilde > 0.0]
+    reports = [_at_drive(dc, quad_sum_rules, sc_ref, dc) for dc in drives if dc.gammatilde > 0.0]
     quad_ok = all(r.quad_converged for r in reports)
     norm_res = np.max([[r.inel_rel_gap, r.tot_rel_gap] for r in reports], initial=0.0)
     checks.append(VerificationCheck("spectral quadrature convergence", 0.0,
@@ -504,7 +516,8 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
     # finite-beam photon balance (needs angular resolution)
     if is_table:
         drive = next((d for d in drives if d.eta > 0), DEFAULT_DRIVES[0])
-        bal = np.max([finite_beam_balance(source, drive, dth) for dth in (0.2, 0.1, 0.05)])
+        bal = np.max([_at_drive(drive, finite_beam_balance, source, drive, dth)
+                      for dth in (0.2, 0.1, 0.05)])
         checks.append(VerificationCheck("finite-beam photon balance", 1e-8, bal, 3))
 
         # beam overlaps: quadrature against the closed Legendre integral

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ def test_numerical_failure_is_one_stderr_line(tmp_path, command, over, point):
     assert len(err) == 1 and err[0].startswith("numerical failure: "), err
     assert f"(eta2, ztilde) = {point}" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("over, point", [
+    ({"eta2": [1e300]}, "(1e+300, -4, 0.6)"),
+    ({"ztilde": [1e300]}, "(10, 1e+300, 0.6)"),
+    ({"gammatilde": 1e300}, "(10, -4, 1e+300)"),
+    ({"eta2": [0.0], "ztilde": [1e300]}, "(0, 1e+300, 0.6)"),  # no time-domain check at eta 0
+])
+def test_verify_names_the_drive_a_float_overflows_at(tmp_path, capsys, over, point):
+    # CPython's float ** raises OverflowError in the oracles' per-point path
+    cfg = _write(tmp_path, "huge.json", _fano_config(**over))
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"numerical failure: float overflow at (eta2, ztilde, gammatilde) = {point}"]
 
 
 @pytest.mark.parametrize("command", ["xsection", "verify"])
@@ -476,6 +491,34 @@ def test_record_builder_spells_any_finite_bit_pattern_as_printf(patterns):
     _assert_spelled_as_printf(values[np.isfinite(values)].tolist() or [-0.0])
 
 
+def test_exact_ties_reach_printf_and_match_it(monkeypatch):
+    # only a fraction within _TIE_WINDOW of 1/2 asks printf: these are exact
+    ties = [*((2 * _TIES + 1) / 32.0), 32000000000001 / 32, 319999999999999 / 32]
+    asked, printf = [], cli._printf
+    monkeypatch.setattr(cli, "_printf", lambda num, v: asked.extend(v.tolist()) or printf(num, v))
+    _assert_spelled_as_printf(ties)
+    assert sorted(asked) == sorted(ties * 2)  # each as an axis value and in the column
+
+
+def test_power_table_is_exact():
+    # in exact rationals: k0 = floor(log10 2^(e - 1)) and the threshold is the
+    # least double at or above 10^(k0 + 1) 2^-e; T = 2^e 10^(16 - k) is hi + lo
+    # to 2^-104 T, hi correctly rounded
+    thr, ks, his, los = (t.tolist() for t in cli._spell_tables()[:4])
+    assert (len(thr), len(his)) == (2098, 4196)
+    for i, (k, hi, lo) in enumerate(zip(ks, his, los)):
+        e = i // 2 - 1073
+        t = Fraction(2) ** e * Fraction(10) ** (16 - k)
+        assert hi == float(t)  # Fraction's float rounds correctly
+        assert abs(t - Fraction(hi) - Fraction(lo)) <= t / 2**104
+        if i % 2:
+            assert k == ks[i - 1] + 1
+            continue
+        assert Fraction(10) ** k <= Fraction(2) ** (e - 1) < Fraction(10) ** (k + 1)
+        bound = Fraction(10) ** (k + 1) / Fraction(2) ** e
+        assert Fraction(thr[i // 2]) >= bound > Fraction(math.nextafter(thr[i // 2], 0.0))
+
+
 def test_record_builder_spells_hard_floats_as_repr():
     _assert_spelled_as_repr([float(v) for h in HARD_FLOATS for v in (h, -h)])
 
@@ -526,38 +569,57 @@ def test_format_json_is_json_dumps(monkeypatch, axes, block):
     assert _written("json", *grid) == _naive_json(*grid)
 
 
-def _assert_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatch,
-                                                           command, doc, fmt):
-    # the printf or repr route of more values (window 1), and of every value,
-    # which platforms without a 64-bit long double mantissa take
+def _assert_fallback_routes_write_the_record_builder_bytes(monkeypatch, command, doc, fmt):
+    # the printf or repr route of more values (window 1), and the per-value
+    # route of every value, which one non-finite value sends the whole grid down
     assert doc["mollow_reference"]
+    run = {"spectrum": run_spectrum_sweep, "xsection": run_xsection_sweep}[command]
+    names, axes, columns = run(parse_config(doc))
+    records = _written(fmt, names, axes, columns)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_TIE_WINDOW", 1.0)
+        assert _written(fmt, names, axes, columns) == records
+    last = columns[-1].copy()
+    spelled = "%.16e" % last[-1] if fmt == "csv" else repr(float(last[-1]))
+    head, _, tail = records.rpartition(spelled)
+    last[-1] = np.nan
+    nan = {"csv": "nan", "json": "NaN"}[fmt]
+    assert _written(fmt, names, axes, [*columns[:-1], last]) == head + nan + tail
+
+
+@pytest.mark.parametrize("command", ["spectrum", "xsection"])
+@pytest.mark.parametrize("doc", [_random_spectrum_doc(11), HARD_CORNERS])
+def test_csv_fallback_routes_write_the_record_builder_bytes(monkeypatch, command, doc):
+    _assert_fallback_routes_write_the_record_builder_bytes(monkeypatch, command, doc, "csv")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "xsection"])
+@pytest.mark.parametrize("doc", [_random_spectrum_doc(11), HARD_CORNERS])
+def test_json_fallback_routes_write_the_record_builder_bytes(monkeypatch, command, doc):
+    _assert_fallback_routes_write_the_record_builder_bytes(monkeypatch, command, doc, "json")
+
+
+@pytest.mark.parametrize("fmt, naive", [("csv", _naive_csv), ("json", _naive_json)])
+def test_non_finite_values_are_spelled_as_the_naive_writers_do(fmt, naive):
+    # json.dumps writes Infinity, -Infinity and NaN; printf inf, -inf and nan
+    axes = [[-np.inf, 0.5, np.inf], [np.nan, -0.0]]
+    columns = [np.array([np.inf, -np.inf, np.nan, 1e300, -2.5, 0.1]), np.arange(6.0)]
+    grid = ["eta2", "ztilde", "a", "b"], axes, columns
+    assert _written(fmt, *grid) == naive(*grid)
+
+
+# A random sweep reaches printf or repr only at a tie as near as 2^-30,
+# which no value of these grids comes within
+@pytest.mark.parametrize("command, fmt, doc", [
+    ("spectrum", "csv", _random_spectrum_doc(13)),
+    ("xsection", "json", _random_spectrum_doc(19, n_eta=100, n_z=100)),
+])
+def test_random_sweeps_never_ask_printf(tmp_path, monkeypatch, command, fmt, doc):
+    asked, printf = [], cli._printf
+    monkeypatch.setattr(cli, "_printf", lambda num, v: asked.append(v.size) or printf(num, v))
     cfg = _write(tmp_path, "doc.json", doc)
-
-    def written(name, **patch):
-        with monkeypatch.context() as m:
-            for attr, value in patch.items():
-                m.setattr(cli, attr, value)
-            out = str(tmp_path / name)
-            assert main([command, "--config", cfg, "--format", fmt, "--out", out]) == 0
-        return (tmp_path / name).read_bytes()
-
-    records = written("records")
-    assert written("window", _TIE_WINDOW=1.0) == records
-    assert written("each", _LONG_MANTISSA=False) == records
-
-
-@pytest.mark.parametrize("command", ["spectrum", "xsection"])
-@pytest.mark.parametrize("doc", [_random_spectrum_doc(11), HARD_CORNERS])
-def test_csv_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatch, command, doc):
-    _assert_fallback_routes_write_the_record_builder_bytes(
-        tmp_path, monkeypatch, command, doc, "csv")
-
-
-@pytest.mark.parametrize("command", ["spectrum", "xsection"])
-@pytest.mark.parametrize("doc", [_random_spectrum_doc(11), HARD_CORNERS])
-def test_json_fallback_routes_write_the_record_builder_bytes(tmp_path, monkeypatch, command, doc):
-    _assert_fallback_routes_write_the_record_builder_bytes(
-        tmp_path, monkeypatch, command, doc, "json")
+    assert main([command, "--config", cfg, "--format", fmt, "--out", str(tmp_path / "o")]) == 0
+    assert asked and sum(asked) == 0
 
 
 class _KeepingStream:
