@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ReducedScalars, _any, _cos, _sq
+from .model import ReducedScalars, _any, _cos
 
 _STATE_TOL = 1e-9
 # Pade [13/13] b_j = (2m-j)! m! / ((2m)! j! (m-j)!), m = 13, and theta_13, the largest
@@ -83,7 +83,7 @@ def equilibrium(rs: ReducedScalars) -> BlochVector:
     the denominator never vanishes since zeta^2 >= 1; v_inf divides its
     parts apart, as CPython divides a complex by a float and numpy does not.
     """
-    return BlochVector(_sq(rs.eta) * rs.kappa2 / rs.den,
+    return BlochVector(rs.eta2 * rs.kappa2 / rs.den,
                        rs.eta * rs.kappa2 / rs.den + 1j * (rs.eta * rs.y / rs.den))
 
 

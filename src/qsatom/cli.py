@@ -6,25 +6,22 @@ Subcommands:
     qsatom verify   [--config cfg.json] [...]
 
 Sweeps are columnar: ``run_*_sweep`` return (names, axes, columns), the
-sorted sweep lists and one 1-D array per quantity over their product,
-computed and checked before the output is opened: xsection in one numpy
-pass, spectrum in one block per eta2 value (its ztilde list as columns
-against the x grid).  Both formats are spelled by numpy record builders
-in fixed blocks of rows, each axis value once, from 17 digits that an
-exact float64 double-word product gives to 2^-47: CSV as ``"%.16e"``,
-JSON as ``repr``'s shortest digits that read back, found by rounding
-those digits to fewer places until neither neighbouring decimal reads
-back.  printf or repr spells a value within 2^-30 of a rounding tie, and
-each value of a grid that holds a non-finite one; the bytes are the same
-on every IEEE-754 platform.  They are those of per-point
-floats: the grid squares through ``float_power`` and takes moduli
-through ``hypot``, as CPython's ``**`` and ``abs`` round.
-``--threads N`` is accepted, for old scripts, and ignored.  Sweeps import
-only ``model``, ``xsection`` and ``spectrum``; ``verify`` loads ``oracle``.
+sorted sweep lists and one 1-D array per quantity over their product
+(xsection in one numpy pass, spectrum per eta2 value), computed and
+checked before the output is opened, with the bytes of per-point floats:
+``float_power`` squares and ``hypot`` moduli round as CPython's ``**``
+and ``abs``.  The record builder spells fixed blocks of rows, each axis
+value once, from 17 digits that an exact float64 double-word product
+gives to 2^-47, split by constant divisors and moved into place 16 at a
+time: CSV as ``"%.16e"``, JSON as ``repr``'s fewest digits that read
+back, laid out by byte masks on shifted 64-bit lanes.  printf or repr
+spells a value within 2^-30 of a rounding tie, and each value of a grid
+that holds a non-finite one; the bytes are the same on every IEEE-754
+platform.  ``--threads N`` is accepted and ignored.  Sweeps import only
+``model``, ``xsection`` and ``spectrum``; ``verify`` loads ``oracle``.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 config error or
-unwritable output.  All numbers are reduced units; CSV rows carry 17
-significant digits so output is byte-stable across runs.
+unwritable output.  All numbers are reduced units.
 """
 
 from __future__ import annotations
@@ -159,10 +156,9 @@ def run_xsection_sweep(cfg: RunConfig):
     """(names, axes, columns) of sigma_tot, sigma_el, sigma_inel over the
     (eta2, ztilde) grid; see :func:`run_spectrum_sweep`."""
     axes = e2s, zts = _axes(cfg, "eta2", "ztilde")
-    t = xsection.cross_section_grid(cfg.scalars, np.repeat(e2s, len(zts)),
-                                    np.tile(zts, len(e2s)))
+    t = xsection.cross_section_grid(cfg.scalars, np.array(e2s)[:, None], np.array(zts))
     return (["eta2", "ztilde", "sigma_tot", "sigma_el", "sigma_inel"], axes,
-            [t.total, t.elastic, t.inelastic])
+            [t.total.ravel(), t.elastic.ravel(), t.inelastic.ravel()])
 
 
 def run_spectrum_sweep(cfg: RunConfig):
@@ -245,71 +241,73 @@ def _spell_tables():
 
 @functools.cache
 def _repr_layouts():
-    """By (digit count n, k + 4 in fixed notation, -4 <= k <= 15, else 20):
-    the bytes of ``repr`` as indices into a ``"%.16e"`` record of its
-    digits extended by "0" and NUL, NUL-padded to 24."""
-    digit = [1, *range(3, 19)]
-    lay = np.full((18, 21, 24), 25, np.intp)  # 25: NUL
+    """By (digit count n, k + 4 in fixed notation, -4 <= k <= 15, else 20): byte
+    masks A, B, C and bytes K, 3 uint64 each, that give ``repr`` NUL-padded as
+    (R & A) | ((R >> 8) & B) | ((R << 32) & C) | K, from a ``"%.16e"`` record
+    R (a 24-byte little-endian integer) whose "." holds its lead digit again."""
+    lay = np.zeros((18, 21, 4, 24), np.uint8)
     for n, k in itertools.product(range(1, 18), range(-4, 17)):
-        d = digit[:n]
+        a, b, c, K = lay[n, k + 4]  # digit i >= 1 is byte i + 2 of R
         if k == 16:
-            p = [0, 1, *[2] * (n > 1), *d[1:], 19, 20, 21, 22, 23]
-        elif k < 0:
-            p = [0, 24, 2, *[24] * (-k - 1), *d]
-        else:
-            p = [0, *d[:k + 1], *[24] * (k + 1 - n), 2, *(d[k + 1:] or [24])]
-        lay[n, k + 4, :len(p)] = p
-    return lay.reshape(-1, 24)
+            a[:2], a[3:n + 2], a[19:], K[2] = 255, 255, 255, ord(".") * (n > 1)
+        elif k >= 0:
+            a[:2], a[k + 3:max(n + 2, k + 4)], b[2:k + 2], K[k + 2] = 255, 255, 255, ord(".")
+        else:  # "0." and -k - 1 zeros, NUL-padded before the digits
+            a[0], c[6:n + 6], K[1:2 - k], K[2] = 255, 255, ord("0"), ord(".")
+    return np.ascontiguousarray(lay.view(np.uint64).reshape(-1, 12).T)
 
 
 def _split(x):
     """Veltkamp's split of x into halves of at most 26 bits each."""
-    big = x * (2.0**27 + 1)
-    high = big - (big - x)
+    high = (big := x * (2.0**27 + 1)) - (big - x)
     return high, x - high
 
 
 def _scaled(v):
-    """|v|, k = floor(log10 |v|), y = |v| 10^(16 - k) in [1e16, 1e17) as q + f
-    (q an int64, 0 <= f <= 1) and hi, where T = 2^e 10^(16 - k) = hi + lo
-    and |v| = m 2^e (``_spell_tables``).  m hi is p + err exactly (Dekker,
-    Numer. Math. 18, 224 (1971)), p >= 2^53 is an integer and r = err + m lo.
-    f is within 2^-47 of exact: |err| <= 8 and |m lo| < 16, so r and m lo
-    round by 2^-49 and 2^-50, the tail m |T - hi - lo| is below 2^-50, and
-    r - floor(r) rounds by 2^-54."""
+    """|v| = m 2^e (``frexp``), k = floor(log10 |v|), y = |v| 10^(16 - k) in
+    [1e16, 1e17) as q + f (q an int64, 0 <= f <= 1) and hi, where
+    T = 2^e 10^(16 - k) = hi + lo (``_spell_tables``).  m hi is p + err
+    exactly (Dekker, Numer. Math. 18, 224 (1971)), p >= 2^53 is an integer
+    and r = err + m lo.  f is within 2^-47 of exact: |err| <= 8 and
+    |m lo| < 16, so r and m lo round by 2^-49 and 2^-50, the tail
+    m |T - hi - lo| is below 2^-50, and r - floor(r) rounds by 2^-54."""
     thr, ks, his, los = _spell_tables()[:4]
     a = np.abs(v)
     m, e = np.frexp(a)
-    e += 1073
-    i = 2 * e + (m >= thr.take(e))  # take: much faster than indexing here
+    i = 2 * (j := e + 1073) + (m >= thr.take(j))  # take: much faster than indexing here
     hi = his.take(i)
     (m_h, m_l), (hi_h, hi_l), p = _split(m), _split(hi), m * hi
     err = m_l * hi_l - (((p - m_h * hi_h) - m_l * hi_h) - m_h * hi_l)
     r = err + m * los.take(i)
     floor = np.floor(r)
-    return a, ks.take(i), p.astype(np.int64) + floor.astype(np.int64), r - floor, hi
+    return a, m, e, ks.take(i), p.astype(np.int64) + floor.astype(np.int64), r - floor, hi
+
+
+def _divmod(x, d):
+    """``np.divmod`` by a constant d, as libdivide's multiply in ``//``."""
+    top = x // d
+    return top, x - top * d
 
 
 def _record(v, a, q, k, rec):
-    """Write ``v`` with the 17 digits ``q`` (10^17 carries) at exponent ``k``
-    as ``"%.16e"`` into ``rec[..., :24]``: [sign][d][.][16 digits][e][exponent],
-    NUL where the sign bit is clear and before a 2-digit exponent; returns k."""
+    """Write ``v`` with the 17 digits ``q`` (10^17 carries) at exponent ``k`` as
+    ``"%.16e"`` into ``rec[..., :24]``: [sign][d][.][16 digits][e][exponent], NUL for
+    a clear sign bit and before a 2-digit exponent, the 16 digits in one move; returns k."""
     exps, digits = _spell_tables()[4:]
-    carry, q = np.divmod(q, 10**17)  # 10^17 at exponent k is 10^16 at k + 1
-    q, k = np.where(carry, 10**16, q), np.where(a > 0, k + carry, 0)
-    hi, lo = np.divmod(q, 10**8)
-    lead, hi = np.divmod(hi, 10**8)
-    quads = np.stack([*np.divmod(hi, 10**4), *np.divmod(lo, 10**4)], -1)
-    rec[..., 0] = np.where(np.signbit(v), ord("-"), 0)
-    rec[..., 1], rec[..., 2] = lead + ord("0"), ord(".")
-    rec[..., 3:19], rec[..., 19] = digits[quads].view(np.uint8), ord("e")
-    rec[..., 20:24] = exps[k + 400][..., None].view(np.uint8)
+    carry = q >= 10**17  # 10^17 at exponent k is 10^16 at k + 1
+    k = np.where(a > 0, k + carry, 0)
+    lead, q = _divmod(np.where(carry, 10**16, q), 10**16)
+    quads = np.stack(_divmod(np.stack(_divmod(q, 10**8), -1), 10**4), -1).reshape(-1, 4)
+    rec[..., 0] = np.signbit(v).view(np.uint8) * ord("-")
+    rec[..., 1], rec[..., 2], rec[..., 19] = lead + ord("0"), ord("."), ord("e")
+    rec[..., 3:19].view("V16")[..., 0] = digits.take(quads).view("V16").reshape(q.shape)
+    rec[..., 20:24].view("V4")[..., 0] = exps.take(k + 400).view("V4")
     return k
 
 
 def _spell(v, rec):
     """Spell finite ``v`` as ``"%.16e"`` into ``rec[..., :24]`` (see ``_record``)."""
-    a, k, q, f, _ = _scaled(v)
+    a, _, _, k, q, f, _ = _scaled(v)
     slow = np.abs(f - 0.5) < _TIE_WINDOW  # printf's digits end in q or q + 1: ask it
     f[slow] = _printf("%.16e".__mod__, a[slow])[:, 17] != q[slow] % 10 + ord("0")
     _record(v, a, q + (f > 0.5), k, rec)
@@ -322,35 +320,46 @@ def _shortest(v, rec):
     ceiling; where neither reads back, no shorter decimal does.  ``repr``
     decides where a distance lies within ``_TIE_WINDOW`` of a half-gap, or of
     the other's."""
-    a, k, yi, f, t = _scaled(v.ravel())
-    m, e = np.frexp(a)  # half-gaps in units of y: T 2^-54, or T 2^(-1075 - e) if subnormal
+    flat = v.reshape(-1)
+    a, m, e, k, yi, f, t = _scaled(flat)
+    # half-gaps in units of y: T 2^-54, or T 2^(-1075 - e) if subnormal
     hi = np.ldexp(t, np.maximum(-54, -1075 - e))
-    two = (m == 0.5) & (a > np.finfo(float).smallest_normal)
-    lo = np.where(two, hi / 2, hi)  # a power of two's lower gap is half its upper one
-    lo[a == 0] = np.inf  # "0.0"
+    # a power of two's lower gap is half its upper one
+    lo = np.where((m == 0.5) & (a > np.finfo(float).smallest_normal), hi / 2, hi)
     win = _TIE_WINDOW + hi * 2**-50  # float64 keeps 2^-53 of a subnormal's wide gap
-    n, slow, at = np.full(a.shape, 17), np.zeros(a.shape, bool), np.arange(a.size)
+    # y's floor to a multiple of 10^j reads back where its remainder is below
+    # lo - f, its ceiling where 10^j less the remainder is below hi + f: a
+    # distance is near a half-gap only where one of these is near an integer
+    c_lo, c_hi = lo - f, hi + f
+    slow = (np.abs(c_lo - np.rint(c_lo)) < win) | (np.abs(c_hi - np.rint(c_hi)) < win)
+    c_lo[a == 0] = np.inf  # "0.0"
+    # n digits and y's remainder by r = 10^(17 - n): the first pass runs on
+    # every value, each later one on those that the last one shortened
+    n, r, rem = np.full(a.size, 17), np.ones(a.size, np.int64), np.zeros(a.size, np.int64)
+    at, y = None, yi
     for j in range(1, 17):
-        rem = yi[at] % 10**j
-        d_lo, d_hi = rem + f[at], (10**j - rem) - f[at]
-        slow[at] |= (np.abs(d_lo - lo[at]) < win[at]) | (np.abs(d_hi - hi[at]) < win[at])
-        at = at[(d_lo < lo[at]) | (d_hi < hi[at])]
+        rj = _divmod(y, 10**j)[1]
+        ok = (rj < c_lo) | (10**j - rj < c_hi)
+        at = np.flatnonzero(ok) if at is None else at[ok]
         if not at.size:
             break
-        n[at] = 17 - j
-    r = 10 ** (17 - n)
-    rem = yi % r
+        n[at], r[at], rem[at] = 17 - j, 10**j, rj[ok]
+        y, c_lo, c_hi = y[ok], c_lo[ok], c_hi[ok]
     d_lo, d_hi = rem + f, (r - rem) - f
     ok_lo, ok_hi = d_lo < lo, d_hi < hi  # one reads back; if both, the nearer
     slow |= ok_lo & ok_hi & (np.abs(d_lo - d_hi) < 2 * win)
-    src = np.empty((a.size, 26), np.uint8)
-    src[:, 24:] = ord("0"), 0
-    k = _record(v.ravel(), a, yi - rem + (ok_hi & (~ok_lo | (d_hi < d_lo))) * r, k, src)
-    pick = np.take(_repr_layouts(), 21 * n + np.where((k >= -4) & (k <= 15), k + 4, 20), 0)
-    pick += 26 * np.arange(a.size)[:, None]
-    out = src.reshape(-1)[pick]
-    out[slow] = _printf(repr, v.ravel()[slow])
-    rec[..., :24] = out.reshape(*v.shape, 24)
+    src = np.empty((a.size, 24), np.uint8)
+    k = _record(flat, a, yi - rem + (ok_hi & (~ok_lo | (d_hi < d_lo))) * r, k, src)
+    src[:, 2] = src[:, 1]  # R: its "." holds the lead digit again
+    lanes = src.view(np.uint64).T.copy()  # a row per lane: each op runs along a row
+    right, left = lanes >> 8, lanes << 32
+    right[:2] |= lanes[1:] << 56
+    left[1:] |= lanes[:2] >> 32
+    cls = 21 * n + np.where((k >= -4) & (k <= 15), k + 4, 20)
+    A, B, C, K = _repr_layouts().take(cls, 1).reshape(4, 3, -1)
+    out = ((lanes & A) | (right & B) | (left & C) | K).T.copy().view(np.uint8)
+    out[slow] = _printf(repr, flat[slow])
+    rec[..., :24].view("V24")[..., 0] = out.view("V24").reshape(v.shape)
 
 
 def _printf(num, v):
@@ -374,12 +383,13 @@ def _write_records(out, axes, columns, spell, num, seps, trailer="", drop=0) -> 
     slots = mat[:, :n_vals * width].reshape(len(mat), n_vals, width)
     slots[..., 24:] = np.frombuffer("".join(seps).encode(), np.uint8).reshape(n_vals, -1)
     mat[:, n_vals * width:] = np.frombuffer(trailer.encode(), np.uint8)
-    spelled, offsets = np.empty((sum(lens), 24), np.uint8), np.cumsum([0] + lens[:-1])
-    spell(np.concatenate(axes).astype(float), spelled)
+    spelled = np.empty(sum(lens), "V24")  # the record of each axis value
+    spell(np.concatenate(axes).astype(float), spelled.view(np.uint8).reshape(-1, 24))
+    steps = [(math.prod(lens[i + 1:]), n, sum(lens[:i])) for i, n in enumerate(lens)]
     for r0 in range(0, n_rows, _BLOCK_ROWS):
-        m = mat[:min(_BLOCK_ROWS, n_rows - r0)]
-        at = np.stack(np.unravel_index(np.arange(r0, r0 + len(m)), lens), 1) + offsets
-        slots[:len(m), :n_ax, :24].view("V24")[..., 0] = spelled.view("V24")[at, 0]
+        m, rows = mat[:min(_BLOCK_ROWS, n_rows - r0)], np.arange(r0, min(r0 + _BLOCK_ROWS, n_rows))
+        for i, (step, n, first) in enumerate(steps):  # rows per index step, length, first record
+            slots[:len(m), i, :24].view("V24")[:, 0] = spelled.take(rows // step % n + first)
         spell(np.stack([c[r0:r0 + len(m)] for c in columns], 1), slots[:len(m), n_ax:])
         if r0 + len(m) == n_rows:
             m[-1, m.shape[1] - drop:] = 0
@@ -421,6 +431,7 @@ def format_verify_json(out, checks) -> None:
     out.write(json.dumps(doc, indent=1) + "\n")
 
 
+@functools.cache  # built on the first call of main, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsatom")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -439,8 +450,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else None
         if args.command == "verify":
-            checks, code = run_verify(cfg)
-            result = [checks]
+            *result, code = run_verify(cfg)  # result: [checks]
             fmt = format_verify_json if args.format == "json" else format_verify_text
         else:
             run = run_xsection_sweep if args.command == "xsection" else run_spectrum_sweep

@@ -406,11 +406,10 @@ def _random_block(rng, n: int, extra=(), gamma_positive: bool = False):
 def _total_form_gap(sc: ScatteringScalars, rs: ReducedScalars):
     """|compact - expanded| total cross section over the largest term of the
     expanded form (|g-|^2 plus the s-wave interference terms), floats or columns."""
-    den = rs.den
     terms = (sc.norm2_g_minus,
-             rs.kappa2 * (1.0 + _sq(rs.eta) * (sc.norm2_g_plus - sc.norm2_g_minus)) / den,
-             -rs.y * _sin(2.0 * sc.delta0_minus) / den,
-             -2.0 * rs.kappa2 * _sq(_sin(sc.delta0_minus)) / den)
+             rs.kappa2 * (1.0 + rs.eta2 * (sc.norm2_g_plus - sc.norm2_g_minus)) / rs.den,
+             -rs.y * _sin(2.0 * sc.delta0_minus) / rs.den,
+             -2.0 * rs.kappa2 * _sq(_sin(sc.delta0_minus)) / rs.den)
     return abs(_total(sc, rs) - sum(terms)) / functools.reduce(np.maximum, map(abs, terms))
 
 

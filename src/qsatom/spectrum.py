@@ -7,8 +7,8 @@ section.  For strong drive and weak direct scattering the familiar
 Mollow triplet appears; direct scattering distorts it and makes the
 spectrum asymmetric in x.
 
-One builder forms all three adjugate rows of the resolvent, closed in
-the scalars: the spectra read rows 1 and 3, :func:`resolvent` all three.
+One builder forms the adjugate rows of the resolvent, closed in the
+scalars: the spectra read rows 1 and 3, :func:`resolvent` all three.
 Both spectra contract those rows by one fixed-order sum of float
 products, so a value depends neither on its x grid nor on the BLAS.
 
@@ -38,7 +38,7 @@ def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, n
     the inelastic spectrum, (3, n) for columns of ``rs``.  The left vector
     of the second bilinear is structurally (1, 0, 0), so only c' is
     returned; d' and d'' encode the dressed scalars."""
-    eta2, s = _sq(rs.eta), rs.s
+    eta2, s = rs.eta2, rs.s
     eis = np.exp(1j * s)
     sins = _sin(s)
     k2, y = rs.kappa2, rs.y
@@ -48,8 +48,8 @@ def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, n
     dprime = np.array([
         k2 * mprime,
         k2 * mprime + 1j * y * mprime,
-        rs.norm2_dg * (_sq(y) + _sq(k2)) + k2 * y * _sin(2.0 * s)
-        + 2.0 * _sq(k2) * _sq(_cos(s))
+        rs.norm2_dg * (_sq(y) + rs.kappa4) + k2 * y * _sin(2.0 * s)
+        + 2.0 * rs.kappa4 * _sq(_cos(s))
         + (k2 * y * eis + 1j * (k2 * k2) * eis) * sins,
     ], dtype=complex)
     ddoubleprime = np.array([
@@ -64,33 +64,31 @@ def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _det_and_rows(rs: ReducedScalars, x):
-    """Determinant and adjugate rows 1, 2 and 3 of A = Gtilde + 2ix, closed
-    in the scalars, over finite x made 1-d, since numpy's scalar complex
-    product rounds unlike its array loops; kplus * kminus stands for
-    khat^2 + w^2, which cancels on a far-detuned sideband.  Row 2 follows
-    from the zeros A23 = A32 = 0 as (-A21 A33, A11 A33 - A13 A31, A13 A21)."""
+    """Determinant, adjugate rows 1 and 3 and a builder of row 2 (for
+    :func:`resolvent`) of A = Gtilde + 2ix, closed in the scalars, over finite
+    x made 1-d, since numpy's scalar complex product rounds unlike its array
+    loops; kplus * kminus stands for khat^2 + w^2, which cancels on a far-detuned
+    sideband.  A23 = A32 = 0 give row 2 as (-A21 A33, A11 A33 - A13 A31, A13 A21)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
         raise ValueError("the resolvent needs a finite x")
-    k2, w, s, gt = rs.kappa2, rs.w, rs.s, rs.gammatilde
-    eta2 = _sq(rs.eta)
+    k2, w, s, gt, eta2 = rs.kappa2, rs.w, rs.s, rs.gammatilde, rs.eta2
     cs, sins = _cos(s), _sin(s)
     khat = k2 + gt + 2j * x
     kplus = k2 + gt + 1j * (2.0 * x + w)
     kminus = k2 + gt + 1j * (2.0 * x - w)
+    kk = kplus * kminus
     a11 = 2.0 + gt + 2j * x
-    det = a11 * (kplus * kminus) + 4.0 * eta2 * cs * (khat * cs - w * sins)
+    det = a11 * kk + 4.0 * eta2 * cs * (khat * cs - w * sins)
     singular = np.abs(det) < _DET_FLOOR
     if singular.any():  # the first such x of a grid, or the one x of columns
         raise ArithmeticError(f"resolvent singular at x = {x.flat[np.argmax(singular) % x.size]}")
     emis = np.exp(-1j * s)
-    a21, a31 = 2.0 * eta2 * np.conj(emis) * cs, -2.0 * emis * cs
-    row1 = np.stack([kplus * kminus, kplus, -eta2 * kminus])
-    row2 = np.stack([-(a21 * kplus), a11 * kplus - eta2 * a31, eta2 * a21 * np.ones_like(khat)])
-    row3 = np.stack([2.0 * emis * cs * kminus,
-                     2.0 * emis * cs * np.ones_like(khat),
-                     a11 * kminus + a21])
-    return det, row1, row2, row3
+    a21, b31 = 2.0 * eta2 * np.conj(emis) * cs, 2.0 * emis * cs  # b31 = -A31
+    row1 = np.stack([kk, kplus, -eta2 * kminus])
+    row3 = np.stack([b31 * kminus, np.broadcast_to(b31, kk.shape), a11 * kminus + a21])
+    return det, row1, row3, lambda: np.stack([
+        -(a21 * kplus), a11 * kplus + eta2 * b31, np.broadcast_to(eta2 * a21, kk.shape)])
 
 
 def _contract(d, rows):
@@ -112,8 +110,8 @@ def resolvent(rs: ReducedScalars, x) -> np.ndarray:
     is only possible at gammatilde = 0 on the boundary of the spectrum.
     Columns of ``rs`` and x give an (n, 3, 3) stack.
     """
-    det, *rows = _det_and_rows(rs, x)
-    m = np.moveaxis(np.stack(rows) / det, (0, 1), (-2, -1))
+    det, row1, row3, row2 = _det_and_rows(rs, x)
+    m = np.moveaxis(np.stack([row1, row2(), row3]) / det, (0, 1), (-2, -1))
     return _point(m, rs, x)
 
 
@@ -129,11 +127,11 @@ def sigma_inel_x(sc: ScatteringScalars, dc: DriveConfig, x):
     """
     rs = reduced_scalars(sc, dc)
     cprime, dprime, ddoubleprime = spectral_coefficients(rs)
-    det, row1, _, row3 = _det_and_rows(rs, x)
+    det, row1, row3, _ = _det_and_rows(rs, x)
     bilinear = (np.conj(cprime[0]) * _contract(dprime, row1)
                 + _contract(dprime, row3)  # c'_3 = 1
                 + sc.norm2_pdg * _contract(ddoubleprime, row1)) / det
-    out = _sq(rs.eta) / (math.pi * _sq(rs.den)) * 2.0 * bilinear.real
+    out = rs.eta2 / (math.pi * rs.den2) * 2.0 * bilinear.real
     return _point(out, rs, x)
 
 
@@ -230,7 +228,7 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
                   + k2 * y * math.sin(2.0 * sc.s) + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2])
     c3 = e2 / SQRT_4PI
     d = (dg * spectral_coefficients(rs)[2] + c3 * q) / den ** 2
-    det, row1, _, row3 = _det_and_rows(rs, x)
+    det, row1, row3, _ = _det_and_rows(rs, x)
     bilinear = (np.conj(dg) * _contract(d, row1) + np.conj(c3) * _contract(d, row3)) / det
     inel = (2.0 / math.pi) * dc.eta ** 2 * bilinear.real.item()
     return el, inel

@@ -48,38 +48,28 @@ def _modulus(c):
 # The one copy of each closed form: ``rs`` (and ``sc``) hold floats for one
 # point or columns for a grid, and both round alike through ``_sq``.
 
-def _fano_b(sc: ScatteringScalars, eta2):
-    """The auxiliary combination B of the compact total and elastic forms."""
-    return (1.0 + eta2 + eta2 * sc.norm2_pdg) * (1.0 + eta2 * sc.norm2_pdg)
-
-
 def _total(sc: ScatteringScalars, rs: ReducedScalars):
-    eta2 = _sq(rs.eta)
     a = (_sq(_sin(sc.delta0_plus)) + rs.kappa2 * sc.norm2_g_plus
-         + sc.norm2_pdg * (1.0 + eta2 * (1.0 + sc.norm2_pdg)
+         + sc.norm2_pdg * (1.0 + rs.eta2 * (1.0 + sc.norm2_pdg)
                            * _sq(_sin(sc.delta0_minus))))
-    den = rs.den
     return (_sq(rs.z * _sin(sc.delta0_minus) - _cos(sc.delta0_minus))
-            + eta2 * a) / den + sc.norm2_pg_minus * (_sq(rs.z) + _fano_b(sc, eta2)) / den
+            + rs.eta2 * a) / rs.den + sc.norm2_pg_minus * rs.zb / rs.den
 
 
 def _elastic(sc: ScatteringScalars, rs: ReducedScalars):
-    eta2 = _sq(rs.eta)
-    den = rs.den
-    zb = _sq(rs.z) + _fano_b(sc, eta2)
-    perp = (_sq(zb) * sc.norm2_pg_minus
-            + _sq(eta2) * _sq(rs.kappa2) * sc.norm2_pg_plus
-            + 2.0 * zb * eta2 * rs.kappa2 * sc.cross_pg)
+    perp = (_sq(rs.zb) * sc.norm2_pg_minus
+            + _sq(rs.eta2) * rs.kappa4 * sc.norm2_pg_plus
+            + 2.0 * rs.zb * rs.eta2 * rs.kappa2 * sc.cross_pg)
     swave = (np.exp(-1j * sc.delta0_minus) * _sin(sc.delta0_minus)
-             + (eta2 * rs.kappa2 * np.exp(1j * sc.s) * _sin(sc.s)
-                - rs.y + 1j * rs.kappa2) / den)
-    return perp / _sq(den) + _sq(_modulus(swave))
+             + (rs.eta2 * rs.kappa2 * np.exp(1j * sc.s) * _sin(sc.s)
+                - rs.y + 1j * rs.kappa2) / rs.den)
+    return perp / rs.den2 + _sq(_modulus(swave))
 
 
 def _inelastic(sc: ScatteringScalars, rs: ReducedScalars):
     e = (_sq(rs.y * _sin(sc.s) + rs.kappa2 * _cos(sc.s))
-         + sc.norm2_pdg * (_sq(rs.y) + _sq(rs.kappa2)))
-    return _sq(rs.eta) * (1.0 + rs.kappa2) * e / _sq(rs.den)
+         + sc.norm2_pdg * (_sq(rs.y) + rs.kappa4))
+    return rs.eta2 * (1.0 + rs.kappa2) * e / rs.den2
 
 
 def sigma_tot(sc: ScatteringScalars, dc: DriveConfig) -> float:
@@ -120,17 +110,17 @@ def cross_sections(sc: ScatteringScalars, dc: DriveConfig) -> CrossSectionTriple
 
 def cross_section_grid(sc: ScatteringScalars, eta2: np.ndarray,
                        ztilde: np.ndarray) -> CrossSectionTriple:
-    """:func:`cross_sections`, bit for bit, at each point (eta2[i], ztilde[i]).
-    Where the floats would overflow, the first such point raises
-    ArithmeticError."""
+    """:func:`cross_sections`, bit for bit, at each point of eta2 and ztilde
+    broadcast together: a column of eta2 against a row of ztilde forms each
+    term of the intensity alone once per eta2.  Where the floats would
+    overflow, the first such point raises ArithmeticError."""
     with np.errstate(all="ignore"):
         rs = reduced_scalars(sc, DriveConfig(np.sqrt(eta2), ztilde))
         cols = (_total(sc, rs), _elastic(sc, rs), _inelastic(sc, rs))
-        finite = np.isfinite(_sq(rs.den)) & np.isfinite(cols).all(axis=0)
+        finite = np.isfinite(rs.den2) & np.isfinite(cols).all(axis=0)
     if not finite.all():
-        i = int(np.argmin(finite))
-        raise ArithmeticError("non-finite cross section at (eta2, ztilde) = "
-                              f"({eta2[i]}, {ztilde[i]})")
+        e2, zt = (np.broadcast_to(v, finite.shape).flat[np.argmin(finite)] for v in (eta2, ztilde))
+        raise ArithmeticError(f"non-finite cross section at (eta2, ztilde) = ({e2}, {zt})")
     return CrossSectionTriple(*cols)
 
 
@@ -143,13 +133,12 @@ def sigma_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float) -> float:
     sc = scalars_from_phase_shifts(table)
     rs = reduced_scalars(sc, dc)
     gp, gm = g_pm(table, theta)
-    den = rs.den
     interference = float((np.exp(-2j * sc.delta0_minus) * gm
                           * complex(rs.kappa2, -rs.y)).real)
     return (abs(gm) ** 2
-            + rs.kappa2 / den * (1.0 / (4.0 * math.pi)
-                                 + dc.eta ** 2 * (abs(gp) ** 2 - abs(gm) ** 2))
-            - 2.0 / (SQRT_4PI * den) * interference)
+            + rs.kappa2 / rs.den * (1.0 / (4.0 * math.pi)
+                                    + dc.eta ** 2 * (abs(gp) ** 2 - abs(gm) ** 2))
+            - 2.0 / (SQRT_4PI * rs.den) * interference)
 
 
 def mollow_xsections(ztilde: float, eta: float) -> CrossSectionTriple:

@@ -879,3 +879,54 @@ def test_verify_detects_injected_weight_sign_error(monkeypatch, capsys):
     failed = {c["check"] for c in doc["checks"] if not c["passed"]}
     assert failed & {"spectral normalization sum rules",
                      "spectral quadrature convergence"}
+
+
+def _record_of(values, q, k):
+    """``cli._record``'s bytes for ``values`` with the digits ``q`` at exponent ``k``."""
+    v = np.array(values, float)
+    rec = np.full((len(v), 25), ord("\n"), np.uint8)
+    got = cli._record(v, np.abs(v), np.array(q, np.int64), np.array(k), rec)
+    return rec.tobytes().translate(None, b"\0").decode(), got
+
+
+def test_record_builder_carries_a_rounded_up_decade_into_the_exponent():
+    # 10^17 at exponent k is 10^16 at k + 1: 9.99...95e-3 rounded up is 1e-2
+    values = [-0.01, 0.01, 1e-100, 1e22, 1e100, -1e308]
+    text, k = _record_of(values, [10**17] * 6, [-3, -3, -101, 21, 99, 307])
+    assert text == "".join(f"{v:.16e}\n" for v in values)
+    assert k.tolist() == [-2, -2, -100, 22, 100, 308]
+
+
+def test_record_builder_writes_three_digit_exponents_zeros_and_subnormals():
+    exponents = (100, 101, 199, 200, 299, 307, 308)
+    values = [v for e in exponents for v in (1.5 * 10.0**e, 1.5 / 10.0**e)]
+    values += [-v for v in values] + [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max]
+    a = np.abs(np.array(values))
+    _, _, _, k, q, f, _ = cli._scaled(a)
+    text, _ = _record_of(values, q + (f > 0.5), k)
+    assert text == "".join(f"{v:.16e}\n" for v in values)
+
+
+_EACH_COMMAND = [["xsection", "--format", "json"], ["spectrum"], ["verify", "--format", "json"],
+                 ["spectrum", "--no-such-flag"]]
+
+
+def _main_bytes(argv, cfg, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``, a parser exit included."""
+    try:
+        code = main(argv[:1] + ["--config", cfg] * (argv[0] != "verify") + argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_one_process_runs_each_command_as_a_fresh_one_does(tmp_path, capsys):
+    # main builds its parser once; each later call must behave as in a new process
+    cfg = _write(tmp_path, "fano.json", _fano_config())
+    alone = []
+    for argv in _EACH_COMMAND:
+        cli._build_parser.cache_clear()
+        alone.append(_main_bytes(argv, cfg, capsys))
+    assert [out[0] for out in alone] == [0, 0, 0, 2]
+    assert [_main_bytes(argv, cfg, capsys) for argv in _EACH_COMMAND] == alone
+    assert cli._build_parser.cache_info().misses == 1

@@ -271,3 +271,42 @@ def test_cross_section_grid_names_the_first_overflowing_point(fano_scalars):
     # instead, which must not pass as numbers
     with pytest.raises(ArithmeticError, match=r"\(eta2, ztilde\) = \(1e\+200, 0\.5\)"):
         cross_section_grid(fano_scalars, np.array([4.0, 1e200]), np.array([0.5, 0.5]))
+
+
+# The hard corners of the sweep tests: the Fano zero of delta0_minus = 0.13
+# (ztilde = 0.5 cot 0.13 = 3.83 at eta2 -> 0) with ||P g-||^2 = 0,
+# ||P dg||^2 on the triangle bound, eta2 from 0 to 1e3 and ztilde = +-1e4
+_CORNER_SCALARS = ScatteringScalars(-0.03, 0.13, 0.005, 0.0, 0.005, -0.001)
+_CORNER_ETA2 = [0.0, 1e-6, 4.0, 1e3]
+_CORNER_ZTILDE = [-1e4, 0.0, 3.8, 3.83, 0.5 / math.tan(0.13), 3.8325, 3.85, 1e4]
+
+
+@pytest.mark.parametrize("shape", ["flat", "column against row"])
+def test_cross_section_grid_is_the_scalar_path_at_the_hard_corners(shape):
+    eta2 = np.repeat(_CORNER_ETA2, len(_CORNER_ZTILDE))
+    ztilde = np.tile(_CORNER_ZTILDE, len(_CORNER_ETA2))
+    grid = (cross_section_grid(_CORNER_SCALARS, eta2, ztilde) if shape == "flat" else
+            cross_section_grid(_CORNER_SCALARS, np.array(_CORNER_ETA2)[:, None],
+                               np.array(_CORNER_ZTILDE)))
+    for name in ("total", "elastic", "inelastic"):
+        want = [getattr(cross_sections(_CORNER_SCALARS, DriveConfig(math.sqrt(e2), zt)), name)
+                for e2, zt in zip(eta2.tolist(), ztilde.tolist())]
+        assert getattr(grid, name).tobytes() == np.array(want).tobytes(), name
+
+
+def test_a_sweep_squares_each_grid_quantity_once(monkeypatch):
+    # eleven distinct squares, each formed once, the four of the intensity
+    # alone (eta, 1 + eta2 ||P dg||^2, kappa2, eta2) once per eta2 value: the
+    # grid-sized ones are z, den, z sin d0- - cos d0-, zb, the s-wave modulus,
+    # y sin s + kappa2 cos s and y
+    from qsatom.cli import parse_config, run_xsection_sweep
+    grid_sized, float_power = [], np.float_power
+    monkeypatch.setattr(np, "float_power", lambda v, p: grid_sized.append(np.size(v) == 10_000)
+                        or float_power(v, p))
+    doc = {"mode": "scalars", "scalars": {"delta0_plus": -0.03, "delta0_minus": 0.13,
+                                          "norm2_pg_plus": 0.005, "norm2_pg_minus": 0.005,
+                                          "norm2_pdg": 0.02, "eps_r": -0.001},
+           "eta2": np.linspace(0.0, 40.0, 100).tolist(),
+           "ztilde": np.linspace(-8.0, 8.0, 100).tolist()}
+    run_xsection_sweep(parse_config(doc))
+    assert 0 < sum(grid_sized) <= 7
