@@ -14,10 +14,10 @@ and ``abs``.  The record builder spells fixed blocks of rows, each axis
 value once, from 17 digits that an exact float64 double-word product
 gives to 2^-47, split by constant divisors and moved into place 16 at a
 time: CSV as ``"%.16e"``, JSON as ``repr``'s fewest digits that read
-back, laid out by byte masks on shifted 64-bit lanes.  printf or repr
-spells a value within 2^-30 of a rounding tie, and each value of a grid
-that holds a non-finite one; the bytes are the same on every IEEE-754
-platform.  ``--threads N`` is accepted and ignored.  Sweeps import only
+back, laid out by byte masks on shifted 64-bit lanes.  printf or
+``json.dumps`` spells a non-finite value and one within 2^-30 of a
+rounding tie; the bytes are the same on every IEEE-754 platform.
+``--threads N`` is accepted and ignored.  Sweeps import only
 ``model``, ``xsection`` and ``spectrum``; ``verify`` loads ``oracle``.
 
 Exit codes: 0 success, 1 numerical or check failure, 2 config error or
@@ -270,9 +270,11 @@ def _scaled(v):
     exactly (Dekker, Numer. Math. 18, 224 (1971)), p >= 2^53 is an integer
     and r = err + m lo.  f is within 2^-47 of exact: |err| <= 8 and
     |m lo| < 16, so r and m lo round by 2^-49 and 2^-50, the tail
-    m |T - hi - lo| is below 2^-50, and r - floor(r) rounds by 2^-54."""
+    m |T - hi - lo| is below 2^-50, and r - floor(r) rounds by 2^-54.
+    A non-finite v is read as 0 and flagged in ``odd``."""
     thr, ks, his, los = _spell_tables()[:4]
     a = np.abs(v)
+    a[odd := ~np.isfinite(a)] = 0.0
     m, e = np.frexp(a)
     i = 2 * (j := e + 1073) + (m >= thr.take(j))  # take: much faster than indexing here
     hi = his.take(i)
@@ -280,7 +282,7 @@ def _scaled(v):
     err = m_l * hi_l - (((p - m_h * hi_h) - m_l * hi_h) - m_h * hi_l)
     r = err + m * los.take(i)
     floor = np.floor(r)
-    return a, m, e, ks.take(i), p.astype(np.int64) + floor.astype(np.int64), r - floor, hi
+    return a, m, e, ks.take(i), p.astype(np.int64) + floor.astype(np.int64), r - floor, hi, odd
 
 
 def _divmod(x, d):
@@ -306,22 +308,23 @@ def _record(v, a, q, k, rec):
 
 
 def _spell(v, rec):
-    """Spell finite ``v`` as ``"%.16e"`` into ``rec[..., :24]`` (see ``_record``)."""
-    a, _, _, k, q, f, _ = _scaled(v)
-    slow = np.abs(f - 0.5) < _TIE_WINDOW  # printf's digits end in q or q + 1: ask it
-    f[slow] = _printf("%.16e".__mod__, a[slow])[:, 17] != q[slow] % 10 + ord("0")
+    """Spell ``v`` as ``"%.16e"`` into ``rec[..., :24]`` (see ``_record``);
+    printf spells a non-finite value and a fraction within ``_TIE_WINDOW`` of 1/2."""
+    a, _, _, k, q, f, _, odd = _scaled(v)
     _record(v, a, q + (f > 0.5), k, rec)
+    slow = odd | (np.abs(f - 0.5) < _TIE_WINDOW)
+    rec[slow, :24] = _printf("%.16e".__mod__, v[slow])
 
 
 def _shortest(v, rec):
-    """Spell finite ``v`` as ``repr(v)`` into ``rec[..., :24]``, NUL-padded: the
+    """Spell ``v`` as ``json.dumps(v)`` into ``rec[..., :24]``, NUL-padded: the
     fewest digits that read back to v, the nearer of two (Steele & White).  In
     units 10^j of y, the neighbours of n = 17 - j digits are y's floor and
-    ceiling; where neither reads back, no shorter decimal does.  ``repr``
-    decides where a distance lies within ``_TIE_WINDOW`` of a half-gap, or of
-    the other's."""
+    ceiling; where neither reads back, no shorter decimal does.  ``json.dumps``
+    spells a non-finite value and decides where a distance lies within
+    ``_TIE_WINDOW`` of a half-gap, or of the other's."""
     flat = v.reshape(-1)
-    a, m, e, k, yi, f, t = _scaled(flat)
+    a, m, e, k, yi, f, t, odd = _scaled(flat)
     # half-gaps in units of y: T 2^-54, or T 2^(-1075 - e) if subnormal
     hi = np.ldexp(t, np.maximum(-54, -1075 - e))
     # a power of two's lower gap is half its upper one
@@ -331,7 +334,7 @@ def _shortest(v, rec):
     # lo - f, its ceiling where 10^j less the remainder is below hi + f: a
     # distance is near a half-gap only where one of these is near an integer
     c_lo, c_hi = lo - f, hi + f
-    slow = (np.abs(c_lo - np.rint(c_lo)) < win) | (np.abs(c_hi - np.rint(c_hi)) < win)
+    slow = odd | (np.abs(c_lo - np.rint(c_lo)) < win) | (np.abs(c_hi - np.rint(c_hi)) < win)
     c_lo[a == 0] = np.inf  # "0.0"
     # n digits and y's remainder by r = 10^(17 - n): the first pass runs on
     # every value, each later one on those that the last one shortened
@@ -358,7 +361,7 @@ def _shortest(v, rec):
     cls = 21 * n + np.where((k >= -4) & (k <= 15), k + 4, 20)
     A, B, C, K = _repr_layouts().take(cls, 1).reshape(4, 3, -1)
     out = ((lanes & A) | (right & B) | (left & C) | K).T.copy().view(np.uint8)
-    out[slow] = _printf(repr, flat[slow])
+    out[slow] = _printf(json.dumps, flat[slow])
     rec[..., :24].view("V24")[..., 0] = out.view("V24").reshape(v.shape)
 
 
@@ -368,15 +371,11 @@ def _printf(num, v):
     return spelled.view(np.uint8).reshape(*v.shape, 24)
 
 
-def _write_records(out, axes, columns, spell, num, seps, trailer="", drop=0) -> None:
+def _write_records(out, axes, columns, spell, seps, trailer="", drop=0) -> None:
     """Write the rows ``_BLOCK_ROWS`` at a time: value i of a row spelled by
     ``spell`` into 24 bytes and followed by ``seps[i]``, the row by ``trailer``,
     NUL bytes dropped and the last ``drop`` bytes of all left out; each axis
-    value is spelled once and gathered by index.  ``spell`` needs finite
-    values; else each value is ``num(v)``."""
-    if not all(np.isfinite(c).all() for c in (*axes, *columns)):
-        def spell(v, rec):
-            rec[..., :24] = _printf(num, v)
+    value is spelled once and gathered by index."""
     lens, n_ax, n_vals = [len(axis) for axis in axes], len(axes), len(seps)
     n_rows, width = math.prod(lens), 24 + len(seps[0])
     mat = np.empty((min(_BLOCK_ROWS, n_rows), n_vals * width + len(trailer)), np.uint8)
@@ -400,7 +399,7 @@ def format_csv(out, names, axes, columns) -> None:
     """Rows of ``"%.16e" % v``, spelled by ``_spell``."""
     out.write(f"# {SCHEMA}, reduced units (alpha2=1), columns: " + ",".join(names) + "\n")
     seps = [","] * (len(axes) + len(columns) - 1) + ["\n"]
-    _write_records(out, axes, columns, _spell, "%.16e".__mod__, seps)
+    _write_records(out, axes, columns, _spell, seps)
 
 
 def format_json(out, names, axes, columns) -> None:
@@ -409,7 +408,7 @@ def format_json(out, names, axes, columns) -> None:
                        "columns": list(names)}, indent=1)
     out.write(head[:-2] + ',\n "rows": [\n  [\n   ')
     seps = [",\n   "] * (len(axes) + len(columns) - 1) + ["\n  ],"]
-    _write_records(out, axes, columns, _shortest, json.dumps, seps, "\n  [\n   ", drop=9)
+    _write_records(out, axes, columns, _shortest, seps, "\n  [\n   ", drop=9)
     out.write("\n ]\n}\n")
 
 

@@ -17,7 +17,6 @@ absolute units is a post-multiplication left to the caller.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -190,8 +189,8 @@ class ReducedScalars:
     are the drive amplitude, s-wave shift difference and detector width
     they were dressed with, so every builder downstream takes this object.
     The closed forms share ``eta2``, ``den = z^2 + zeta^2`` (never below 1),
-    ``zb = z^2 + (1 + eta^2 + eta^2 ||P dg||^2)(1 + eta^2 ||P dg||^2)`` and,
-    squared on first use, ``den2`` and ``kappa4``.  On drive columns, the
+    ``zb = z^2 + (1 + eta^2 + eta^2 ||P dg||^2)(1 + eta^2 ||P dg||^2)``,
+    ``den2 = den^2`` and ``kappa4 = kappa2^2``.  On drive columns, the
     per-point fields are columns.
     """
 
@@ -207,6 +206,8 @@ class ReducedScalars:
     eta2: float
     zb: float
     den: float
+    den2: float
+    kappa4: float
 
     def __post_init__(self):
         if _any((self.kappa2 < 1.0 - 1e-12) | (self.zeta2 < 1.0 - 1e-12)):
@@ -216,9 +217,6 @@ class ReducedScalars:
     def bprime(self) -> complex:
         """Complex coherence-decay rate kappa2 - i w."""
         return self.kappa2 - 1j * self.w
-
-    den2 = functools.cached_property(lambda self: _sq(self.den))
-    kappa4 = functools.cached_property(lambda self: _sq(self.kappa2))
 
 
 def scalars_from_phase_shifts(table: PhaseShiftTable) -> ScatteringScalars:
@@ -269,4 +267,5 @@ def reduced_scalars(sc: ScatteringScalars, dc: DriveConfig) -> ReducedScalars:
     den = (z2 := _sq(z)) + zeta2
     # positional, in field order: keywords made this per-point call ~20% slower (CPython 3.11)
     return ReducedScalars(z, z - half_sin2s, kappa2, zeta2, z + half_sin2s, norm2_dg, dc.eta, s,
-                          dc.gammatilde, eta2, z2 + (1.0 + eta2 + eta2 * sc.norm2_pdg) * p, den)
+                          dc.gammatilde, eta2, z2 + (1.0 + eta2 + eta2 * sc.norm2_pdg) * p, den,
+                          _sq(den), _sq(kappa2))

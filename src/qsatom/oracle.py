@@ -143,7 +143,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
         raise RuntimeError("time-domain kernel did not decay below the "
                            f"threshold within tau = {_KERNEL_TAU_MAX}")
     bilinear = y[3] + sc.norm2_pdg * y[7]
-    return float(dc.eta ** 2 / (math.pi * rs.den ** 2) * 2.0 * bilinear.real)
+    return float(rs.eta2 / (math.pi * rs.den2) * 2.0 * bilinear.real)
 
 
 # ---------------------------------------------------------------------------

@@ -218,19 +218,19 @@ def spectral_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float,
         raise ValueError("spectral_diff needs gammatilde > 0 for the elastic density")
     sc = scalars_from_phase_shifts(table)
     rs = reduced_scalars(sc, dc)
-    k2, y, den, eta2 = rs.kappa2, rs.y, rs.den, rs.eta ** 2
+    k2, y, den, eta2 = rs.kappa2, rs.y, rs.den, rs.eta2
     gp, gm = g_pm(table, theta)
     dg = gp - gm
     e2, kc = np.exp(2j * sc.delta0_minus), complex(k2, y)
     a = gm + dg * eta2 * k2 / den - e2 * kc / (SQRT_4PI * den)
     el = elastic_lorentzian(abs(a) ** 2, dc.gammatilde, x)
-    q = np.array([k2 * kc, kc * kc, rs.norm2_dg * (y ** 2 + k2 ** 2)
-                  + k2 * y * math.sin(2.0 * sc.s) + 2.0 * k2 ** 2 * math.cos(sc.s) ** 2])
+    q = np.array([k2 * kc, kc * kc, rs.norm2_dg * (y ** 2 + rs.kappa4)
+                  + k2 * y * math.sin(2.0 * sc.s) + 2.0 * rs.kappa4 * math.cos(sc.s) ** 2])
     c3 = e2 / SQRT_4PI
-    d = (dg * spectral_coefficients(rs)[2] + c3 * q) / den ** 2
+    d = (dg * spectral_coefficients(rs)[2] + c3 * q) / rs.den2
     det, row1, row3, _ = _det_and_rows(rs, x)
     bilinear = (np.conj(dg) * _contract(d, row1) + np.conj(c3) * _contract(d, row3)) / det
-    inel = (2.0 / math.pi) * dc.eta ** 2 * bilinear.real.item()
+    inel = (2.0 / math.pi) * eta2 * bilinear.real.item()
     return el, inel
 
 

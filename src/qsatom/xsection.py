@@ -137,7 +137,7 @@ def sigma_diff(table: PhaseShiftTable, dc: DriveConfig, theta: float) -> float:
                           * complex(rs.kappa2, -rs.y)).real)
     return (abs(gm) ** 2
             + rs.kappa2 / rs.den * (1.0 / (4.0 * math.pi)
-                                    + dc.eta ** 2 * (abs(gp) ** 2 - abs(gm) ** 2))
+                                    + rs.eta2 * (abs(gp) ** 2 - abs(gm) ** 2))
             - 2.0 / (SQRT_4PI * rs.den) * interference)
 
 

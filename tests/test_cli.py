@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import itertools
@@ -278,6 +279,58 @@ def test_sweep_bytes_match_the_recorded_golden_output(tmp_path, command, fmt):
     assert digest == HARD_CORNER_SHA256[command, fmt]
 
 
+# The same sweeps in two fresh interpreters: at numpy's full SIMD dispatch,
+# and with every dispatched feature this host enables switched off, so
+# that numpy runs only its baseline loops.  The spectrum's complex products
+# and moduli round otherwise without the X86_V3 (AVX2/FMA) loops.
+_SWEEP_CORNERS = """
+import json, sys
+from qsatom import cli
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+for command, fmt in json.loads(sys.argv[2]):
+    out = f"{sys.argv[3]}.{command}.{fmt}"
+    assert cli.main([command, "--config", sys.argv[1], "--format", fmt, "--out", out]) == 0
+print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__.get(f)]))
+"""
+
+
+@pytest.fixture(scope="module")
+def corner_bytes_by_simd_level(tmp_path_factory):
+    """The corner sweeps' bytes by SIMD level, after the dispatched features
+    that the full level enables, each run in a fresh interpreter."""
+    tmp = tmp_path_factory.mktemp("simd")
+    cfg, runs = _write(tmp, "corners.json", HARD_CORNERS), {}
+
+    def sweep(label, disabled):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsatom.__file__)),
+                   NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+        proc = subprocess.run([sys.executable, "-c", _SWEEP_CORNERS, cfg,
+                               json.dumps(sorted(HARD_CORNER_SHA256)), str(tmp / label)],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs[label] = {key: (tmp / f"{label}.{key[0]}.{key[1]}").read_bytes()
+                       for key in HARD_CORNER_SHA256}
+        return json.loads(proc.stdout)
+
+    if not (features := sweep("full", [])):
+        pytest.skip("numpy enables nothing above its baseline on this host: no second level")
+    assert sweep("baseline", features) == []
+    return runs
+
+
+@pytest.mark.parametrize("command, fmt", [
+    pytest.param(command, fmt, marks=pytest.mark.xfail(
+        command == "spectrum", strict=True,
+        reason="complex multiply and abs round otherwise at numpy's baseline"))
+    for command, fmt in sorted(HARD_CORNER_SHA256)])
+def test_sweep_bytes_do_not_depend_on_numpy_simd_level(corner_bytes_by_simd_level, command, fmt):
+    runs = corner_bytes_by_simd_level
+    assert runs["full"][command, fmt] == runs["baseline"][command, fmt]
+
+
 @pytest.mark.parametrize("over", [{"x_grid": [1e160]}, {"gammatilde": 1e-300}])
 def test_spectrum_refuses_non_finite_rows(tmp_path, capsys, over):
     # det overflows far out in x; the elastic Lorentzian is inf at x = 0
@@ -418,9 +471,10 @@ def test_csv_header_carries_schema_and_columns():
 
 
 # The writers spell values through numpy record builders, with printf or
-# repr deciding where the digits may be wrong; their bytes must be those
-# of one "%.16e" % v per value, as a plain row writer spells them, and of
-# json.dumps(doc, indent=1), whose floats are repr's shortest digits.
+# json.dumps spelling a non-finite value and deciding where the digits may
+# be wrong; their bytes must be those of one "%.16e" % v per value, as a
+# plain row writer spells them, and of json.dumps(doc, indent=1), whose
+# floats are repr's shortest digits.
 
 def _naive_csv(names, axes, columns):
     rows = [",".join("%.16e" % v for v in (*point, *(c[i] for c in columns)))
@@ -542,6 +596,12 @@ _GRIDS = [
     [[0.0, 1e-300, 4.0], [-1e4, -0.0, 1e4]],            # a 2-axis xsection grid
     [[1.0, 2.0, 3.0], [-1.0, 1.0], np.linspace(-20.0, 20.0, 171).tolist()],
 ]
+# the last grid's 1026 rows again, with inf, -inf and nan on the first and
+# last rows of blocks of 1, 7 and 1024 rows, and exact ties at the 17th digit
+_ODD_GRID = [*_GRIDS[-1]]
+_GRIDS.append(_ODD_GRID)
+_ODD_ROWS = [0, 6, 7, 13, 14, 1023, 1024, 1025]
+_ODD_TIES = (2 * _TIES[:40] + 1) / 32.0
 
 
 def _random_grid(axes):
@@ -550,7 +610,47 @@ def _random_grid(axes):
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n) for _ in range(3)]
     columns[1][::2] = -0.0
     columns[2][1::3] = np.round(rng.uniform(-1e4, 1e4, len(columns[2][1::3])), 3)  # short, fixed
+    if axes is _ODD_GRID:
+        for i, row in enumerate(_ODD_ROWS):
+            columns[i % 3][row] = (np.inf, -np.inf, np.nan)[row % 3]
+        columns[0][100:140] = _ODD_TIES
     return ["eta2", "ztilde", "x"][:len(axes)] + ["a", "b", "c"], axes, columns
+
+
+@functools.cache
+def _near_ties(values, fmt):
+    """Of the finite ``values``, those within 2^-29 of a 17th-digit rounding
+    decision, in exact rationals and units of that digit: for "%.16e", v
+    near a tie; for repr, also v, or an end of the interval that reads back
+    as v, near a multiple of that digit."""
+    near, half = set(), Fraction(1, 2)
+    for v in values:
+        a = Fraction(abs(v))
+        if not a:
+            continue
+        k = math.floor(math.log10(abs(v)))
+        k += (a >= Fraction(10) ** (k + 1)) - (a < Fraction(10) ** k)
+        ends = ((Fraction(math.nextafter(abs(v), to)) + a) / 2 for to in (math.inf, 0.0))
+        points = [(a, (half,))] if fmt == "csv" else [(a, (0, half, 1)), *((p, (0, 1)) for p in ends)]
+        for p, targets in points:
+            f = p / Fraction(10) ** (k - 16) % 1
+            if any(abs(f - t) < Fraction(1, 2**29) for t in targets):
+                near.add(v)
+    return near
+
+
+def _written_by_one_route(monkeypatch, fmt, names, axes, columns):
+    """``_written``, checking that the per-value route (``_printf``) spells
+    the non-finite values and near-ties only: every one for "%.16e"."""
+    asked, printf = [], cli._printf
+    monkeypatch.setattr(cli, "_printf", lambda num, v: asked.extend(v.tolist()) or printf(num, v))
+    text = _written(fmt, names, axes, columns)
+    values, asked = np.concatenate([*axes, *columns]), np.array(asked)
+    odd, finite = ~np.isfinite(values), np.isfinite(asked)
+    assert sorted(map(repr, asked[~finite])) == sorted(map(repr, values[odd]))
+    near = _near_ties(tuple(values[~odd].tolist()), fmt)
+    assert set(asked[finite]) <= near and (fmt == "json" or set(asked[finite]) == near)
+    return text
 
 
 @pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7, 1])
@@ -558,20 +658,20 @@ def _random_grid(axes):
 def test_format_csv_is_a_naive_row_writer(monkeypatch, axes, block):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
     grid = _random_grid(axes)
-    assert _csv(*grid) == _naive_csv(*grid)
+    assert _written_by_one_route(monkeypatch, "csv", *grid) == _naive_csv(*grid)
 
 
-@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7])  # the block loop is format_csv's
+@pytest.mark.parametrize("block", [cli._BLOCK_ROWS, 7, 1])
 @pytest.mark.parametrize("axes", _GRIDS)
 def test_format_json_is_json_dumps(monkeypatch, axes, block):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
     grid = _random_grid(axes)
-    assert _written("json", *grid) == _naive_json(*grid)
+    assert _written_by_one_route(monkeypatch, "json", *grid) == _naive_json(*grid)
 
 
 def _assert_fallback_routes_write_the_record_builder_bytes(monkeypatch, command, doc, fmt):
-    # the printf or repr route of more values (window 1), and the per-value
-    # route of every value, which one non-finite value sends the whole grid down
+    # the printf or json.dumps route of more values (window 1), and of a NaN
+    # in the last row, which that route spells alone
     assert doc["mollow_reference"]
     run = {"spectrum": run_spectrum_sweep, "xsection": run_xsection_sweep}[command]
     names, axes, columns = run(parse_config(doc))
@@ -902,7 +1002,7 @@ def test_record_builder_writes_three_digit_exponents_zeros_and_subnormals():
     values = [v for e in exponents for v in (1.5 * 10.0**e, 1.5 / 10.0**e)]
     values += [-v for v in values] + [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max]
     a = np.abs(np.array(values))
-    _, _, _, k, q, f, _ = cli._scaled(a)
+    _, _, _, k, q, f, *_ = cli._scaled(a)
     text, _ = _record_of(values, q + (f > 0.5), k)
     assert text == "".join(f"{v:.16e}\n" for v in values)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import random_table
 from qsatom import (DriveConfig, PhaseShiftTable, ScatteringScalars,
                     g_pm, reduced_scalars, scalars_from_phase_shifts)
-from qsatom.model import SQRT_4PI
+from qsatom.model import SQRT_4PI, _sq
 
 # Explicit polynomial coefficients (ascending powers), independent of the
 # numpy Legendre routines used by the library.
@@ -192,6 +192,11 @@ def test_reduced_scalars_carry_the_drive(fano_scalars):
         assert rs.s == fano_scalars.s
         assert rs.gammatilde == dc.gammatilde
         assert rs.den == rs.z ** 2 + rs.zeta2
+        assert (rs.den2, rs.kappa4) == (_sq(rs.den), _sq(rs.kappa2))
+    n = 10_001  # a * a rounds unlike pow in about one square of a thousand
+    cols = DriveConfig(np.sqrt(np.linspace(0.0, 40.0, n)), np.linspace(-8.0, 8.0, n), 0.6)
+    rs = reduced_scalars(fano_scalars, cols)
+    assert np.array_equal(rs.den2, _sq(rs.den)) and np.array_equal(rs.kappa4, _sq(rs.kappa2))
 
 
 def test_reduced_scalars_continuous_at_zero_drive(fano_scalars):
