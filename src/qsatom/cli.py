@@ -425,8 +425,10 @@ def format_verify_text(out, checks) -> None:
 
 
 def format_verify_json(out, checks) -> None:
+    from .oracle import _RNG_SEED  # loaded by run_verify already
     doc = {"schema": SCHEMA, "checks": [c.to_dict() for c in checks],
-           "passed": all(c.passed for c in checks)}
+           "passed": all(c.passed for c in checks), "seed": _RNG_SEED, "generator": "splitmix64",
+           "versions": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}}
     out.write(json.dumps(doc, indent=1) + "\n")
 
 

@@ -240,6 +240,16 @@ def scalars_from_phase_shifts(table: PhaseShiftTable) -> ScatteringScalars:
     )
 
 
+def _legendre(x, lmax: int) -> np.ndarray:
+    """P_0 .. P_lmax at a float or array ``x``, on a new last axis: Bonnet's
+    recurrence in numpy ``legvander``'s operation order, so with its bits."""
+    x = np.asarray(x, dtype=float)
+    p = [np.ones_like(x), x][:lmax + 1]
+    for i in range(2, lmax + 1):
+        p.append((p[i - 1] * x * (2 * i - 1) - p[i - 2] * (i - 1)) / i)
+    return np.stack(p, axis=-1)
+
+
 def g_pm(table: PhaseShiftTable, theta: float) -> tuple[complex, complex]:
     """Forward amplitudes (g+(theta), g-(theta)) of the direct channel.
 
@@ -247,7 +257,7 @@ def g_pm(table: PhaseShiftTable, theta: float) -> tuple[complex, complex]:
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi]")
-    p = np.polynomial.legendre.legvander(math.cos(theta), table.lmax)[0]
+    p = _legendre(math.cos(theta), table.lmax)
     w = (2.0 * np.arange(table.lmax + 1) + 1.0) / SQRT_4PI * p
     deltas = np.stack([table.delta_plus, table.delta_minus])
     gp, gm = 1j * np.sum(w * np.exp(1j * deltas) * np.sin(deltas), axis=1)

@@ -13,6 +13,11 @@ Both RK4 oracles integrate constant-coefficient linear systems, so each
 runs as RK4 as a precomputed step matrix raised to the number of steps:
 the same truncation error, and none of the machinery it checks.
 
+The random points come from a SplitMix64 stream seeded afresh in each
+verification run, and the Gauss-Legendre rules are built by Newton's
+method on the one Legendre recurrence of ``model``: no command loads
+numpy's random or polynomial subpackage.
+
 Oracles never run inside production computations, and no sweep loads
 this module; they exist so a verification pass can fail loudly
 when a formula and its independent counterpart drift apart.
@@ -28,13 +33,31 @@ import numpy as np
 
 from .bloch import BlochVector, build_drift, equilibrium, evolve
 from .model import (MOLLOW_SCALARS, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _any, _sin, _sq, reduced_scalars,
+                    ScatteringScalars, _any, _legendre, _sin, _sq, reduced_scalars,
                     scalars_from_phase_shifts)
 from .spectrum import (elastic_lorentzian, mollow_inel_x, resolvent, sigma_inel_x,
                        spectral_coefficients)
 from .xsection import _elastic, _inelastic, _modulus, _total, sigma_el, sigma_inel, sigma_tot
 
 _RNG_SEED = 20250808
+
+
+class _SplitMix64:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) on numpy uint64 columns:
+    ``random(shape)`` gives the next doubles in [0, 1) in C order, each an
+    output's top 53 bits over 2^53.  Every constant is a ``np.uint64``, so
+    that numpy 1.x's value-based casting turns no step into float64."""
+
+    def __init__(self, seed: int):
+        self._state = np.uint64(seed)
+
+    def random(self, shape) -> np.ndarray:
+        steps = np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
+        z = self._state + np.uint64(0x9E3779B97F4A7C15) * steps
+        self._state = z[-1]
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+        return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).reshape(shape) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +177,24 @@ _MAX_HALVINGS = 30
 _MAX_PANELS = 4096
 # largest relative gap between a spectral integral and its closed form
 _SUM_RULE_TOL = 1e-6
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre (nodes ascending, weights 2 / ((1 - x^2) P_n'^2)):
+    Newton on P_n from -cos(pi (i - 1/4) / (n + 1/2)) (Hale & Townsend, SIAM
+    J. Sci. Comput. 35, A652 (2013)); P_n' = n (P_{n-1} - x P_n) / ((1 - x)(1 + x))
+    keeps the weights within ~1e-14 of exact for n <= 64."""
+    x = -np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for step in range(5):  # four steps reach the rounding for n <= 64
+        p = _legendre(x, n)
+        dp = n * (p[:, -2] - x * p[:, -1]) / ((1.0 - x) * (1.0 + x))
+        if step < 4:
+            x = x - p[:, -1] / dp
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
 # the panel pair's 8- and 16-node Gauss-Legendre (nodes, weights) on [-1, 1]
-_GAUSS_PAIR = tuple(np.polynomial.legendre.leggauss(n) for n in (8, 16))
+_GAUSS_PAIR = tuple(_gauss_legendre(n) for n in (8, 16))
 
 
 def integrate_line(f, scale: float, tol: float):
@@ -230,10 +269,11 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
     tails exactly.  The elastic Lorentzian is integrated at scale
     gammatilde / 2, where the map makes it flat, so that no detector width
     is too narrow to resolve; the total is that integral plus the
-    inelastic one.
+    inelastic one.  ValueError where (gammatilde / 2)^2 underflows to 0.
     """
-    if dc.gammatilde <= 0:
-        raise ValueError("sum rules need gammatilde > 0 (finite elastic line)")
+    if not _sq(0.5 * dc.gammatilde) > 0.0:
+        raise ValueError("sum rules need (gammatilde / 2)^2 > 0 (a finite elastic line), "
+                         f"got gammatilde = {dc.gammatilde:.15g}")
     inel_closed = sigma_inel(sc, dc)
     tot_closed = sigma_tot(sc, dc)
     el, gt = sigma_el(sc, dc), dc.gammatilde
@@ -254,7 +294,7 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
 # finite-beam photon balance
 
 # exact (to rounding) for P_l up to l = 127; the finite beam needs l up to the table's last entry
-_OVERLAP_RULE = np.polynomial.legendre.leggauss(64)
+_OVERLAP_RULE = _gauss_legendre(64)
 
 
 def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
@@ -272,7 +312,7 @@ def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
     a = math.cos(dtheta)
     xi = 0.5 * (xg + 1.0) * (1.0 - a) + a
     ww = 0.5 * (1.0 - a) * wg
-    integrals = ww @ np.polynomial.legendre.legvander(xi, lmax)
+    integrals = ww @ _legendre(xi, lmax)
     pref = 2.0 * math.pi / (dtheta * math.sqrt(2.0 * math.pi * (1.0 - a)))
     ls = np.arange(lmax + 1)
     return pref * np.sqrt((2.0 * ls + 1.0) / (4.0 * math.pi)) * integrals
@@ -391,7 +431,8 @@ DEFAULT_DRIVES = (DriveConfig(2.0, 0.0, 0.6),
 def _random_block(rng, n: int, extra=(), gamma_positive: bool = False):
     """``n`` random points as columns (sc, dc, rs, extras), drawn per point as
     the six scattering scalars, gammatilde, eta, ztilde and one per (lo, hi)
-    of ``extra``: lo + (hi - lo) u is Generator.uniform's draw from u."""
+    of ``extra``, each lo + (hi - lo) u from the next u in [0, 1) of
+    ``rng.random``, in that order."""
     ranges = ([(-0.4, 0.4)] * 2 + [(0.0, 0.1)] * 3 + [(-0.01, 0.01)]
               + [(0.05 if gamma_positive else 0.0, 1.5), (0.0, 6.0), (-8.0, 8.0), *extra])
     lo, hi = np.array(ranges).T
@@ -414,10 +455,11 @@ def _total_form_gap(sc: ScatteringScalars, rs: ReducedScalars):
 
 
 def _at_drive(dc: DriveConfig, f, *args):
-    """``f(*args)`` at the drive ``dc``, a float overflow named by the drive."""
+    """``f(*args)`` at ``dc``, a float overflow (CPython's or numpy's) named by the drive."""
     try:
-        return f(*args)
-    except OverflowError as exc:  # CPython's float ** raises where numpy gives inf
+        with np.errstate(over="raise", invalid="raise"):
+            return f(*args)
+    except (OverflowError, FloatingPointError) as exc:
         raise ArithmeticError("float overflow at (eta2, ztilde, gammatilde) = "
                               f"({dc.eta * dc.eta:.15g}, {dc.ztilde:.15g}, "
                               f"{dc.gammatilde:.15g})") from exc
@@ -431,7 +473,7 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
     float overflow at a drive raises ArithmeticError naming the drive."""
     is_table = isinstance(source, PhaseShiftTable)
     sc_ref = scalars_from_phase_shifts(source) if is_table else source
-    rng = np.random.default_rng(_RNG_SEED)
+    rng = _SplitMix64(_RNG_SEED)
     checks = []
 
     # determinant identity and equilibrium stationarity on a random grid
@@ -526,7 +568,7 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
         for dth in (0.3, 0.05):
             ov = beam_overlaps(12, dth)
             a_edge = math.cos(dth)
-            p = np.polynomial.legendre.legval(a_edge, np.eye(14))
+            p = _legendre(a_edge, 13)
             pref = 2.0 * math.pi / (dth * math.sqrt(2.0 * math.pi * (1.0 - a_edge)))
             integral = (np.r_[1.0, p[:12]] - p[1:]) / two_l1
             exact = pref * np.sqrt(two_l1 / (4.0 * math.pi)) * integral

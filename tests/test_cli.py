@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import io
@@ -7,13 +8,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsatom
@@ -166,6 +168,64 @@ def test_verify_names_the_drive_a_float_overflows_at(tmp_path, capsys, over, poi
     assert err == [f"numerical failure: float overflow at (eta2, ztilde, gammatilde) = {point}"]
 
 
+# Config fuzz: a few fields of a valid config replaced, deleted or added.
+# A value is a magnitude log-uniform from 0 (10^-330 underflows) to
+# 1.7e308 of either sign, a boolean, a string, null or an empty list; a
+# list field may also become a list of up to three such values.
+_FUZZ_VALUES = st.one_of(
+    st.builds(lambda e, sign: sign * 10.0**e, st.floats(-330.0, 308.23), st.sampled_from((1, -1))),
+    st.booleans(), st.text(max_size=2), st.none(), st.just([]))
+_FUZZ_BASES = (_fano_config(mollow_reference=True),
+               {"mode": "phase_shifts", "eta2": [4.0], "ztilde": [0.0], "gammatilde": 0.6,
+                "phase_shifts": {"delta_plus": [-0.03, 0.0633], "delta_minus": [0.13, 0.0]},
+                "x_grid": [0.0, 2.0]})
+_FUZZ_KEYS = ("mode", "scalars", "phase_shifts", "eta2", "ztilde", "x_grid", "gammatilde",
+              "mollow_reference")
+
+
+@st.composite
+def _fuzzed_config(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [(k,) for k in _FUZZ_KEYS] + [
+            (k, i) for k, v in doc.items() if isinstance(v, (dict, list))
+            for i in (v if isinstance(v, dict) else range(len(v)))]
+        *head, key = draw(st.sampled_from(paths))
+        parent = doc[head[0]] if head else doc
+        if draw(st.booleans()):
+            parent[key] = draw(_FUZZ_VALUES | st.lists(_FUZZ_VALUES, max_size=3))
+        elif isinstance(parent, list):
+            del parent[key]
+        else:
+            parent.pop(key, None)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(("xsection",) * 4 + ("spectrum",) * 4 + ("verify",)),
+       fmt=st.sampled_from(("csv", "json")), doc=_fuzzed_config())
+# two tracebacks the fuzz found in verify: the elastic line's (gammatilde / 2)^2
+# underflows to 0, and the time-domain kernel's strides overflow at |ztilde| 1e16
+@example(command="verify", fmt="csv", doc=_fano_config(gammatilde=1e-162))
+@example(command="verify", fmt="json", doc=_fano_config(ztilde=[-1e16, 0.0, 3.0]))
+def test_fuzzed_configs_exit_0_1_or_2_without_a_traceback(command, fmt, doc):
+    # a non-zero exit is one stderr line and no output file, except that
+    # verify writes its report when a check fails (exit 1, stderr empty)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err, std = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(std):
+            code = main([command, "--config", cfg, "--format", fmt, "--out", out])
+        assert code in (0, 1, 2) and std.getvalue() == ""
+        if code == 0 or (command == "verify" and code == 1 and not err.getvalue()):
+            assert not err.getvalue() and os.path.getsize(out) > 0
+        else:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["xsection", "verify"])
 @pytest.mark.parametrize("key", ["eta2", "gammatilde"])
 @pytest.mark.parametrize("digits", [401, 5001])
@@ -225,24 +285,35 @@ def test_sweeps_leave_scipy_linalg_unloaded(tmp_path):
 # the propagator and the oracles.
 _LAYER_FOOTPRINT = """
 import json, sys
+import numpy
+subpackages = lambda: sorted(m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules)
+numpy_own = subpackages()
 import qsatom
 layers = lambda: sorted(m for m in sys.modules if m.startswith("qsatom."))
 on_import = layers()
 from qsatom import cli
+loaded = [subpackages()]
 codes = [cli.main([c, "--config", sys.argv[1], "--out", sys.argv[2]])
          for c in ("xsection", "spectrum")]
 after_sweeps = layers()
+loaded.append(subpackages())
 codes.append(cli.main(["verify", "--out", sys.argv[2]]))
-print(json.dumps([codes, on_import, after_sweeps, layers()]))
+loaded.append(subpackages())
+print(json.dumps([codes, on_import, after_sweeps, layers(), numpy_own, loaded]))
 """
 
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
-    codes, on_import, after_sweeps, after_verify = _run_script(tmp_path, _LAYER_FOOTPRINT)
+    codes, on_import, after_sweeps, after_verify, numpy_own, loaded = \
+        _run_script(tmp_path, _LAYER_FOOTPRINT)
     assert codes == [0, 0, 0]
     assert on_import == []
     assert after_sweeps == ["qsatom.cli", "qsatom.model", "qsatom.spectrum", "qsatom.xsection"]
     assert {"qsatom.bloch", "qsatom.oracle"} <= set(after_verify)
+    # numpy.random and numpy.polynomial stay unloaded after import qsatom.cli,
+    # after both sweeps and after verify (numpy 1.x loads both on import numpy)
+    assert loaded == [numpy_own] * 3
+    assert numpy_own == [] or int(np.__version__.split(".")[0]) < 2
 
 
 # Recorded before the sweeps became columnar, from the per-point path;
@@ -916,6 +987,14 @@ def test_verify_passes_at_a_narrow_detector_width(tmp_path, capsys, gammatilde):
     cfg = _write(tmp_path, "narrow.json", doc)
     assert main(["verify", "--config", cfg, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_verify_json_names_its_draw_and_versions(capsys):
+    assert main(["verify", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["seed"], doc["generator"]) == (20250808, "splitmix64")
+    assert doc["versions"] == {"python": ".".join(map(str, sys.version_info[:3])),
+                               "numpy": np.__version__}
 
 
 def test_verify_json_counts_the_samples_of_each_check(tmp_path, capsys):

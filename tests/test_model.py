@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from helpers import random_table
 from qsatom import (DriveConfig, PhaseShiftTable, ScatteringScalars,
                     g_pm, reduced_scalars, scalars_from_phase_shifts)
-from qsatom.model import SQRT_4PI, _sq
+from qsatom.model import SQRT_4PI, _legendre, _sq
 
 # Explicit polynomial coefficients (ascending powers), independent of the
-# numpy Legendre routines used by the library.
+# Legendre recurrence used by the library.
 _LEGENDRE_COEFFS = [
     [1.0],
     [0.0, 1.0],
@@ -102,6 +102,15 @@ def test_g_pm_against_explicit_legendre_sum():
         gp, gm = g_pm(t, theta)
         assert gp == pytest.approx(_g_explicit(t.delta_plus, theta), abs=1e-14)
         assert gm == pytest.approx(_g_explicit(t.delta_minus, theta), abs=1e-14)
+
+
+def test_legendre_recurrence_is_numpys_legvander_bit_for_bit():
+    # numpy's operation order, so g_pm, sigma_diff and spectral_diff keep their bits
+    x = np.concatenate([np.random.default_rng(5).uniform(-1.0, 1.0, 64), [-1.0, 1.0]])
+    for lmax in range(131):
+        want = np.polynomial.legendre.legvander(x, lmax)
+        assert _legendre(x, lmax).tobytes() == want.tobytes()
+        assert _legendre(float(x[0]), lmax).tobytes() == want[0].tobytes()
 
 
 def test_g_pm_rejects_bad_angle():

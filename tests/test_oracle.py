@@ -290,6 +290,61 @@ def test_sum_rule_report_separates_convergence_from_violation():
     assert not report.passed  # non-convergence alone must fail the report
 
 
+def _reference_gauss_legendre(n):
+    """50-digit n-node Gauss-Legendre nodes (ascending) and weights: eight
+    Newton steps on mpmath's P_n from cos(pi (i - 1/4) / (n + 1/2)), and
+    2 (1 - x^2) / (n P_{n-1})^2."""
+    with mpmath.workdps(50):
+        nodes = []
+        for i in range(n, 0, -1):
+            x = mpmath.cos(mpmath.pi * (i - 0.25) / (n + 0.5))
+            for _ in range(8):
+                pn, pm = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+                x -= pn * (1 - x * x) / (n * (pm - x * pn))
+            nodes.append(x)
+        return nodes, [2 * (1 - x * x) / (n * mpmath.legendre(n - 1, x)) ** 2 for x in nodes]
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_gauss_legendre_rules_match_a_50_digit_reference(n):
+    # numpy's own 64-node weights are 1.3e-12 off this reference
+    nodes, weights = oracle._gauss_legendre(n)
+    ref_nodes, ref_weights = _reference_gauss_legendre(n)
+    assert all(a < b for a, b in zip(ref_nodes, ref_nodes[1:]))
+    for x, w, rx, rw in zip(nodes.tolist(), weights.tolist(), ref_nodes, ref_weights):
+        assert abs(x - rx) <= np.spacing(abs(x))
+        assert abs(w - rw) <= 1e-13 * rw
+    assert weights.sum() == pytest.approx(2.0, abs=4 * np.finfo(float).eps)
+    # x^k integrated exactly for k < 2n: 2 / (k + 1) for even k, 0 for odd
+    ks = np.arange(2 * n)
+    moments = weights @ nodes[:, None] ** ks
+    exact = np.where(ks % 2 == 0, 2.0 / (ks + 1), 0.0)
+    assert np.max(np.abs(moments - exact)) <= 4 * np.finfo(float).eps
+
+
+def _splitmix64(seed, count):
+    """SplitMix64's outputs in Python integers, one step at a time."""
+    state, out = seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_verify_stream_is_splitmix64_across_calls():
+    # the published first outputs for seed 1234567 pin the transcription
+    assert _splitmix64(1234567, 3) == [6457827717110365317, 3203168211198807973,
+                                       9817491932198370423]
+    rng = oracle._SplitMix64(oracle._RNG_SEED)
+    first, second = rng.random((200, 9)), rng.random((7,))
+    assert first.shape == (200, 9) and second.shape == (7,)
+    want = [(z >> 11) / 2**53 for z in _splitmix64(oracle._RNG_SEED, 200 * 9 + 7)]
+    assert first.ravel().tolist() + second.tolist() == want
+    assert 0.0 <= min(want) and max(want) < 1.0
+
+
 def test_beam_overlaps_tend_to_collimated_limit():
     ls = np.arange(7)
     limit = 0.5 * np.sqrt(2.0 * ls + 1.0)

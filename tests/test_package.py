@@ -53,6 +53,19 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_names_no_numpy_random_or_polynomial():
+    # verify draws from its own SplitMix64 stream and takes its Legendre values
+    # and Gauss rules from one recurrence; checked in the source, since no
+    # command runs g_pm
+    pattern = re.compile(r"\b(?:np|numpy)\.(?:random|polynomial)\b"
+                         r"|from numpy import [^\n]*\b(?:random|polynomial)\b")
+    found = [f"{path.name}:{n}"
+             for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []
+
+
 def test_readme_calls_name_package_functions():
     # a `name(` call left in the prose after its function went is stale
     text = README.read_text(encoding="utf-8")
