@@ -103,10 +103,9 @@ def cubic_discriminant(coeffs: np.ndarray) -> float:
     Positive iff the three roots are real and distinct; the sign change
     marks the onset of a complex eigenvalue pair of the drift matrix.
     """
-    a, b, c, d = (np.real_if_close(t, tol=1e6) for t in coeffs)
-    if any(abs(complex(t).imag) > 1e-9 for t in (a, b, c, d)):
+    if any(abs(complex(t).imag) > 1e-9 for t in coeffs):
         raise ValueError("discriminant is defined here for real coefficients")
-    a, b, c, d = (float(np.real(t)) for t in (a, b, c, d))
+    a, b, c, d = (float(np.real(t)) for t in coeffs)
     return (18.0 * a * b * c * d - 4.0 * b ** 3 * d + b ** 2 * c ** 2
             - 4.0 * a * c ** 3 - 27.0 * a ** 2 * d ** 2)
 

@@ -32,7 +32,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy  # noqa: F401  kept only for the benchmark worker's version record
@@ -42,8 +42,7 @@ from .model import DriveConfig, PhaseShiftTable, ScatteringScalars, scalars_from
 
 SCHEMA = "qsatom v1"
 
-_SCALAR_KEYS = ("delta0_plus", "delta0_minus", "norm2_pg_plus",
-                "norm2_pg_minus", "norm2_pdg", "eps_r")
+_SCALAR_KEYS = tuple(f.name for f in fields(ScatteringScalars))
 
 # printf or repr decides where a fraction lies this near a tie: 2^17 times
 # its error bound of 2^-47 (see _scaled), and 2^-29 of random values

@@ -44,6 +44,11 @@ def _cos(v):
     return np.cos(v) if isinstance(v, np.ndarray) else math.cos(v)
 
 
+def _modulus(c):
+    """|c| through libm hypot, as CPython's abs(complex) and unlike np.abs."""
+    return np.hypot(c.real, c.imag) if isinstance(c, np.ndarray) else abs(c)
+
+
 def _any(flags) -> bool:
     """A check's verdict on a float (a bool) or on columns (any element)."""
     return bool(flags.any()) if isinstance(flags, np.ndarray) else flags

@@ -33,11 +33,11 @@ import numpy as np
 
 from .bloch import BlochVector, build_drift, equilibrium, evolve
 from .model import (MOLLOW_SCALARS, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _any, _legendre, _sin, _sq, reduced_scalars,
-                    scalars_from_phase_shifts)
+                    ScatteringScalars, _any, _legendre, _modulus, _sin, _sq,
+                    reduced_scalars, scalars_from_phase_shifts)
 from .spectrum import (elastic_lorentzian, mollow_inel_x, resolvent, sigma_inel_x,
                        spectral_coefficients)
-from .xsection import _elastic, _inelastic, _modulus, _total, sigma_el, sigma_inel, sigma_tot
+from .xsection import _elastic, _inelastic, _total, sigma_el, sigma_inel, sigma_tot
 
 _RNG_SEED = 20250808
 
@@ -126,7 +126,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     precomputed step matrix) and accumulates the Laplace integrals as
     augmented components of the same RK4 state, until the kernel norm
     drops below _KERNEL_TAIL.  The first stride is the 25th power of the
-    8x8 step matrix, squared after each failed decay check, so the checks
+    5x5 step matrix, squared after each failed decay check, so the checks
     grow with the log of the decay time; every stride is a power of the
     one RK4 step.  The step shrinks with the spectral radius so the
     O(h^4) error stays below the comparison tolerances.  Raises
@@ -143,29 +143,27 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     a = _shifted_drift(rs, x)
     lam = float(np.linalg.norm(a, 2))
     h = min(1e-3, (3e-7 / lam ** 5) ** 0.25)
-    # one augmented block per bilinear: d(q, I)/dtau = (-A q, c^dag q)
-    big = np.zeros((8, 8), dtype=complex)
+    # one drift block, a state column per bilinear: d(q, I, J)/dtau = (-A q, c^dag q, q_0)
+    big = np.zeros((5, 5), dtype=complex)
     big[0:3, 0:3] = -a
-    big[4:7, 4:7] = -a
     big[3, 0:3] = np.conj(cprime)
-    big[7, 4] = 1.0  # the left vector of the second bilinear is (1, 0, 0)
-    y = np.zeros(8, dtype=complex)
-    y[0:3] = dprime
-    y[4:7] = ddoubleprime
+    big[4, 0] = 1.0  # the left vector of the second bilinear is (1, 0, 0)
+    y = np.zeros((5, 2), dtype=complex)
+    y[0:3] = np.transpose([dprime, ddoubleprime])
     tau = 0.0
     steps_per_check = 25
     stride = np.linalg.matrix_power(_rk4_step(big, h), steps_per_check)
     while tau < _KERNEL_TAU_MAX:
         y = stride @ y
         tau += steps_per_check * h
-        if max(np.linalg.norm(y[0:3]), np.linalg.norm(y[4:7])) < _KERNEL_TAIL:
+        if np.linalg.norm(y[:3], axis=0).max() < _KERNEL_TAIL:
             break
         stride = stride @ stride
         steps_per_check *= 2
     else:
         raise RuntimeError("time-domain kernel did not decay below the "
                            f"threshold within tau = {_KERNEL_TAU_MAX}")
-    bilinear = y[3] + sc.norm2_pdg * y[7]
+    bilinear = y[3, 0] + sc.norm2_pdg * y[4, 1]
     return float(rs.eta2 / (math.pi * rs.den2) * 2.0 * bilinear.real)
 
 
@@ -352,16 +350,13 @@ def _beam_liouvillian(dc: DriveConfig, ov: np.ndarray, r: np.ndarray) -> np.ndar
 def _beam_state(dc: DriveConfig, ov: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Stationary 2x2 state of the master equation with channels (ov, r).
 
-    Solves the null space of the assembled superoperator under the trace
-    constraint and raises if the result is not a statistical operator
-    (which would indicate an assembly bug, not a physics regime).
+    Trace preservation makes row 0 of the column-stacked superoperator minus
+    row 3; the unit-trace row takes its place in one square solve (LinAlgError
+    if singular).  RuntimeError if rho is not a state (an assembly bug).
     """
     m = _beam_liouvillian(dc, ov, r)
-    aug = np.vstack([m, np.array([[1.0, 0.0, 0.0, 1.0]], dtype=complex)])
-    rhs = np.zeros(5, dtype=complex)
-    rhs[4] = 1.0
-    sol, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-    rho = sol.reshape(2, 2, order="F")
+    m[0] = (1.0, 0.0, 0.0, 1.0)
+    rho = np.linalg.solve(m, np.array([1.0, 0.0, 0.0, 0.0])).reshape(2, 2, order="F")
     rho = 0.5 * (rho + rho.conj().T)
     eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -1e-10 or abs(np.trace(rho).real - 1.0) > 1e-10:

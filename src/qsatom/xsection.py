@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
-                    ScatteringScalars, _any, _cos, _point, _sin, _sq, g_pm,
+                    ScatteringScalars, _any, _cos, _modulus, _point, _sin, _sq, g_pm,
                     reduced_scalars, scalars_from_phase_shifts)
 
 _CLOSURE_TOL = 1e-12
@@ -38,11 +38,6 @@ class CrossSectionTriple:
         # gap > tol * max(1, |total|), written so that it also runs on columns
         if _any((gap > _CLOSURE_TOL) & (gap > _CLOSURE_TOL * abs(self.total))):
             raise ValueError(f"elastic + inelastic != total (gap {np.max(gap):.3e})")
-
-
-def _modulus(c):
-    """|c| through libm hypot, as CPython's abs(complex) and unlike np.abs."""
-    return np.hypot(c.real, c.imag) if isinstance(c, np.ndarray) else abs(c)
 
 
 # The one copy of each closed form: ``rs`` (and ``sc``) hold floats for one

@@ -214,6 +214,11 @@ def test_cubic_discriminant_sign_tracks_root_reality():
     below = cubic_discriminant(char_poly(_mollow_drift(1.0 / 16.0 - 2e-3)))
     above = cubic_discriminant(char_poly(_mollow_drift(1.0 / 16.0 + 2e-3)))
     assert below > 0.0 > above
+    # an imaginary part up to 1e-9 is rounding and is dropped; a larger one is refused
+    real = [1.0, -6.0, 11.0, -6.0]  # (x - 1)(x - 2)(x - 3): discriminant 4
+    assert cubic_discriminant([1.0, -6.0 + 5e-10j, 11.0, -6.0]) == cubic_discriminant(real) == 4.0
+    with pytest.raises(ValueError, match="real coefficients"):
+        cubic_discriminant([1.0, -6.0 + 2e-9j, 11.0, -6.0])
 
 
 def test_evolve_accurate_at_defective_threshold():

@@ -57,6 +57,8 @@ def test_parse_config_requires_single_mode_block():
         parse_config(_fano_config(mode="phase_shifts"))
     with pytest.raises(ConfigError):
         parse_config(_fano_config(mode="other"))
+    with pytest.raises(ConfigError):
+        parse_config([])  # a JSON document that is not an object
 
 
 def test_parse_config_rejects_non_finite():

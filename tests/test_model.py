@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,6 +238,13 @@ def test_dressed_widths_never_drop_below_one(eta, d0p, d0m, pdg, ztilde):
     assert rs.zeta2 >= 1.0
 
 
+def test_reduced_scalars_refuse_widths_below_one(fano_scalars):
+    rs = reduced_scalars(fano_scalars, DriveConfig(2.0, 0.5))
+    for field in ("kappa2", "zeta2"):
+        with pytest.raises(ValueError, match="cannot drop below 1"):
+            replace(rs, **{field: 0.5})
+
+
 def test_phase_shift_table_validation():
     with pytest.raises(ValueError):
         PhaseShiftTable([0.1, 0.2], [0.1])
@@ -244,6 +252,8 @@ def test_phase_shift_table_validation():
         PhaseShiftTable([], [])
     with pytest.raises(ValueError):
         PhaseShiftTable([np.nan], [0.0])
+    with pytest.raises(ValueError):
+        PhaseShiftTable([[0.1, 0.2]], [[0.1, 0.2]])
 
 
 def test_scattering_scalars_validation():

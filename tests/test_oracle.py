@@ -436,6 +436,11 @@ def test_beam_liouvillian_matches_the_per_channel_kron_sum(dwave_table):
     # so rounding is bounded by a few ulps of that mass per term
     got = oracle._beam_liouvillian(dc, *oracle._beam_channels(dwave_table, dc, dtheta))
     assert np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * dc.eta ** 2 * np.sum(ov ** 2)
+    # the equilibrium solves all four equations, the row-0 one the solve
+    # replaces by the unit trace included, and has unit trace
+    rho = finite_beam_equilibrium(dwave_table, dc, dtheta)
+    assert np.max(np.abs(got @ rho.reshape(-1, order="F"))) <= 1e-13 * np.linalg.norm(got, 2)
+    assert np.trace(rho) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_finite_beam_equilibrium_converges_to_collimated(dwave_table):
