@@ -138,7 +138,7 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -424,9 +424,9 @@ def format_verify_text(out, checks) -> None:
 
 
 def format_verify_json(out, checks) -> None:
-    from .oracle import _RNG_SEED  # loaded by run_verify already
+    from .oracle import DRAW  # loaded by run_verify already
     doc = {"schema": SCHEMA, "checks": [c.to_dict() for c in checks],
-           "passed": all(c.passed for c in checks), "seed": _RNG_SEED, "generator": "splitmix64",
+           "passed": all(c.passed for c in checks), **DRAW,
            "versions": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__}}
     out.write(json.dumps(doc, indent=1) + "\n")
 

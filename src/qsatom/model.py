@@ -80,8 +80,8 @@ class PhaseShiftTable:
     delta_minus: np.ndarray
 
     def __post_init__(self):
-        dp = np.atleast_1d(np.asarray(self.delta_plus, dtype=float))
-        dm = np.atleast_1d(np.asarray(self.delta_minus, dtype=float))
+        dp = np.array(self.delta_plus, dtype=float, ndmin=1)  # a copy the caller cannot reach
+        dm = np.array(self.delta_minus, dtype=float, ndmin=1)
         if dp.ndim != 1 or dm.ndim != 1:
             raise ValueError("phase-shift tables must be one-dimensional")
         if dp.size != dm.size or dp.size == 0:

@@ -244,6 +244,17 @@ def test_oversized_integer_is_a_config_error(tmp_path, capsys, command, key, dig
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["xsection", "verify"])
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, command):
+    # json raises RecursionError past the interpreter's nesting limit,
+    # which used to read as a numerical failure with exit code 1
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100000 + "]" * 100000)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config is not valid JSON: "), err
+
+
 # No path of the package loads scipy.linalg: the sweeps never propagate a
 # state, and the propagators and verify run on numpy's own matrix
 # exponential.  Only the scipy package stub is imported, by ``cli``, for
@@ -994,7 +1005,7 @@ def test_verify_passes_at_a_narrow_detector_width(tmp_path, capsys, gammatilde):
 def test_verify_json_names_its_draw_and_versions(capsys):
     assert main(["verify", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["seed"], doc["generator"]) == (20250808, "splitmix64")
+    assert (doc["seed"], doc["generator"]) == (20250808, "mt19937")
     assert doc["versions"] == {"python": ".".join(map(str, sys.version_info[:3])),
                                "numpy": np.__version__}
 

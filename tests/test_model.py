@@ -256,6 +256,17 @@ def test_phase_shift_table_validation():
         PhaseShiftTable([[0.1, 0.2]], [[0.1, 0.2]])
 
 
+def test_phase_shift_table_keeps_its_own_frozen_copy():
+    # a float array needing no conversion was kept and frozen: the caller's
+    # array turned read-only, and a write through a view of it moved the table
+    a, base = np.array([0.1, 0.2]), np.array([0.1, 0.2])
+    t = PhaseShiftTable(a, base[:])
+    assert a.flags.writeable
+    a[0] = base[0] = 5.0
+    assert t.delta_plus.tolist() == t.delta_minus.tolist() == [0.1, 0.2]
+    assert not (t.delta_plus.flags.writeable or t.delta_minus.flags.writeable)
+
+
 def test_scattering_scalars_validation():
     with pytest.raises(ValueError):
         ScatteringScalars(0, 0, -0.1, 0, 0, 0)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from dataclasses import fields
 
@@ -322,27 +323,32 @@ def test_gauss_legendre_rules_match_a_50_digit_reference(n):
     assert np.max(np.abs(moments - exact)) <= 4 * np.finfo(float).eps
 
 
-def _splitmix64(seed, count):
-    """SplitMix64's outputs in Python integers, one step at a time."""
-    state, out = seed, []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) % 2**64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
-        out.append(z ^ (z >> 31))
-    return out
+def test_verify_draws_a_fresh_mt19937_stream_in_c_order(monkeypatch):
+    # each run_verification call seeds random.Random afresh, and its first two
+    # blocks read that generator's random() values in C order, one per value
+    calls = []
+    true_block = oracle._random_block
 
+    def recording(rng, n, extra=(), gamma_positive=False):
+        calls.append((rng.getstate(), true_block(rng, n, extra, gamma_positive)))
+        return calls[-1][1]
 
-def test_verify_stream_is_splitmix64_across_calls():
-    # the published first outputs for seed 1234567 pin the transcription
-    assert _splitmix64(1234567, 3) == [6457827717110365317, 3203168211198807973,
-                                       9817491932198370423]
-    rng = oracle._SplitMix64(oracle._RNG_SEED)
-    first, second = rng.random((200, 9)), rng.random((7,))
-    assert first.shape == (200, 9) and second.shape == (7,)
-    want = [(z >> 11) / 2**53 for z in _splitmix64(oracle._RNG_SEED, 200 * 9 + 7)]
-    assert first.ravel().tolist() + second.tolist() == want
-    assert 0.0 <= min(want) and max(want) < 1.0
+    monkeypatch.setattr(oracle, "_random_block", recording)
+    run_verification()
+    run_verification()
+    assert oracle.DRAW == {"seed": 20250808, "generator": "mt19937"}
+    assert len(calls) == 10
+    assert calls[0][0] == calls[5][0] == random.Random(20250808).getstate()
+    ref = random.Random(20250808)
+    for (_, (sc, dc, _, extras)), (n, extra, _) in zip(calls, _VERIFY_BLOCKS[:2]):
+        u = np.array([ref.random() for _ in range(n * (9 + len(extra)))]).reshape(n, -1)
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert _bits(sc.delta0_plus) == _bits(-0.4 + 0.8 * u[:, 0])
+        assert _bits(dc.eta) == _bits(0.0 + 6.0 * u[:, 7])
+        assert _bits(dc.ztilde) == _bits(-8.0 + 16.0 * u[:, 8])
+        assert [_bits(c) for c in extras] == \
+            [_bits(lo + (hi - lo) * col) for (lo, hi), col in zip(extra, u[:, 9:].T)]
+    assert calls[2][0] == ref.getstate()  # the third block goes on from there
 
 
 def test_beam_overlaps_tend_to_collimated_limit():
@@ -375,7 +381,7 @@ def test_beam_overlap_mass_bounded_by_profile_norm():
         assert np.sum(ov ** 2) <= (1.0 + 1e-12) / dtheta ** 2
 
 
-@pytest.mark.parametrize("dtheta", [math.nan, math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("dtheta", [math.nan, math.inf, 0.0, -0.1, 2 * math.pi, 4.0])
 def test_finite_beam_rejects_bad_half_angle(dwave_table, dtheta):
     dc = DriveConfig(2.0, 0.0)
     with pytest.raises(ValueError, match="dtheta"):
@@ -384,6 +390,14 @@ def test_finite_beam_rejects_bad_half_angle(dwave_table, dtheta):
         finite_beam_balance(dwave_table, dc, dtheta)
     with pytest.raises(ValueError, match="dtheta"):
         finite_beam_equilibrium(dwave_table, dc, dtheta)
+
+
+def test_beam_overlaps_take_the_whole_sphere_at_pi(dwave_table):
+    # the largest half angle: only the s wave overlaps the flat profile, at 1/pi
+    ov = beam_overlaps(4, math.pi)
+    assert ov[0] == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert np.max(np.abs(ov[1:])) <= 1e-15
+    assert finite_beam_balance(dwave_table, DriveConfig(2.0, 0.0), math.pi) <= 1e-8
 
 
 def test_beam_overlaps_rejects_negative_lmax():

@@ -54,7 +54,7 @@ def test_package_has_no_assert_statements():
 
 
 def test_package_names_no_numpy_random_or_polynomial():
-    # verify draws from its own SplitMix64 stream and takes its Legendre values
+    # verify draws from the standard library's MT19937 and takes its Legendre values
     # and Gauss rules from one recurrence; checked in the source, since no
     # command runs g_pm
     pattern = re.compile(r"\b(?:np|numpy)\.(?:random|polynomial)\b"
