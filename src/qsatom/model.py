@@ -215,7 +215,8 @@ class ReducedScalars:
     kappa4: float
 
     def __post_init__(self):
-        if _any((self.kappa2 < 1.0 - 1e-12) | (self.zeta2 < 1.0 - 1e-12)):
+        # the condition that must hold, negated by ^ True (~True is -2): NaN fails, inf passes
+        if _any(((self.kappa2 >= 1.0 - 1e-12) & (self.zeta2 >= 1.0 - 1e-12)) ^ True):
             raise ValueError("kappa2 and zeta2 cannot drop below 1")
 
     @property

@@ -31,6 +31,8 @@ class CrossSectionTriple:
     inelastic: float
 
     def __post_init__(self):
+        if _any(~np.isfinite((self.total, self.elastic, self.inelastic))):
+            raise ValueError("cross sections must be finite")
         if _any((self.total < -_CLOSURE_TOL) | (self.elastic < -_CLOSURE_TOL)
                 | (self.inelastic < -_CLOSURE_TOL)):
             raise ValueError("cross sections must be nonnegative")

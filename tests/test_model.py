@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_table
-from qsatom import (DriveConfig, PhaseShiftTable, ScatteringScalars,
+from qsatom import (DriveConfig, PhaseShiftTable, ReducedScalars, ScatteringScalars,
                     g_pm, reduced_scalars, scalars_from_phase_shifts)
 from qsatom.model import SQRT_4PI, _legendre, _sq
 
@@ -243,6 +243,17 @@ def test_reduced_scalars_refuse_widths_below_one(fano_scalars):
     for field in ("kappa2", "zeta2"):
         with pytest.raises(ValueError, match="cannot drop below 1"):
             replace(rs, **{field: 0.5})
+
+
+def test_reduced_scalars_refuse_nan_widths_but_not_inf(fano_scalars):
+    rs = reduced_scalars(fano_scalars, DriveConfig(2.0, 0.5))
+    with pytest.raises(ValueError, match="cannot drop below 1"):
+        ReducedScalars(*[math.nan] * len(fields(rs)))
+    for field in ("kappa2", "zeta2"):
+        for bad in (math.nan, np.array([2.0, math.nan])):
+            with pytest.raises(ValueError, match="cannot drop below 1"):
+                replace(rs, **{field: bad})
+        replace(rs, **{field: math.inf})  # an overflowed dressing is named downstream
 
 
 def test_phase_shift_table_validation():

@@ -1,7 +1,8 @@
 import math
 import random
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -286,7 +287,7 @@ def test_sum_rule_report_separates_convergence_from_violation():
     report = SumRuleReport(inel_quadrature=0.5, inel_closed=0.5,
                            tot_quadrature=1.0, tot_closed=1.0,
                            inel_error_estimate=0.0, tot_error_estimate=0.0,
-                           quad_converged=False, tolerance=1e-6)
+                           quad_converged=False)
     assert report.inel_rel_gap == 0.0 and report.tot_rel_gap == 0.0
     assert not report.passed  # non-convergence alone must fail the report
 
@@ -519,6 +520,27 @@ def test_run_verification_fails_a_nan_residual(monkeypatch):
     monkeypatch.setattr(oracle, "mollow_inel_x", flawed)
     check = {c.name: c for c in run_verification()}["Mollow closed form vs resolvent"]
     assert math.isnan(check.residual) and not check.passed
+
+
+@pytest.mark.parametrize("row, samples, oracle_name, spoil", [
+    pytest.param("matrix exponential vs RK4", 6, "ode_evolve",
+                 lambda b: SimpleNamespace(u=b.u, v=complex(math.nan)), id="ode_evolve"),
+    pytest.param("spectral normalization sum rules", 2, "quad_sum_rules",
+                 lambda report: replace(report, tot_quadrature=math.nan), id="quad_sum_rules"),
+])
+def test_run_verification_fails_a_nan_in_either_value_of_one_evaluation(
+        monkeypatch, row, samples, oracle_name, spoil):
+    # the second of the two values an evaluation gives is NaN at the second
+    # evaluation: Python's max(residual, nan) keeps the residual
+    true_f, calls = getattr(oracle, oracle_name), []
+
+    def flawed(*args):
+        calls.append(args)
+        return spoil(true_f(*args)) if len(calls) == 2 else true_f(*args)
+
+    monkeypatch.setattr(oracle, oracle_name, flawed)
+    check = {c.name: c for c in run_verification()}[row]
+    assert math.isnan(check.residual) and not check.passed and check.samples == samples
 
 
 def _legacy_point(rng, gamma_positive):

@@ -220,6 +220,15 @@ def test_cross_section_triple_validation_on_columns():
         CrossSectionTriple(ok, np.array([0.4, 0.0]), np.array([0.2, 0.0]))
 
 
+def test_cross_section_triple_refuses_non_finite_values():
+    nan = math.nan
+    for bad in ((nan, nan, nan), (nan, 0.5, 0.5), (1.0, 0.5, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            CrossSectionTriple(*bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        CrossSectionTriple(np.array([1.0, nan]), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+
 _NORM2 = st.floats(0.0, 0.1)
 
 
