@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ReducedScalars, _any, _cos
+from .model import ReducedScalars, _any, _cos, _modulus, _sq
 
 _STATE_TOL = 1e-9
 # Pade [13/13] b_j = (2m-j)! m! / ((2m)! j! (m-j)!), m = 13, and theta_13, the largest
@@ -48,7 +48,7 @@ class BlochVector:
             raise ValueError("Bloch components must be finite")
         if _any((u < -_STATE_TOL) | (u > 1.0 + _STATE_TOL)):
             raise ValueError(f"population out of range: u = {u}")
-        if _any(u + _STATE_TOL < u * u + np.abs(v) ** 2):
+        if _any(u + _STATE_TOL < u * u + _sq(_modulus(v))):
             raise ValueError("not a statistical operator: u < u^2 + |v|^2")
         object.__setattr__(self, "v", v)
 

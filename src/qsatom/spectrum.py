@@ -30,8 +30,6 @@ from .model import (SQRT_4PI, DriveConfig, PhaseShiftTable, ReducedScalars,
                     scalars_from_phase_shifts)
 from .xsection import sigma_el
 
-_DET_FLOOR = 1e-280
-
 
 def spectral_coefficients(rs: ReducedScalars) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only vectors (c', d', d'') of the two resolvent bilinears of
@@ -80,9 +78,6 @@ def _det_and_rows(rs: ReducedScalars, x):
     kk = kplus * kminus
     a11 = 2.0 + gt + 2j * x
     det = a11 * kk + 4.0 * eta2 * cs * (khat * cs - w * sins)
-    singular = np.abs(det) < _DET_FLOOR
-    if singular.any():  # the first such x of a grid, or the one x of columns
-        raise ArithmeticError(f"resolvent singular at x = {x.flat[np.argmax(singular) % x.size]}")
     emis = np.exp(-1j * s)
     a21, b31 = 2.0 * eta2 * np.conj(emis) * cs, 2.0 * emis * cs  # b31 = -A31
     row1 = np.stack([kk, kplus, -eta2 * kminus])
@@ -105,11 +100,12 @@ def _contract(d, rows):
 
 def resolvent(rs: ReducedScalars, x) -> np.ndarray:
     """Full 3x3 inverse of A = Gtilde + 2ix, the three closed adjugate rows
-    of :func:`_det_and_rows` over its determinant.  Raises ValueError for a
-    non-finite x, and ArithmeticError if the determinant underflows, which
-    is only possible at gammatilde = 0 on the boundary of the spectrum.
-    Columns of ``rs`` and x give an (n, 3, 3) stack.
-    """
+    of :func:`_det_and_rows` over its determinant; ValueError for a non-finite x.
+    A is never singular for real x: a deviation from equilibrium has dV/dtau <= -V
+    for V = cos^2 s du^2 + |dv|^2 (AM-GM on its 2 eta cos s sin s du Im dv term,
+    and kappa2 - 1 >= eta2 sin^2 s), so Re lambda(G') >= 1 (at cos s = 0, G' has
+    2 and kappa2 -+ iw) and |det A| = prod |lambda + gammatilde + 2ix| >= (1 + gammatilde)^3.
+    Columns of ``rs`` and x give an (n, 3, 3) stack."""
     det, row1, row3, row2 = _det_and_rows(rs, x)
     m = np.moveaxis(np.stack([row1, row2(), row3]) / det, (0, 1), (-2, -1))
     return _point(m, rs, x)

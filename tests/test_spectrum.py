@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mirror, random_drive, random_scalars
-from qsatom import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
+from qsatom import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable, ScatteringScalars,
                     build_drift, cross_sections, local_maxima,
                     low_intensity_x, mollow_inel_x, mollow_xsections, reduced_scalars, resolvent,
                     scalars_from_phase_shifts, sigma_el, sigma_inel,
@@ -15,7 +15,7 @@ from qsatom import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
                     spectral_coefficients, spectral_diff)
 from qsatom.model import SQRT_4PI
 from qsatom.oracle import _shifted_drift
-from qsatom.spectrum import elastic_lorentzian
+from qsatom.spectrum import _det_and_rows, elastic_lorentzian
 
 MIXED_TABLE = PhaseShiftTable([-0.2, 0.15, 0.05, -0.3], [0.4, -0.1, 0.02, 0.11])
 
@@ -52,6 +52,33 @@ def test_resolvent_matches_generic_inverse():
         gen = np.linalg.inv(_shifted_drift(rs, x))
         worst = max(worst, float(np.max(np.abs(adj - gen))))
     assert worst <= 1e-12
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+_SHIFT = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+_NORM = st.just(0.0) | _log_uniform(1e-12, 10.0)
+
+
+@given(_SHIFT, _SHIFT, _NORM, _NORM, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.floats(-0.1, 0.1), st.just(0.0) | _log_uniform(1e-8, 1e6),
+       st.sampled_from([-1.0, 1.0]), _log_uniform(1e-8, 1e8),
+       st.just(0.0) | _log_uniform(1e-10, 1e4), st.lists(st.floats(-1e8, 1e8), min_size=4,
+                                                         max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_resolvent_determinant_is_at_least_one_plus_gammatilde_cubed(
+        d0p, d0m, pgp, pgm, t, eps_r, eta, sign, ztilde, gt, xs):
+    # every eigenvalue of G' has real part >= 1 (the proof is in resolvent's
+    # docstring), so no real x, its poles -Im lambda / 2 included, makes A singular
+    a, b = math.sqrt(pgp), math.sqrt(pgm)
+    pdg = (abs(a - b) + t * (a + b - abs(a - b))) ** 2  # on either triangle limit or inside
+    rs = reduced_scalars(ScatteringScalars(d0p, d0m, pgp, pgm, pdg, eps_r),
+                         DriveConfig(eta, sign * ztilde, gt))
+    poles = -np.linalg.eigvals(build_drift(rs)).imag / 2.0
+    det = _det_and_rows(rs, np.concatenate([poles, [0.0], xs]))[0]
+    assert np.all(np.abs(det) >= (1.0 + gt) ** 3 * (1.0 - 1e-9)), (np.abs(det), gt)
 
 
 def _mp_error(sc, dc, x) -> float:
