@@ -101,6 +101,23 @@ def _shifted_drift(rs: ReducedScalars, x) -> np.ndarray:
     return build_drift(rs) * d / np.swapaxes(d, -1, -2) + shift
 
 
+def _norm2(a: np.ndarray) -> float:
+    """Spectral norm of a 3x3 matrix: the square root of the largest eigenvalue
+    of B = A^H A, from the trigonometric form of its characteristic cubic
+    (Smith, Comm. ACM 4, 168 (1961)): B - qI = p C with q = tr B / 3 and p the
+    Frobenius norm of B - qI over sqrt 6, and the root is q + 2p cos(acos(det C
+    / 2) / 3).  Within ~1e-13 of the SVD norm, ~1e-8 where the two largest
+    singular values meet (a double root); a step rule needs a few digits."""
+    b = a.conj().T @ a
+    q = b.trace().real / 3.0
+    c = b - q * np.eye(3)
+    p = math.sqrt(np.vdot(c, c).real / 6.0)
+    if p == 0.0:
+        return math.sqrt(q)
+    half_det = min(1.0, max(-1.0, np.linalg.det(c / p).real / 2.0))
+    return math.sqrt(q + 2.0 * p * math.cos(math.acos(half_det) / 3.0))
+
+
 def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> float:
     """Inelastic spectral density by time-domain integration.
 
@@ -111,8 +128,9 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     drops below _KERNEL_TAIL.  The first stride is the 25th power of the
     5x5 step matrix, squared after each failed decay check, so the checks
     grow with the log of the decay time; every stride is a power of the
-    one RK4 step.  The step shrinks with the spectral radius so the
-    O(h^4) error stays below the comparison tolerances.  Raises
+    one RK4 step.  The step shrinks as the spectral norm ||A||_2 grows
+    (closed form, :func:`_norm2`; no SVD), so the O(h^4) error stays below
+    the comparison tolerances.  Raises
     ValueError for a non-finite ``x`` and RuntimeError when the kernel
     has not decayed by tau = _KERNEL_TAU_MAX (the last stride, as long as
     all before it plus 25 steps, ends before 2 _KERNEL_TAU_MAX + 25 h).
@@ -124,7 +142,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     rs = reduced_scalars(sc, dc)
     cprime, dprime, ddoubleprime = spectral_coefficients(rs)
     a = _shifted_drift(rs, x)
-    lam = float(np.linalg.norm(a, 2))
+    lam = _norm2(a)
     h = min(1e-3, (3e-7 / lam ** 5) ** 0.25)
     # one drift block, a state column per bilinear: d(q, I, J)/dtau = (-A q, c^dag q, q_0)
     big = np.zeros((5, 5), dtype=complex)
@@ -160,22 +178,22 @@ _MAX_PANELS = 4096
 _SUM_RULE_TOL = 1e-6
 
 
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss-Legendre (nodes ascending, weights 2 / ((1 - x^2) P_n'^2)):
-    Newton on P_n from -cos(pi (i - 1/4) / (n + 1/2)) (Hale & Townsend, SIAM
-    J. Sci. Comput. 35, A652 (2013)); P_n' = n (P_{n-1} - x P_n) / ((1 - x)(1 + x))
-    keeps the weights within ~1e-14 of exact for n <= 64."""
+    """n-node Gauss-Legendre (nodes ascending, weights 2 / ((1 - x^2) P_n'^2)),
+    built once per n as read-only arrays: Newton on P_n from -cos(pi (i - 1/4)
+    / (n + 1/2)) (Hale & Townsend, SIAM J. Sci. Comput. 35, A652 (2013));
+    P_n' = n (P_{n-1} - x P_n) / ((1 - x)(1 + x)) keeps each P_k, k < 2n,
+    integrated within 1e-15 for n <= 500."""
     x = -np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for step in range(5):  # four steps reach the rounding for n <= 64
+    for step in range(5):  # four steps reach the rounding for n <= 500
         p = _legendre(x, n)
         dp = n * (p[:, -2] - x * p[:, -1]) / ((1.0 - x) * (1.0 + x))
         if step < 4:
             x = x - p[:, -1] / dp
-    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-
-
-# the panel pair's 8- and 16-node Gauss-Legendre (nodes, weights) on [-1, 1]
-_GAUSS_PAIR = tuple(_gauss_legendre(n) for n in (8, 16))
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def integrate_line(f, scale: float, tol: float):
@@ -201,7 +219,7 @@ def integrate_line(f, scale: float, tol: float):
     width = math.pi / 16
     value, err = 0.0, 0.0
     for halvings in range(_MAX_HALVINGS + 1):
-        coarse, fine = (panel_rule(*rule) for rule in _GAUSS_PAIR)
+        coarse, fine = (panel_rule(*_gauss_legendre(n)) for n in (8, 16))
         gap = np.abs(fine - coarse)
         done = gap <= tol * width / math.pi
         if done.all() or halvings == _MAX_HALVINGS or 2 * np.count_nonzero(~done) > _MAX_PANELS:
@@ -273,22 +291,19 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
 # ---------------------------------------------------------------------------
 # finite-beam photon balance
 
-# exact (to rounding) for P_l up to l = 127; the finite beam needs l up to the table's last entry
-_OVERLAP_RULE = _gauss_legendre(64)
-
-
 def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
     """Overlaps of the flat finite-width beam profile with Y_l0.
 
-    Gauss-Legendre quadrature of P_l over [cos dtheta, 1].  As dtheta ->
-    0 each overlap tends to sqrt(2l+1)/2.  Raises ValueError unless
-    0 < dtheta <= pi and lmax is nonnegative.
+    Gauss-Legendre quadrature of P_l over [cos dtheta, 1], with
+    max(64, (lmax + 2) // 2) nodes, exact (to rounding) up to degree lmax.
+    As dtheta -> 0 each overlap tends to sqrt(2l+1)/2.  Raises ValueError
+    unless 0 < dtheta <= pi and lmax is nonnegative.
     """
     if not 0.0 < dtheta <= math.pi:
         raise ValueError("dtheta must lie in (0, pi]")
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
-    xg, wg = _OVERLAP_RULE
+    xg, wg = _gauss_legendre(max(64, (lmax + 2) // 2))
     a = math.cos(dtheta)
     xi = 0.5 * (xg + 1.0) * (1.0 - a) + a
     ww = 0.5 * (1.0 - a) * wg
@@ -334,16 +349,20 @@ def _beam_state(dc: DriveConfig, ov: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     Trace preservation makes row 0 of the column-stacked superoperator minus
     row 3; the unit-trace row takes its place in one square solve (LinAlgError
-    if singular).  RuntimeError if rho is not a state (an assembly bug).
+    if singular).  The eigenvalues of the Hermitian part are in closed form,
+    (rho_00 + rho_11) / 2 -+ hypot((rho_00 - rho_11) / 2, |rho_01|).
+    RuntimeError if rho is not a state (an assembly bug).
     """
     m = _beam_liouvillian(dc, ov, r)
     m[0] = (1.0, 0.0, 0.0, 1.0)
     rho = np.linalg.solve(m, np.array([1.0, 0.0, 0.0, 0.0])).reshape(2, 2, order="F")
     rho = 0.5 * (rho + rho.conj().T)
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -1e-10 or abs(np.trace(rho).real - 1.0) > 1e-10:
+    mid = 0.5 * float((rho[0, 0] + rho[1, 1]).real)
+    half_gap = math.hypot(0.5 * (rho[0, 0] - rho[1, 1]).real, abs(rho[0, 1]))
+    eigs = (mid - half_gap, mid + half_gap)
+    if eigs[0] < -1e-10 or abs(2.0 * mid - 1.0) > 1e-10:
         raise RuntimeError("finite-beam equilibrium is not a state: "
-                           f"eigs = {eigs}, trace = {np.trace(rho).real}")
+                           f"eigs = {eigs}, trace = {2.0 * mid!r}")
     return rho
 
 

@@ -100,9 +100,23 @@ def sigma_inel(sc: ScatteringScalars, dc: DriveConfig) -> float:
     return _point(_inelastic(sc, reduced_scalars(sc, dc)), sc, dc)
 
 
+def _refuse_non_finite(finite, eta2, ztilde) -> None:
+    """ArithmeticError naming the first (eta2, ztilde) of the broadcast grid
+    where ``finite`` is False."""
+    if not np.all(finite):
+        e2, zt = (np.broadcast_to(v, np.shape(finite)).flat[np.argmin(finite)]
+                  for v in (eta2, ztilde))
+        raise ArithmeticError(f"non-finite cross section at (eta2, ztilde) = ({e2}, {zt})")
+
+
 def cross_sections(sc: ScatteringScalars, dc: DriveConfig) -> CrossSectionTriple:
-    """All three integral cross sections at once."""
-    return CrossSectionTriple(sigma_tot(sc, dc), sigma_el(sc, dc), sigma_inel(sc, dc))
+    """All three integral cross sections at once.  A float overflow raises
+    ArithmeticError: OverflowError on a float drive, and on columns an error
+    naming the first such (eta2, ztilde)."""
+    with np.errstate(all="ignore"):
+        parts = (sigma_tot(sc, dc), sigma_el(sc, dc), sigma_inel(sc, dc))
+    _refuse_non_finite(np.isfinite(parts).all(axis=0), dc.eta * dc.eta, dc.ztilde)
+    return CrossSectionTriple(*parts)
 
 
 def cross_section_grid(sc: ScatteringScalars, eta2: np.ndarray,
@@ -115,9 +129,7 @@ def cross_section_grid(sc: ScatteringScalars, eta2: np.ndarray,
         rs = reduced_scalars(sc, DriveConfig(np.sqrt(eta2), ztilde))
         cols = (_total(sc, rs), _elastic(sc, rs), _inelastic(sc, rs))
         finite = np.isfinite(rs.den2) & np.isfinite(cols).all(axis=0)
-    if not finite.all():
-        e2, zt = (np.broadcast_to(v, finite.shape).flat[np.argmin(finite)] for v in (eta2, ztilde))
-        raise ArithmeticError(f"non-finite cross section at (eta2, ztilde) = ({e2}, {zt})")
+    _refuse_non_finite(finite, eta2, ztilde)
     return CrossSectionTriple(*cols)
 
 

@@ -76,9 +76,6 @@ def test_inelastic_far_tail_falls_as_one_over_x_squared():
     assert 1e16 ** 2 * sigma_inel_x(FANO, dc, 1e16) == pytest.approx(tail, rel=1e-6)
 
 
-@_defect("3.28e-2 off at l = 320: the 64-node rule is exact only to l = 127, and the "
-         "overlap-mass guard reads 0.9986 of the norm and lets these overlaps through "
-         "(no ROADMAP item yet)")
 def test_beam_overlaps_past_l_127_match_the_closed_legendre_integral():
     # verify's overlap row: (P_{l-1}(a) - P_{l+1}(a)) / (2l + 1) over [a, 1], P_{-1} = 1,
     # 3e-16 off a 40-digit mpmath value here
@@ -142,8 +139,6 @@ def test_sigma_inel_x_past_overflow_is_finite_or_refuses(eta2, ztilde, x):
     assert math.isfinite(value)
 
 
-@_defect("elastic NaN, after a numpy overflow warning; past the warning "
-         "CrossSectionTriple now refuses it with ValueError (item 12)", RuntimeWarning)
 def test_column_cross_sections_past_overflow_are_finite_or_refuse():
     try:
         t = cross_sections(FANO, DriveConfig(np.array([math.sqrt(5.6e77)]), 0.3, 0.6))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -468,6 +469,36 @@ def test_finite_beam_equilibrium_converges_to_collimated(dwave_table):
         gaps.append(abs(rho[0, 0].real - u_limit))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-3
+
+
+def test_beam_state_refuses_a_non_state_with_its_closed_form_eigenvalues(monkeypatch):
+    # no table reaches the branch; a patched superoperator, whose rows 1-3 are
+    # orthogonal to vec(rho) and whose row 0 the unit-trace row replaces,
+    # makes the solve return any unit-trace Hermitian rho
+    rng = np.random.default_rng(29)
+    state = {}
+
+    def liouvillian(dc, ov, r):
+        v = state["rho"].reshape(-1, order="F")
+        rows = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        return rows - np.outer(rows @ v, v.conj()) / np.vdot(v, v)
+
+    monkeypatch.setattr(oracle, "_beam_liouvillian", liouvillian)
+    refused = 0
+    for lo in rng.uniform(-0.5, 0.5, 200).tolist() + [-2e-10, 1e-12]:
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        rho = u @ np.diag([lo, 1.0 - lo]) @ u.conj().T
+        state["rho"] = rho = 0.5 * (rho + rho.conj().T)
+        ref = np.linalg.eigvalsh(rho)
+        if lo < -1e-10:
+            with pytest.raises(RuntimeError, match="not a state") as info:
+                oracle._beam_state(None, None, None)
+            eigs = re.search(r"eigs = \((\S+), (\S+)\), trace = (\S+)", str(info.value)).groups()
+            assert [float(e) for e in eigs] == pytest.approx([*ref, 1.0], abs=1e-14)
+            refused += 1
+        else:
+            assert np.max(np.abs(oracle._beam_state(None, None, None) - rho)) <= 1e-14
+    assert refused > 80
 
 
 def test_finite_beam_ignores_zero_padding_of_the_table(dwave_table):

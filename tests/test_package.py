@@ -66,6 +66,21 @@ def test_package_names_no_numpy_random_or_polynomial():
     assert found == []
 
 
+def test_package_names_no_svd_or_hermitian_eigensolver():
+    # each LAPACK driver adds pages on its first call, and verify loads none
+    # of them: the step rule's spectral norm and the 2x2 state's eigenvalues
+    # are in closed form; every route to gesdd, gelsd, heevd or geev is named here
+    pattern = re.compile(r"\b(?:svd|pinv|matrix_rank|lstsq|cond|eig|eigvals|eigh|eigvalsh)\b"
+                         r"|\bnorm\([^()\n]*,\s*-?2\s*[,)]|\bord\s*=\s*-?2\b")
+    found = [f"{path.name}:{n}"
+             for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if pattern.search(line)]
+    assert found == []
+    assert pattern.search("lam = float(np.linalg.norm(a, 2))")
+    assert pattern.search("eigs = np.linalg.eigvalsh(rho)")
+
+
 def test_readme_calls_name_package_functions():
     # a `name(` call left in the prose after its function went is stale
     text = README.read_text(encoding="utf-8")
