@@ -185,10 +185,7 @@ def run_spectrum_sweep(cfg: RunConfig):
                 m_el = xsection.mollow_xsections(zt, dc.eta).elastic
                 block[3] = (spectrum.mollow_inel_x(zt, dc.eta, gt, xs)
                             + spectrum.elastic_lorentzian(m_el, gt, xs))
-            finite = np.isfinite(block).all(axis=(0, 2))
-            if not finite.all():
-                raise ArithmeticError("non-finite spectrum at (eta2, ztilde) = "
-                                      f"({e2}, {zts[np.argmin(finite)]})")
+            xsection._refuse_non_finite(np.isfinite(block).all(axis=(0, 2)), e2, zts)
     return names, axes, list(out.reshape(len(out), -1))
 
 

@@ -101,23 +101,6 @@ def _shifted_drift(rs: ReducedScalars, x) -> np.ndarray:
     return build_drift(rs) * d / np.swapaxes(d, -1, -2) + shift
 
 
-def _norm2(a: np.ndarray) -> float:
-    """Spectral norm of a 3x3 matrix: the square root of the largest eigenvalue
-    of B = A^H A, from the trigonometric form of its characteristic cubic
-    (Smith, Comm. ACM 4, 168 (1961)): B - qI = p C with q = tr B / 3 and p the
-    Frobenius norm of B - qI over sqrt 6, and the root is q + 2p cos(acos(det C
-    / 2) / 3).  Within ~1e-13 of the SVD norm, ~1e-8 where the two largest
-    singular values meet (a double root); a step rule needs a few digits."""
-    b = a.conj().T @ a
-    q = b.trace().real / 3.0
-    c = b - q * np.eye(3)
-    p = math.sqrt(np.vdot(c, c).real / 6.0)
-    if p == 0.0:
-        return math.sqrt(q)
-    half_det = min(1.0, max(-1.0, np.linalg.det(c / p).real / 2.0))
-    return math.sqrt(q + 2.0 * p * math.cos(math.acos(half_det) / 3.0))
-
-
 def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> float:
     """Inelastic spectral density by time-domain integration.
 
@@ -128,9 +111,11 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     drops below _KERNEL_TAIL.  The first stride is the 25th power of the
     5x5 step matrix, squared after each failed decay check, so the checks
     grow with the log of the decay time; every stride is a power of the
-    one RK4 step.  The step shrinks as the spectral norm ||A||_2 grows
-    (closed form, :func:`_norm2`; no SVD), so the O(h^4) error stays below
-    the comparison tolerances.  Raises
+    one RK4 step.  The step shrinks as ||A||_2 <= sqrt(||A||_1 ||A||_inf)
+    grows (Golub & Van Loan, Matrix Computations, sec. 2.3; no SVD).  In
+    exact arithmetic, N steps give the integral rows L A^-1 (I - P^N) d(0),
+    L their left vectors and P the 3x3 step matrix: the step's truncation
+    error cancels, and only the dropped tail and rounding remain.  Raises
     ValueError for a non-finite ``x`` and RuntimeError when the kernel
     has not decayed by tau = _KERNEL_TAU_MAX (the last stride, as long as
     all before it plus 25 steps, ends before 2 _KERNEL_TAU_MAX + 25 h).
@@ -142,7 +127,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     rs = reduced_scalars(sc, dc)
     cprime, dprime, ddoubleprime = spectral_coefficients(rs)
     a = _shifted_drift(rs, x)
-    lam = _norm2(a)
+    lam = math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
     h = min(1e-3, (3e-7 / lam ** 5) ** 0.25)
     # one drift block, a state column per bilinear: d(q, I, J)/dtau = (-A q, c^dag q, q_0)
     big = np.zeros((5, 5), dtype=complex)

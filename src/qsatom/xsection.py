@@ -106,7 +106,7 @@ def _refuse_non_finite(finite, eta2, ztilde) -> None:
     if not np.all(finite):
         e2, zt = (np.broadcast_to(v, np.shape(finite)).flat[np.argmin(finite)]
                   for v in (eta2, ztilde))
-        raise ArithmeticError(f"non-finite cross section at (eta2, ztilde) = ({e2}, {zt})")
+        raise ArithmeticError(f"non-finite value at (eta2, ztilde) = ({e2}, {zt})")
 
 
 def cross_sections(sc: ScatteringScalars, dc: DriveConfig) -> CrossSectionTriple:

@@ -130,7 +130,7 @@ def test_time_domain_matches_resolvent_mollow():
     dc = DriveConfig(2.0, 0.0, 0.6)
     a = spectrum_time_domain(MOLLOW_SCALARS, dc, 0.0)
     b = sigma_inel_x(MOLLOW_SCALARS, dc, 0.0)
-    assert a == pytest.approx(b, rel=1e-6)
+    assert a == pytest.approx(b, rel=1e-10, abs=0.0)
 
 
 def test_time_domain_matches_resolvent_reference_set(fano_scalars):
@@ -139,7 +139,7 @@ def test_time_domain_matches_resolvent_reference_set(fano_scalars):
     for x in rng.uniform(-5.0, 5.0, 4):
         a = spectrum_time_domain(fano_scalars, dc, float(x))
         b = sigma_inel_x(fano_scalars, dc, float(x))
-        assert a == pytest.approx(b, rel=1e-6)
+        assert a == pytest.approx(b, rel=1e-10, abs=0.0)
 
 
 # At the Fano zero the right vector d' cancels to rounding and the spectrum
@@ -161,7 +161,7 @@ def test_time_domain_matches_resolvent_hard_corners(fano_scalars, corner, x):
     sc = fano_scalars if sc is None else sc
     a = spectrum_time_domain(sc, dc, x)
     b = sigma_inel_x(sc, dc, x)
-    assert a == pytest.approx(b, rel=1e-6)
+    assert a == pytest.approx(b, rel=1e-10, abs=0.0)
 
 
 # The stride doubles after every failed decay check, so a strong drive
@@ -173,7 +173,7 @@ def test_time_domain_cost_is_flat_in_intensity(fano_scalars, eta2, x):
     start = time.perf_counter()
     a = spectrum_time_domain(fano_scalars, dc, x)
     elapsed = time.perf_counter() - start
-    assert a == pytest.approx(sigma_inel_x(fano_scalars, dc, x), rel=1e-6)
+    assert a == pytest.approx(sigma_inel_x(fano_scalars, dc, x), rel=1e-8, abs=0.0)
     assert elapsed < 1.0
 
 

@@ -68,8 +68,9 @@ def test_package_names_no_numpy_random_or_polynomial():
 
 def test_package_names_no_svd_or_hermitian_eigensolver():
     # each LAPACK driver adds pages on its first call, and verify loads none
-    # of them: the step rule's spectral norm and the 2x2 state's eigenvalues
-    # are in closed form; every route to gesdd, gelsd, heevd or geev is named here
+    # of them: the step rule bounds the spectral norm by the 1- and inf-norms,
+    # and the 2x2 state's eigenvalues are in closed form; every route to
+    # gesdd, gelsd, heevd or geev is named here
     pattern = re.compile(r"\b(?:svd|pinv|matrix_rank|lstsq|cond|eig|eigvals|eigh|eigvalsh)\b"
                          r"|\bnorm\([^()\n]*,\s*-?2\s*[,)]|\bord\s*=\s*-?2\b")
     found = [f"{path.name}:{n}"
