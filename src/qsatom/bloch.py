@@ -13,9 +13,10 @@ comparable entry by entry with the closed forms used elsewhere.
 :func:`build_drift` and :func:`equilibrium` take the reduced scalars
 alone, which carry the eta and s they were dressed with; the stationary
 state is a plain :class:`BlochVector`, and :func:`evolve` relaxes to that
-one state.  Its propagator is a numpy [13/13] Pade scaling and squaring
-whose one halving count, taken in logarithms, also covers a -tau G'/2
-that overflows; no physics layer imports or calls scipy.
+one state.  Its propagator is a [13/13] Pade scaling and squaring, its quotient
+by elimination, whose one halving count, taken in logarithms, also covers a -tau G'/2
+that overflows.  The package's small linear algebra (:func:`_mul`, :func:`_det3`,
+:func:`_solve`) is here, in numpy's own loops: no BLAS, LAPACK or scipy call.
 """
 
 from __future__ import annotations
@@ -32,6 +33,34 @@ _STATE_TOL = 1e-9
 # 1-norm it holds to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
 _PADE13 = [math.comb(13, j) * math.factorial(26 - j) / math.factorial(26) for j in range(14)]
 _THETA13 = 5.371920351148152
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (stacked) small matrices, in numpy's own einsum loop."""
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Determinant of a (stacked) 3x3 matrix: the triple product m0 . (m1 x m2) of its rows."""
+    return np.sum(m[..., 0, :] * np.cross(m[..., 1, :], m[..., 2, :]), axis=-1)
+
+
+def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with m x = b for (stacked) small systems, b a vector or matrix (stack) with m's
+    leading dimensions: Gauss-Jordan elimination with partial pivoting on [m | b]
+    (Higham, Accuracy and Stability, 2nd ed., sec. 14.4); ValueError if m is singular."""
+    vector, n = np.ndim(b) == np.ndim(m) - 1, m.shape[-1]
+    ab = np.concatenate([m, b[..., None] if vector else b], axis=-1, dtype=complex)
+    ab = ab.reshape(-1, n, ab.shape[-1])  # a stack of [m | b]
+    stack, off_diagonal = np.arange(len(ab)), ~np.eye(n, dtype=bool)
+    for k in range(n):
+        p = np.abs(ab[:, k:, k]).argmax(axis=1) + k
+        ab[stack, p], ab[:, k] = ab[:, k], ab[stack, p]  # swap rows k and p
+        if not ab[:, k, k].all():
+            raise ValueError("singular matrix")
+        ab[:, k] /= ab[:, k, k, None]
+        ab -= off_diagonal[:, k, None] * ab[:, :, k, None] * ab[:, k, None]
+    return ab[:, :, n:].reshape(np.shape(b))
 
 
 @dataclass(frozen=True)
@@ -93,8 +122,7 @@ def char_poly(m: np.ndarray) -> np.ndarray:
     minors = (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
               + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
               + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    det = np.linalg.det(m)
-    return np.array([1.0, -tr, minors, -det], dtype=complex)
+    return np.array([1.0, -tr, minors, -_det3(m)], dtype=complex)
 
 
 def cubic_discriminant(coeffs: np.ndarray) -> float:
@@ -113,22 +141,22 @@ def cubic_discriminant(coeffs: np.ndarray) -> float:
 def _expm(c: float, g: np.ndarray) -> np.ndarray:
     """e^(c g) by [13/13] Pade scaling and squaring (Higham 2005; Moler and Van Loan,
     SIAM Rev. 45, 3 (2003)): r(c g / 2^k)^(2^k), k the fewest halvings to
-    ||c g||_1 <= theta_13.  k is counted in logarithms and the halvings fall on c
-    alone, so a product c g that overflows is never formed."""
-    norm = np.linalg.norm(g, 1)
+    ||c g||_1 <= theta_13, r by :func:`_solve`.  k is counted in logarithms and the
+    halvings fall on c alone, so a product c g that overflows is never formed."""
+    norm = np.abs(g).sum(axis=0).max()
     k = max(0, math.ceil(math.log2(abs(c)) + math.log2(norm / _THETA13))) if c else 0
     a = math.ldexp(c, -k) * g
-    b, eye, a2 = _PADE13, np.eye(len(a)), a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+    b, eye, a2 = _PADE13, np.eye(len(a)), _mul(a, a)
+    a4 = _mul(a2, a2)
+    a6 = _mul(a4, a2)
+    u = _mul(a, _mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
+    v = _mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
+    r = _solve(v - u, v + u)
     if k and r[0, 0].real == 1.0:  # a decay rounded away: squarings cannot restore it
         raise ValueError("drive too strong: the scaled propagator step lost the population")
     for _ in range(k):
-        r = r @ r
+        r = _mul(r, r)
     return r
 
 
@@ -148,5 +176,5 @@ def evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
         return x0
     g = build_drift(rs)
     ueq = equilibrium(rs).vector()
-    out = ueq + _expm(-0.5 * tau, g) @ (x0.vector() - ueq)
+    out = ueq + _mul(_expm(-0.5 * tau, g), (x0.vector() - ueq)[:, None])[:, 0]
     return BlochVector(float(out[0].real), complex(out[1]))

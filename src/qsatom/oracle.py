@@ -10,8 +10,8 @@ operator-level rebuild of the finite-beam master equation against the
 collimated-limit closed forms via the photon balance identity.
 
 Both RK4 oracles integrate constant-coefficient linear systems, so each
-runs as RK4 as a precomputed step matrix raised to the number of steps:
-the same truncation error, and none of the machinery it checks.
+runs as RK4 as a step matrix squared to a power of two in ``bloch``'s BLAS-free
+loops: the same truncation error, and none of the machinery it checks.
 
 The random points come from ``random.Random`` (MT19937) seeded afresh in
 each verification run, and the Gauss-Legendre rules are built by Newton's
@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bloch import BlochVector, build_drift, equilibrium, evolve
+from .bloch import BlochVector, _det3, _mul, _solve, build_drift, equilibrium, evolve
 from .model import (MOLLOW_SCALARS, DriveConfig, PhaseShiftTable, ReducedScalars,
                     ScatteringScalars, _any, _legendre, _modulus, _sin, _sq,
                     reduced_scalars, scalars_from_phase_shifts)
@@ -63,7 +63,7 @@ def _rk4_step(m: np.ndarray, h: float) -> np.ndarray:
     """
     a = h * m
     eye = np.eye(len(m))
-    return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+    return eye + _mul(a, eye + _mul(a, eye + _mul(a, eye + a / 4.0) / 3.0) / 2.0)
 
 
 def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
@@ -71,7 +71,7 @@ def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
     RK4 as a precomputed step matrix.
 
     The inhomogeneous term (0, eta/2, eta/2) rides as a constant fourth
-    component, so n steps are the n-th power of one 4x4 step matrix.
+    component, so n = 2^k steps (fewest with tau / n <= 1e-3) are k squarings of a 4x4 matrix.
     Comparison baseline for the matrix-exponential propagator; never the
     production path.  Raises ValueError unless 0 <= tau <= 1e305; past
     that the step count tau / 1e-3 overflows.
@@ -80,12 +80,15 @@ def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
         raise ValueError(f"tau must lie in [0, {_ODE_TAU_MAX:g}], got {tau}")
     if tau == 0:
         return x0
-    n = max(1, math.ceil(tau / _RK4_STEP))
-    h = tau / n
+    mant, exp = math.frexp(tau / _RK4_STEP)
+    k = max(0, exp - (mant == 0.5))  # the fewest squarings with tau / 2^k <= _RK4_STEP
     aug = np.zeros((4, 4), dtype=complex)
     aug[0:3, 0:3] = -0.5 * build_drift(rs)
     aug[1:3, 3] = 0.5 * rs.eta
-    v = np.linalg.matrix_power(_rk4_step(aug, h), n) @ np.append(x0.vector(), 1.0)
+    p = _rk4_step(aug, math.ldexp(tau, -k))
+    for _ in range(k):
+        p = _mul(p, p)
+    v = _mul(p, np.append(x0.vector(), 1.0)[:, None])[:, 0]
     return BlochVector(float(v[0].real), complex(v[1]))
 
 
@@ -107,18 +110,18 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     Integrates the regression kernel: propagates the two right vectors
     under d'(tau) = -(Gtilde + 2ix) d(tau) with fixed-step RK4 (RK4 as a
     precomputed step matrix) and accumulates the Laplace integrals as
-    augmented components of the same RK4 state, until the kernel norm
-    drops below _KERNEL_TAIL.  The first stride is the 25th power of the
-    5x5 step matrix, squared after each failed decay check, so the checks
-    grow with the log of the decay time; every stride is a power of the
-    one RK4 step.  The step shrinks as ||A||_2 <= sqrt(||A||_1 ||A||_inf)
-    grows (Golub & Van Loan, Matrix Computations, sec. 2.3; no SVD).  In
-    exact arithmetic, N steps give the integral rows L A^-1 (I - P^N) d(0),
-    L their left vectors and P the 3x3 step matrix: the step's truncation
-    error cancels, and only the dropped tail and rounding remain.  Raises
-    ValueError for a non-finite ``x`` and RuntimeError when the kernel
-    has not decayed by tau = _KERNEL_TAU_MAX (the last stride, as long as
-    all before it plus 25 steps, ends before 2 _KERNEL_TAU_MAX + 25 h).
+    augmented components of the same RK4 state, until the kernel's column
+    1-norm drops below _KERNEL_TAIL.  The first stride is the step matrix P
+    squared five times, P^32, squared again after each failed decay check.
+    The step h = 1 / (sqrt(||A||_1) sqrt(||A||_inf)) <= 1 / ||A||_2 (Golub & Van
+    Loan, Matrix Computations, sec. 2.3; no SVD), its roots apart since their
+    product overflows from |x| ~ 1e154, puts every eigenvalue of -hA in the left
+    half of the unit disc, where the RK4 step contracts.  In exact arithmetic,
+    N steps give the integral rows L A^-1 (I - P^N) d(0), L their left vectors:
+    the step's truncation error cancels, and only the dropped tail and rounding
+    remain.  Raises ValueError for a non-finite ``x`` and RuntimeError when the
+    kernel has not decayed by tau = _KERNEL_TAU_MAX (the last stride, as long
+    as all before it plus 32 steps, ends before 2 _KERNEL_TAU_MAX + 32 h <= 1016).
     """
     if not math.isfinite(x):
         raise ValueError("x must be finite")
@@ -127,8 +130,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     rs = reduced_scalars(sc, dc)
     cprime, dprime, ddoubleprime = spectral_coefficients(rs)
     a = _shifted_drift(rs, x)
-    lam = math.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))
-    h = min(1e-3, (3e-7 / lam ** 5) ** 0.25)
+    h = 1.0 / (math.sqrt(np.abs(a).sum(axis=0).max()) * math.sqrt(np.abs(a).sum(axis=1).max()))
     # one drift block, a state column per bilinear: d(q, I, J)/dtau = (-A q, c^dag q, q_0)
     big = np.zeros((5, 5), dtype=complex)
     big[0:3, 0:3] = -a
@@ -136,16 +138,15 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     big[4, 0] = 1.0  # the left vector of the second bilinear is (1, 0, 0)
     y = np.zeros((5, 2), dtype=complex)
     y[0:3] = np.transpose([dprime, ddoubleprime])
-    tau = 0.0
-    steps_per_check = 25
-    stride = np.linalg.matrix_power(_rk4_step(big, h), steps_per_check)
+    tau, stride = 0.0, _rk4_step(big, h)
+    for _ in range(5):
+        stride = _mul(stride, stride)
     while tau < _KERNEL_TAU_MAX:
-        y = stride @ y
-        tau += steps_per_check * h
-        if np.linalg.norm(y[:3], axis=0).max() < _KERNEL_TAIL:
+        y = _mul(stride, y)
+        tau = 2.0 * tau + 32.0 * h  # each stride spans all before it plus 32 steps
+        if np.abs(y[:3]).sum(axis=0).max() < _KERNEL_TAIL:
             break
-        stride = stride @ stride
-        steps_per_check *= 2
+        stride = _mul(stride, stride)
     else:
         raise RuntimeError("time-domain kernel did not decay below the "
                            f"threshold within tau = {_KERNEL_TAU_MAX}")
@@ -198,7 +199,7 @@ def integrate_line(f, scale: float, tol: float):
     def panel_rule(nodes, weights):
         u = lefts[:, None] + 0.5 * width * (1.0 + nodes)
         mapped = f(scale * np.tan(u).ravel()).reshape(u.shape) * scale / np.cos(u) ** 2
-        return 0.5 * width * mapped @ weights
+        return 0.5 * width * np.einsum("pn,n->p", mapped, weights)
 
     lefts = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 17)[:-1]
     width = math.pi / 16
@@ -292,7 +293,7 @@ def beam_overlaps(lmax: int, dtheta: float) -> np.ndarray:
     a = math.cos(dtheta)
     xi = 0.5 * (xg + 1.0) * (1.0 - a) + a
     ww = 0.5 * (1.0 - a) * wg
-    integrals = ww @ _legendre(xi, lmax)
+    integrals = np.einsum("n,nl->l", ww, _legendre(xi, lmax))
     pref = 2.0 * math.pi / (dtheta * math.sqrt(2.0 * math.pi * (1.0 - a)))
     ls = np.arange(lmax + 1)
     return pref * np.sqrt((2.0 * ls + 1.0) / (4.0 * math.pi)) * integrals
@@ -333,14 +334,14 @@ def _beam_state(dc: DriveConfig, ov: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Stationary 2x2 state of the master equation with channels (ov, r).
 
     Trace preservation makes row 0 of the column-stacked superoperator minus
-    row 3; the unit-trace row takes its place in one square solve (LinAlgError
+    row 3; the unit-trace row takes its place in one square solve (ValueError
     if singular).  The eigenvalues of the Hermitian part are in closed form,
     (rho_00 + rho_11) / 2 -+ hypot((rho_00 - rho_11) / 2, |rho_01|).
     RuntimeError if rho is not a state (an assembly bug).
     """
     m = _beam_liouvillian(dc, ov, r)
     m[0] = (1.0, 0.0, 0.0, 1.0)
-    rho = np.linalg.solve(m, np.array([1.0, 0.0, 0.0, 0.0])).reshape(2, 2, order="F")
+    rho = _solve(m, np.array([1.0, 0.0, 0.0, 0.0])).reshape(2, 2, order="F")
     rho = 0.5 * (rho + rho.conj().T)
     mid = 0.5 * float((rho[0, 0] + rho[1, 1]).real)
     half_gap = math.hypot(0.5 * (rho[0, 0] - rho[1, 1]).real, abs(rho[0, 1]))
@@ -461,8 +462,8 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
     # determinant identity and equilibrium stationarity on a random grid
     _, _, rs, _ = _random_block(rng, 200)
     g = build_drift(rs)
-    det_res = _modulus(np.linalg.det(g) - 2.0 * rs.den) / abs(2.0 * rs.den)
-    resid = (g @ equilibrium(rs).vector()[..., None])[..., 0] \
+    det_res = _modulus(_det3(g) - 2.0 * rs.den) / abs(2.0 * rs.den)
+    resid = _mul(g, equilibrium(rs).vector()[..., None])[..., 0] \
         - np.stack([0.0 * rs.eta, rs.eta, rs.eta], axis=-1)
     eq_res = np.max(np.abs(resid), axis=-1) / np.maximum(1.0, rs.eta)
     checks = [_check("drift determinant identity", 1e-12, det_res),
@@ -482,7 +483,8 @@ def run_verification(source: PhaseShiftTable | ScatteringScalars = DEFAULT_TABLE
 
     # adjugate resolvent against the generic inverse, the largest entry per point
     _, _, rs, (x,) = _random_block(rng, 100, ((-20.0, 20.0),))
-    ro = np.max(np.abs(resolvent(rs, x) - np.linalg.inv(_shifted_drift(rs, x))), axis=(-2, -1))
+    inv = _solve(_shifted_drift(rs, x), np.broadcast_to(np.eye(3), (len(x), 3, 3)))
+    ro = np.max(np.abs(resolvent(rs, x) - inv), axis=(-2, -1))
     checks.append(_check("adjugate resolvent vs generic inverse", 1e-12, ro))
 
     # time-domain kernel against the resolvent spectrum, on one column per drive

@@ -7,6 +7,7 @@ import pytest
 from helpers import random_drive, random_scalars
 from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, ScatteringScalars,
                     build_drift, equilibrium, evolve, reduced_scalars)
+from qsatom import bloch
 from qsatom.bloch import _expm, char_poly, cubic_discriminant
 from qsatom.oracle import ode_evolve
 
@@ -336,3 +337,65 @@ def test_bloch_vector_validation():
     with pytest.raises(ValueError):
         BlochVector(0.1, 0.5)  # u < u^2 + |v|^2
     BlochVector(0.5, 0.5)  # pure superposition state sits on the boundary
+
+
+def _mp_solve(m, b):
+    """A 50-digit ``mpmath.lu_solve`` of m x = b, a column at a time, and cond_1(m)."""
+    with mpmath.workdps(50):
+        a = mpmath.matrix(m.tolist())
+        cols = [mpmath.lu_solve(a, mpmath.matrix(c.tolist()))
+                for c in np.reshape(b.T, (-1, len(m)))]
+        x = np.array([[complex(v) for v in c] for c in cols]).T.reshape(b.shape)
+        return x, float(mpmath.mnorm(a, 1) * mpmath.mnorm(a ** -1, 1))
+
+
+def _assert_solved_as_mpmath(m, b):
+    # partial pivoting's forward error: a few ulps times the condition number
+    x = bloch._solve(m, b)
+    assert x.shape == b.shape
+    for i in np.ndindex(m.shape[:-2]):
+        ref, cond = _mp_solve(m[i], b[i])
+        err = np.max(np.abs(x[i] - ref)) / np.max(np.abs(ref))
+        assert err <= 4 * len(ref) * np.finfo(float).eps * cond, (i, err, cond)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("rhs", [(), (2,)], ids=["vector", "matrix"])
+@pytest.mark.parametrize("stack", [(), (5,)], ids=["single", "stacked"])
+def test_solve_matches_mpmath_lu_solve(n, rhs, stack):
+    rng = np.random.default_rng(3600 + n)
+    m = rng.standard_normal(stack + (n, n)) + 1j * rng.standard_normal(stack + (n, n))
+    b = rng.standard_normal(stack + (n,) + rhs) + 1j * rng.standard_normal(stack + (n,) + rhs)
+    _assert_solved_as_mpmath(m, b)
+
+
+def test_solve_swaps_rows_past_a_zero_leading_pivot():
+    m = np.array([[0.0, 2.0, 1.0, 0.5], [3.0, 1.0, 0.0, 2.0],
+                  [1.0, 0.0, 4.0, 1.0], [2.0, 1.0, 1.0, 0.0]])
+    b = np.array([1.0, -2.0, 0.5, 3.0])
+    _assert_solved_as_mpmath(m, b)
+    _assert_solved_as_mpmath(np.stack([m, m.T]), np.stack([b, b[::-1]]))
+
+
+def test_solve_at_condition_number_1e8():
+    m = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0 + 3e-7]])
+    b = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    assert 1e7 <= _mp_solve(m, b)[1] <= 1e9
+    _assert_solved_as_mpmath(m, b)
+
+
+def test_solve_refuses_a_singular_matrix():
+    with pytest.raises(ValueError, match="singular"):
+        bloch._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+
+
+def test_triple_product_determinant_matches_mpmath():
+    rng = np.random.default_rng(3601)
+    m = rng.standard_normal((20, 3, 3)) + 1j * rng.standard_normal((20, 3, 3))
+    got = bloch._det3(m)
+    assert got.shape == (20,)
+    with mpmath.workdps(50):
+        ref = np.array([complex(mpmath.det(mpmath.matrix(a.tolist()))) for a in m])
+    # each error within a few ulps of the largest product the expansion sums
+    scale = np.max(np.abs(m), axis=(-2, -1)) ** 3
+    assert np.max(np.abs(got - ref) / scale) <= 16 * np.finfo(float).eps

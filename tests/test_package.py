@@ -82,6 +82,56 @@ def test_package_names_no_svd_or_hermitian_eigensolver():
     assert pattern.search("eigs = np.linalg.eigvalsh(rho)")
 
 
+_BLAS_NAMES = {"dot", "vdot", "inner", "tensordot", "matmul", "matrix_power"}
+
+
+def _blas_entries(source: str) -> list[int]:
+    """Lines of ``source`` that reach BLAS or LAPACK: an ``@``, ``np.linalg`` (or an
+    import of it), a product by name or method, or an einsum asked to ``optimize``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES | {"linalg"}:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in _BLAS_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                part in _BLAS_NAMES | {"linalg"}
+                for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                for part in name.split(".")):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and any(k.arg == "optimize" for k in node.keywords)
+              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"):
+            found.append(node.lineno)
+    return found
+
+
+def test_package_calls_no_blas_or_lapack():
+    # verify's products, determinants and solves run in numpy's own loops
+    # (bloch._mul, _det3 and _solve), so no call maps OpenBLAS's code pages
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _blas_entries(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "c = a @ b", "a @= b", "x = np.linalg.solve(m, b)", "d = numpy.linalg.det(m)",
+    "from numpy.linalg import inv", "from numpy import linalg", "import numpy.linalg as la",
+    "p = np.dot(a, b)", "p = a.dot(b)", "p = np.vdot(a, b)", "p = np.inner(a, b)",
+    "p = np.tensordot(a, b, 1)", "p = np.matmul(a, b)", "from numpy import matmul",
+    "p = matrix_power(a, 3)", "p = np.einsum('ij,jk->ik', a, b, optimize=True)",
+    "p = einsum('ij,jk->ik', a, b, optimize='greedy')",
+])
+def test_blas_entry_scan_finds_each_route(source):
+    assert _blas_entries(source) == [1]
+
+
+def test_blas_entry_scan_passes_numpys_own_loops():
+    assert _blas_entries("p = np.einsum('...ij,...jk->...ik', a, b)\n"
+                         "n = np.abs(a).sum(axis=0).max()\nd = a * b\ninnermost = 1") == []
+
+
 def test_readme_calls_name_package_functions():
     # a `name(` call left in the prose after its function went is stale
     text = README.read_text(encoding="utf-8")
