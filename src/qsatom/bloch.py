@@ -13,10 +13,9 @@ comparable entry by entry with the closed forms used elsewhere.
 :func:`build_drift` and :func:`equilibrium` take the reduced scalars
 alone, which carry the eta and s they were dressed with; the stationary
 state is a plain :class:`BlochVector`, and :func:`evolve` relaxes to that
-one state.  Its propagator is a [13/13] Pade scaling and squaring, its quotient
-by elimination, whose one halving count, taken in logarithms, also covers a -tau G'/2
-that overflows.  The package's small linear algebra (:func:`_mul`, :func:`_det3`,
-:func:`_solve`) is here, in numpy's own loops: no BLAS, LAPACK or scipy call.
+one state.  Its propagator is Putzer's formula on the three poles of G', the roots of
+the real cubic :func:`char_poly`.  The package's small linear algebra (:func:`_mul`,
+:func:`_det3`, :func:`_solve`) is here, in numpy's own loops: no BLAS, LAPACK or scipy call.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ import numpy as np
 from .model import ReducedScalars, _any, _cos, _modulus, _sq
 
 _STATE_TOL = 1e-9
-# Pade [13/13] b_j = (2m-j)! m! / ((2m)! j! (m-j)!), m = 13, and theta_13, the largest
-# 1-norm it holds to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
-_PADE13 = [math.comb(13, j) * math.factorial(26 - j) / math.factorial(26) for j in range(14)]
-_THETA13 = 5.371920351148152
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,65 +111,70 @@ def equilibrium(rs: ReducedScalars) -> BlochVector:
                        rs.eta * rs.kappa2 / rs.den + 1j * (rs.eta * rs.y / rs.den))
 
 
-def char_poly(m: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients [1, c2, c1, c0] of G'."""
-    tr = np.trace(m)
-    minors = (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-              + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-              + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return np.array([1.0, -tr, minors, -_det3(m)], dtype=complex)
+def char_poly(rs: ReducedScalars) -> np.ndarray:
+    """Real coefficients [1, -t, m, -d] of G''s characteristic polynomial, in closed form:
+    t = 2 + 2 kappa2, m = kappa4 + w^2 + 4 kappa2 + 4 eta^2 cos^2 s and d = 2 den (swapping
+    v and conj v maps G' onto its conjugate, so all three are real)."""
+    t = 2.0 + 2.0 * rs.kappa2
+    m = rs.kappa4 + _sq(rs.w) + 4.0 * rs.kappa2 + 4.0 * rs.eta2 * _sq(_cos(rs.s))
+    return np.array([1.0, -t, m, -2.0 * rs.den])
 
 
 def cubic_discriminant(coeffs: np.ndarray) -> float:
-    """Discriminant of a real cubic a x^3 + b x^2 + c x + d.
-
-    Positive iff the three roots are real and distinct; the sign change
-    marks the onset of a complex eigenvalue pair of the drift matrix.
-    """
-    if any(abs(complex(t).imag) > 1e-9 for t in coeffs):
-        raise ValueError("discriminant is defined here for real coefficients")
-    a, b, c, d = (float(np.real(t)) for t in coeffs)
+    """Discriminant of a real cubic a x^3 + b x^2 + c x + d: positive iff the three roots
+    are real and distinct, so its sign change marks the onset of a complex pair of poles."""
+    a, b, c, d = map(float, coeffs)
     return (18.0 * a * b * c * d - 4.0 * b ** 3 * d + b ** 2 * c ** 2
             - 4.0 * a * c ** 3 - 27.0 * a ** 2 * d ** 2)
 
 
-def _expm(c: float, g: np.ndarray) -> np.ndarray:
-    """e^(c g) by [13/13] Pade scaling and squaring (Higham 2005; Moler and Van Loan,
-    SIAM Rev. 45, 3 (2003)): r(c g / 2^k)^(2^k), k the fewest halvings to
-    ||c g||_1 <= theta_13, r by :func:`_solve`.  k is counted in logarithms and the
-    halvings fall on c alone, so a product c g that overflows is never formed."""
-    norm = np.abs(g).sum(axis=0).max()
-    k = max(0, math.ceil(math.log2(abs(c)) + math.log2(norm / _THETA13))) if c else 0
-    a = math.ldexp(c, -k) * g
-    b, eye, a2 = _PADE13, np.eye(len(a)), _mul(a, a)
-    a4 = _mul(a2, a2)
-    a6 = _mul(a4, a2)
-    u = _mul(a, _mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = _mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + eye
-    r = _solve(v - u, v + u)
-    if k and r[0, 0].real == 1.0:  # a decay rounded away: squarings cannot restore it
-        raise ValueError("drive too strong: the scaled propagator step lost the population")
-    for _ in range(k):
-        r = _mul(r, r)
-    return r
+def _drift_poles(rs: ReducedScalars) -> tuple[complex, complex, complex]:
+    """The poles of G', the roots of :func:`char_poly`: a real one r by bisection on [0, t],
+    where p(0) = -d < 0 < p(t) = t m - d (Routh-Hurwitz), and two from their sum t - r and
+    product d / r: the roots of a cubic within p's rounding, ~sqrt(eps) at a double root."""
+    t, m, d = (char_poly(rs)[1:] * [-1.0, 1.0, -1.0]).tolist()
+    lo, hi = 0.0, t
+    while lo < (r := 0.5 * (lo + hi)) < hi:
+        lo, hi = (r, hi) if ((r - t) * r + m) * r < d else (lo, r)
+    r = min((lo, hi), key=lambda x: abs(((x - t) * x + m) * x - d))  # the smaller residual
+    half, prod = 0.5 * (t - r), d / r
+    big = half + np.sqrt(complex(half * half - prod))  # no cancellation: half > 0, Re sqrt >= 0
+    return complex(r), complex(big), complex(prod / big)
+
+
+def _propagator(rs: ReducedScalars, tau: float) -> np.ndarray:
+    """e^{c G'}, c = -tau/2, by Putzer's formula f[l1] + f[l1,l2] (G' - l1) + f[l1,l2,l3]
+    (G' - l1)(G' - l2), f = e^{c x}, on the real pole l1 and l2 the nearer of the other two
+    (McCurdy, Ng and Parlett, Math. Comp. 43, 501 (1984)); c multiplies scalars alone."""
+    c, (l1, *pair) = -0.5 * min(tau, 1500.0), _drift_poles(rs)  # e^{-750 l} = 0: Re l >= 1
+    l2, l3 = sorted(pair, key=lambda lam: abs(lam - l1))
+
+    def first(a: complex, b: complex) -> complex:  # f[a, b] by (e^z - 1) / z, with |e^z| <= 1
+        a, b = sorted((a, b), key=lambda lam: lam.real)
+        return c * np.exp(c * a) * (complex(np.expm1(z)) / z if (z := c * (b - a)) else 1.0)
+
+    f12 = first(l1, l2)
+    if abs(y := c * (l3 - l1)) < 1.0:  # |x| <= |y|: e^z's [0, x, y] = sum h_k(x, y) / (k + 2)!
+        series, h, x = 0.0, 1.0, c * (l2 - l1)
+        for n in range(2, 23):
+            series, h = series + h / math.factorial(n), y * h + x ** (n - 1)
+        second = c * (c * np.exp(c * l1) * series)
+    else:
+        second = (first(l2, l3) - f12) / (l3 - l1)
+    a1 = build_drift(rs) - l1 * (eye := np.eye(3))
+    return np.exp(c * l1) * eye + f12 * a1 + second * _mul(a1, a1 + (l1 - l2) * eye)
 
 
 def evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
-    """Propagate a state forward by reduced time tau under the G' of ``rs``.
-
-    Uses the exact affine solution u(tau) = u_eq + e^{-G' tau/2}(u_0 - u_eq)
-    with u_eq the closed-form stationary state of :func:`equilibrium`.
-    The propagator is :func:`_expm` of (-tau/2, G'), accurate also where G'
-    is defective (the Mollow triplet threshold) and finite for every finite
-    tau.  Raises ValueError for a negative or non-finite ``tau``, and where the
-    drive is too strong for its scaled step (at norm2_dg ~0.05, from eta ~2e9 on).
-    """
+    """Propagate a state forward by reduced time tau under the G' of ``rs``: the exact
+    u(tau) = u_eq + e^{-G' tau/2}(u_0 - u_eq), u_eq the closed-form stationary state of
+    :func:`equilibrium`, by :func:`_propagator`, whose e^{-l tau/2} are exact at any drive,
+    and which holds where G' is defective (the Mollow triplet threshold) and for every
+    finite tau.  Raises ValueError for a negative or non-finite ``tau``."""
     if not math.isfinite(tau) or tau < 0:
         raise ValueError("tau must be finite and nonnegative")
     if tau == 0:
         return x0
-    g = build_drift(rs)
     ueq = equilibrium(rs).vector()
-    out = ueq + _mul(_expm(-0.5 * tau, g), (x0.vector() - ueq)[:, None])[:, 0]
+    out = ueq + _mul(_propagator(rs, tau), (x0.vector() - ueq)[:, None])[:, 0]
     return BlochVector(float(out[0].real), complex(out[1]))

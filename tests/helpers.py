@@ -2,7 +2,18 @@
 
 import math
 
+from hypothesis import strategies as st
+
 from qsatom import DriveConfig, PhaseShiftTable, ScatteringScalars
+
+
+def log_uniform(lo, hi):
+    """Hypothesis floats spread evenly in log10 over [lo, hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+SHIFT = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)  # an s-wave shift
+NORM = st.just(0.0) | log_uniform(1e-12, 10.0)  # an l >= 1 squared norm
 
 
 def random_scalars(rng) -> ScatteringScalars:

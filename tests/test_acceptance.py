@@ -143,7 +143,7 @@ def test_criterion_06_single_to_triple_peak_threshold():
     def discriminant(eta2):
         eta = math.sqrt(eta2)
         rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(eta, 0.0))
-        return cubic_discriminant(char_poly(build_drift(rs)))
+        return cubic_discriminant(char_poly(rs))
 
     lo, hi = 0.01, 0.2
     assert discriminant(lo) > 0.0 > discriminant(hi)

@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_drive, random_scalars
+from helpers import NORM, SHIFT, log_uniform, random_drive, random_scalars
 from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, ScatteringScalars,
                     build_drift, equilibrium, evolve, reduced_scalars)
 from qsatom import bloch
-from qsatom.bloch import _expm, char_poly, cubic_discriminant
+from qsatom.bloch import _drift_poles, _propagator, char_poly, cubic_discriminant
 from qsatom.oracle import ode_evolve
 
 
@@ -186,10 +188,12 @@ def test_evolve_state_stays_physical():
         assert out.u + 1e-9 >= out.u ** 2 + abs(out.v) ** 2
 
 
+def _mollow_rs(eta2):
+    return reduced_scalars(MOLLOW_SCALARS, DriveConfig(math.sqrt(eta2), 0.0))
+
+
 def _mollow_drift(eta2):
-    eta = math.sqrt(eta2)
-    rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(eta, 0.0))
-    return build_drift(rs)
+    return build_drift(_mollow_rs(eta2))
 
 
 def test_mollow_eigenvalues_real_below_threshold():
@@ -204,27 +208,102 @@ def test_mollow_eigenvalues_complex_above_threshold():
 
 def test_char_poly_annihilates_eigenvalues():
     rng = np.random.default_rng(3)
-    _, g = _drift(random_scalars(rng), random_drive(rng))
-    coeffs = char_poly(g)
+    rs, g = _drift(random_scalars(rng), random_drive(rng))
+    coeffs = char_poly(rs)
     for lam in np.linalg.eigvals(g):
         val = coeffs[0] * lam ** 3 + coeffs[1] * lam ** 2 + coeffs[2] * lam + coeffs[3]
         assert abs(val) < 1e-9
 
 
 def test_cubic_discriminant_sign_tracks_root_reality():
-    below = cubic_discriminant(char_poly(_mollow_drift(1.0 / 16.0 - 2e-3)))
-    above = cubic_discriminant(char_poly(_mollow_drift(1.0 / 16.0 + 2e-3)))
+    below = cubic_discriminant(char_poly(_mollow_rs(1.0 / 16.0 - 2e-3)))
+    above = cubic_discriminant(char_poly(_mollow_rs(1.0 / 16.0 + 2e-3)))
     assert below > 0.0 > above
-    # an imaginary part up to 1e-9 is rounding and is dropped; a larger one is refused
-    real = [1.0, -6.0, 11.0, -6.0]  # (x - 1)(x - 2)(x - 3): discriminant 4
-    assert cubic_discriminant([1.0, -6.0 + 5e-10j, 11.0, -6.0]) == cubic_discriminant(real) == 4.0
-    with pytest.raises(ValueError, match="real coefficients"):
-        cubic_discriminant([1.0, -6.0 + 2e-9j, 11.0, -6.0])
+    assert cubic_discriminant([1.0, -6.0, 11.0, -6.0]) == 4.0  # (x - 1)(x - 2)(x - 3)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _pole_bound(coeffs, roots, k):
+    """Forward error bound of the root roots[k] of the monic cubic ``coeffs`` from a solve
+    whose roots are exact for coefficients within a few eps: 4 eps times the condition
+    number sum_j |a_j| |l|^(3-j) / |p'(l)|, or 8 sqrt(eps) |l| where smaller (a double root)."""
+    lam = roots[k]
+    cond = sum(abs(a) * abs(lam) ** (3 - j) for j, a in enumerate(coeffs))
+    dp = abs(np.prod([lam - roots[j] for j in range(3) if j != k]))
+    return min(4 * _EPS * cond / dp if dp else math.inf, 8 * math.sqrt(_EPS) * abs(lam))
+
+
+def _assert_poles_match_mpmath(rs):
+    """_drift_poles against 40-digit mpmath.polyroots of the same float cubic."""
+    coeffs = char_poly(rs).tolist()
+    with mpmath.workdps(40):
+        want = [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)]
+    got = min(itertools.permutations(_drift_poles(rs)),
+              key=lambda g: max(abs(a - b) for a, b in zip(g, want)))
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert abs(a - b) <= _pole_bound(coeffs, want, k), (k, a, b)
+    return got, want
+
+
+def test_drift_poles_match_mpmath_polyroots_on_random_drives():
+    rng = np.random.default_rng(3700)
+    for _ in range(100):
+        eta, ztilde = 10.0 ** rng.uniform(-4.0, 4.0), 10.0 ** rng.uniform(-6.0, 5.0)
+        _assert_poles_match_mpmath(reduced_scalars(random_scalars(rng),
+                                                   DriveConfig(eta, rng.choice([-1, 1]) * ztilde)))
+
+
+@pytest.mark.parametrize("sc", [MOLLOW_SCALARS, ScatteringScalars(-0.03, 0.13, 0.005, 0.005,
+                                                                   0.02, -0.001)])
+def test_drift_poles_undriven_are_two_and_the_coherence_pair(sc):
+    # at eta = 0, G' = diag(2, kappa2 - iw, kappa2 + iw) with kappa2 = 1; ztilde = 0 makes 1 double
+    for ztilde in (0.0, 1e-3, 3.0):
+        rs = reduced_scalars(sc, DriveConfig(0.0, ztilde))
+        got, _ = _assert_poles_match_mpmath(rs)
+        exact = [2.0, complex(1.0, -rs.w), complex(1.0, rs.w)]
+        got, exact = (sorted(v, key=lambda lam: (lam.imag, lam.real)) for v in (got, exact))
+        assert max(abs(a - b) for a, b in zip(got, exact)) <= 8 * math.sqrt(_EPS)
+
+
+@pytest.mark.parametrize("eta", [0.25, 0.25 + 1e-4, 0.25 - 1e-4, 0.25 + 1e-8, 0.25 - 1e-8])
+def test_drift_poles_at_the_mollow_threshold(eta):
+    # 1 and (3 +- sqrt(1 - 16 eta^2)) / 2: a double root 3/2 at eta = 1/4
+    got, want = _assert_poles_match_mpmath(_mollow_rs(eta ** 2))
+    if eta == 0.25:
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 8 * math.sqrt(_EPS) * 1.5
+    else:  # off it, the conditioning bound holds without the sqrt(eps) branch
+        coeffs = char_poly(_mollow_rs(eta ** 2)).tolist()
+        assert all(_pole_bound(coeffs, want, k) < 1e-9 for k in range(3))
+
+
+@given(SHIFT, SHIFT, NORM, NORM, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.floats(-0.1, 0.1), st.just(0.0) | log_uniform(1e-8, 1e4),
+       st.sampled_from([-1.0, 1.0]), st.just(0.0) | log_uniform(1e-8, 1e5))
+@settings(max_examples=300, deadline=None)
+def test_drift_poles_lie_right_of_one_and_rebuild_the_cubic(d0p, d0m, pgp, pgm, t, eps_r, eta,
+                                                            sign, ztilde):
+    # every pole has Re >= 1 (the proof is in spectrum.resolvent's docstring), up to
+    # its condition; and the poles' sum, pair sum and product give t, m and d back
+    a, b = math.sqrt(pgp), math.sqrt(pgm)
+    pdg = (abs(a - b) + t * (a + b - abs(a - b))) ** 2  # on either triangle limit or inside
+    rs = reduced_scalars(ScatteringScalars(d0p, d0m, pgp, pgm, pdg, eps_r),
+                         DriveConfig(eta, sign * ztilde))
+    poles, coeffs = _drift_poles(rs), char_poly(rs).tolist()
+    for k, lam in enumerate(poles):
+        assert lam.real >= 1.0 - _pole_bound(coeffs, poles, k), (k, lam)
+    pairs = list(itertools.combinations(poles, 2))
+    mods = [abs(lam) for lam in poles]
+    assert abs(sum(poles) + coeffs[1]) <= 4 * _EPS * sum(mods)
+    assert abs(sum(p * q for p, q in pairs) - coeffs[2]) <= 8 * _EPS * sum(
+        abs(p * q) for p, q in pairs)
+    assert abs(np.prod(poles) + coeffs[3]) <= 8 * _EPS * np.prod(mods)
 
 
 def test_evolve_accurate_at_defective_threshold():
     # repeated eigenvalues: G' is defective here, so no eigenvector basis
-    # exists, and the Pade scaling-and-squaring propagator must still agree
+    # exists, and the propagator on the poles must still agree
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(0.25, 0.0))
     x0 = BlochVector(0.3, 0.1 - 0.2j)
     a = evolve(rs, x0, 8.0)
@@ -246,7 +325,7 @@ def test_propagator_matches_mpmath_on_the_mollow_threshold(eta):
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(eta, 0.0))
     g = build_drift(rs)
     ref = _mp_propagator(g, 3.0)
-    assert np.max(np.abs(_expm(-0.5 * 3.0, g) - ref)) <= 1e-14
+    assert np.max(np.abs(_propagator(rs, 3.0) - ref)) <= 1e-14
     x0 = BlochVector(0.3, 0.1 - 0.2j)
     ueq = np.linalg.solve(g, np.array([0.0, eta, eta], dtype=complex))
     want = ueq + ref @ (x0.vector() - ueq)
@@ -257,21 +336,31 @@ def test_propagator_matches_mpmath_on_the_mollow_threshold(eta):
 def test_propagator_matches_mpmath_on_random_drifts():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        _, g = _drift(random_scalars(rng), random_drive(rng))
+        rs, g = _drift(random_scalars(rng), random_drive(rng))
         tau = rng.uniform(0.1, 20.0)
-        assert np.max(np.abs(_expm(-0.5 * tau, g) - _mp_propagator(g, tau))) <= 1e-14
+        assert np.max(np.abs(_propagator(rs, tau) - _mp_propagator(g, tau))) <= 1e-14
 
 
 def test_propagator_matches_mpmath_under_strong_drive():
-    # eta up to 60 and |ztilde| up to 50 put ||G' tau/2||_1 in the hundreds,
-    # so the short tau runs the Pade approximant unscaled (k = 0) and the
-    # long ones through many squarings
+    # eta up to 60 and |ztilde| up to 50 put ||G' tau/2||_1 in the hundreds: the
+    # short tau sum the Taylor series of the second divided difference, the long
+    # ones take it as a quotient of first ones
     rng = np.random.default_rng(31)
     for i in range(30):
         dc = DriveConfig(rng.uniform(0.0, 60.0), rng.uniform(-50.0, 50.0))
-        _, g = _drift(random_scalars(rng), dc)
+        rs, g = _drift(random_scalars(rng), dc)
         tau = (1e-3, 0.3, rng.uniform(0.5, 40.0))[i % 3]
-        assert np.max(np.abs(_expm(-0.5 * tau, g) - _mp_propagator(g, tau))) <= 3e-14
+        assert np.max(np.abs(_propagator(rs, tau) - _mp_propagator(g, tau))) <= 3e-14
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.3, 3.0, 40.0])
+def test_propagator_matches_mpmath_at_a_triple_pole(tau):
+    # t^2 = 3m and t^3 = 27d hold at eta^2 = 2/27, z^2 = 1/27: the three poles meet
+    # at 4/3 and, from the rounded cubic, come out ~1e-5 apart, inside 1/|c| of each other
+    rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(math.sqrt(2.0 / 27.0), 0.5 / math.sqrt(27.0)))
+    assert max(abs(a - b) for a, b in itertools.combinations(_drift_poles(rs), 2)) <= 1e-4
+    ref = _mp_propagator(build_drift(rs), tau)
+    assert np.max(np.abs(_propagator(rs, tau) - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("tau", [-0.1, math.inf, math.nan])
@@ -282,8 +371,8 @@ def test_propagators_reject_negative_or_non_finite_tau(tau):
 
 
 def test_evolve_converges_where_the_scaled_drift_overflows():
-    # -tau G'/2 overflows at tau = 1e307 (||G'||_1 ~ 80 at eta = 40), where
-    # the halving count used to be ceil(inf); it is now counted in logarithms
+    # -tau G'/2 overflows at tau = 1e307 (||G'||_1 ~ 80 at eta = 40), and so does
+    # c l for the poles l at 80i off the real axis, had tau not been capped at 1500
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0))
     eq = equilibrium(rs)
     for tau in (1e307, 1.7e308):
@@ -291,40 +380,58 @@ def test_evolve_converges_where_the_scaled_drift_overflows():
         assert abs(out.u - eq.u) <= 1e-12 and abs(out.v - eq.v) <= 1e-12
 
 
-# The reference scalars driven on resonance: their coherence rates grow as
-# eta^2, and from eta = 2e9 on the scaled Pade step holds the population's
-# (0, 0) entry as exactly 1 (at 1e9, 4 ulps below it).
+def _from_ground_at_60_digits(rs, tau):
+    """(u, v) at tau from the ground state, ueq - e^{-G' tau/2} ueq, by 60-digit mpmath."""
+    with mpmath.workdps(60):
+        ueq = mpmath.matrix(equilibrium(rs).vector().tolist())
+        e = mpmath.expm(mpmath.matrix(build_drift(rs).tolist()) * (-mpmath.mpf(tau) / 2))
+        want = np.array((ueq - e * ueq).tolist(), dtype=complex)[:, 0]
+    return want[0].real, want[1]
+
+
+# The reference scalars driven on resonance: their coherence rates grow as eta^2,
+# and from eta = 2e9 on the [13/13] Pade step that Putzer's formula replaced held
+# the population's (0, 0) entry as exactly 1 and refused
 @pytest.mark.parametrize("eta", [2e9, 3e9, 1e17])
 @pytest.mark.parametrize("tau", [0.5, 50.0])
-def test_evolve_refuses_where_the_scaled_step_lost_the_population(fano_scalars, eta, tau):
+def test_evolve_at_strong_drive_matches_mpmath_at_60_digits(fano_scalars, eta, tau):
     rs = reduced_scalars(fano_scalars, DriveConfig(eta, 0.0))
-    with pytest.raises(ValueError, match="lost the population"):
-        evolve(rs, BlochVector(0.0, 0.0), tau)
+    u, v = _from_ground_at_60_digits(rs, tau)
+    got = evolve(rs, BlochVector(0.0, 0.0), tau)
+    assert abs(got.u - u) <= 1e-15 and abs(got.v - v) <= 1e-15 * abs(v), (got, u, v)
+
+
+@pytest.mark.parametrize("eta, ztilde", [(0.0, 1e18), (1.0, 1e18), (3.0, -1e20)])
+def test_propagator_keeps_the_population_where_the_coherence_phase_is_lost(fano_scalars, eta,
+                                                                         ztilde):
+    # tau |Im l| / 2 >= 1e16 rad: no float resolves the coherence's phase, and Putzer's formula
+    # rooted at a coherence pole read e^{-tau} in the (0, 0) entry O(1) off; rooted at the
+    # real pole, the population's row stays exact
+    rs = reduced_scalars(fano_scalars, DriveConfig(eta, ztilde))
+    ref = _mp_propagator(build_drift(rs), 0.01)
+    assert np.max(np.abs(_propagator(rs, 0.01)[0] - ref[0])) <= 1e-15
 
 
 def test_evolve_below_the_refusal_matches_mpmath_at_60_digits(fano_scalars):
     rs = reduced_scalars(fano_scalars, DriveConfig(1e9, 0.0))
-    with mpmath.workdps(60):  # from the ground state: ueq - e^{-G' tau/2} ueq
-        ueq = mpmath.matrix(equilibrium(rs).vector().tolist())
-        e = mpmath.expm(mpmath.matrix(build_drift(rs).tolist()) * -25)
-        want = np.array((ueq - e * ueq).tolist(), dtype=complex)[:, 0]
+    u, v = _from_ground_at_60_digits(rs, 50.0)
     got = evolve(rs, BlochVector(0.0, 0.0), 50.0)
-    assert abs(got.u - want[0]) <= 1e-15 and abs(got.v - want[1]) <= 1e-24
+    assert abs(got.u - u) <= 1e-15 and abs(got.v - v) <= 1e-24
 
 
 def test_expm_scales_c_alone_where_c_g_overflows():
-    g = build_drift(reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0)))
-    c = -0.85e308
+    rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0))
     with np.errstate(over="ignore"):
-        assert not np.isfinite(np.linalg.norm(c * g, 1))
-    p = _expm(c, g)
-    assert np.all(np.isfinite(p)) and np.max(np.abs(p)) <= 1e-300
+        assert not np.isfinite(np.linalg.norm(-0.85e308 * build_drift(rs), 1))
+    for tau in (1e307, 1.7e308):
+        p = _propagator(rs, tau)
+        assert np.all(np.isfinite(p)) and np.max(np.abs(p)) <= 1e-300
 
 
 def test_expm_of_a_vanishing_c_is_the_identity():
-    # -tau/2 rounds to -0.0 at the smallest subnormal tau, where log2|c| is undefined
+    # -tau/2 rounds to -0.0 at the smallest subnormal tau, and (e^z - 1)/z meets z = 0
     rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0))
-    assert np.array_equal(_expm(-0.5 * 5e-324, build_drift(rs)), np.eye(3))
+    assert np.array_equal(_propagator(rs, 5e-324), np.eye(3))
     out = evolve(rs, BlochVector(0.3, 0.1 - 0.2j), 5e-324)
     assert abs(out.u - 0.3) <= 1e-15 and abs(out.v - (0.1 - 0.2j)) <= 1e-15
 

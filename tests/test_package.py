@@ -69,10 +69,12 @@ def test_package_names_no_numpy_random_or_polynomial():
 def test_package_names_no_svd_or_hermitian_eigensolver():
     # each LAPACK driver adds pages on its first call, and verify loads none
     # of them: the step rule bounds the spectral norm by the 1- and inf-norms,
-    # and the 2x2 state's eigenvalues are in closed form; every route to
-    # gesdd, gelsd, heevd or geev is named here
+    # the 2x2 state's eigenvalues are in closed form, and the drift's poles come
+    # from its real cubic; every route to gesdd, gelsd, heevd or geev is named
+    # here, np.roots too (it calls eigvals), as a call or an import
     pattern = re.compile(r"\b(?:svd|pinv|matrix_rank|lstsq|cond|eig|eigvals|eigh|eigvalsh)\b"
-                         r"|\bnorm\([^()\n]*,\s*-?2\s*[,)]|\bord\s*=\s*-?2\b")
+                         r"|\bnorm\([^()\n]*,\s*-?2\s*[,)]|\bord\s*=\s*-?2\b"
+                         r"|\broots\s*\(|\bimport\b[^\n]*\broots\b")
     found = [f"{path.name}:{n}"
              for path in sorted(SRC.glob("*.py"))
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
@@ -80,6 +82,9 @@ def test_package_names_no_svd_or_hermitian_eigensolver():
     assert found == []
     assert pattern.search("lam = float(np.linalg.norm(a, 2))")
     assert pattern.search("eigs = np.linalg.eigvalsh(rho)")
+    assert pattern.search("poles = np.roots(char_poly(rs))")
+    assert pattern.search("from numpy import pi, roots")
+    assert not pattern.search("the roots of :func:`char_poly`")
 
 
 _BLAS_NAMES = {"dot", "vdot", "inner", "tensordot", "matmul", "matrix_power"}

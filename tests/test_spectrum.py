@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mirror, random_drive, random_scalars
+from helpers import NORM, SHIFT, log_uniform, mirror, random_drive, random_scalars
 from qsatom import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable, ScatteringScalars,
                     build_drift, cross_sections, local_maxima,
                     low_intensity_x, mollow_inel_x, mollow_xsections, reduced_scalars, resolvent,
@@ -54,18 +54,10 @@ def test_resolvent_matches_generic_inverse():
     assert worst <= 1e-12
 
 
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
-
-
-_SHIFT = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
-_NORM = st.just(0.0) | _log_uniform(1e-12, 10.0)
-
-
-@given(_SHIFT, _SHIFT, _NORM, _NORM, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-       st.floats(-0.1, 0.1), st.just(0.0) | _log_uniform(1e-8, 1e6),
-       st.sampled_from([-1.0, 1.0]), _log_uniform(1e-8, 1e8),
-       st.just(0.0) | _log_uniform(1e-10, 1e4), st.lists(st.floats(-1e8, 1e8), min_size=4,
+@given(SHIFT, SHIFT, NORM, NORM, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.floats(-0.1, 0.1), st.just(0.0) | log_uniform(1e-8, 1e6),
+       st.sampled_from([-1.0, 1.0]), log_uniform(1e-8, 1e8),
+       st.just(0.0) | log_uniform(1e-10, 1e4), st.lists(st.floats(-1e8, 1e8), min_size=4,
                                                          max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_resolvent_determinant_is_at_least_one_plus_gammatilde_cubed(
