@@ -4,8 +4,8 @@ Each closed-form result in the library is paired here with a numerical
 route that shares none of its machinery: fixed-step RK4 against the
 matrix exponential, a generic inverse against the adjugate resolvent,
 time-domain RK4 integration of the regression kernel against the
-resolvent spectrum, composite Gauss-Legendre quadrature on the
-tan-mapped line against the integral cross sections, and a raw
+resolvent spectrum, composite Gauss-Legendre quadrature centred on the
+drift's poles against the integral cross sections, and a raw
 operator-level rebuild of the finite-beam master equation against the
 collimated-limit closed forms via the photon balance identity.
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bloch import BlochVector, _det3, _mul, _solve, build_drift, equilibrium, evolve
+from .bloch import BlochVector, _det3, _drift_poles, _mul, _solve, build_drift, equilibrium, evolve
 from .model import (MOLLOW_SCALARS, DriveConfig, PhaseShiftTable, ReducedScalars,
                     ScatteringScalars, _any, _legendre, _modulus, _sin, _sq,
                     reduced_scalars, scalars_from_phase_shifts)
@@ -157,7 +157,7 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
 # ---------------------------------------------------------------------------
 # quadrature
 
-# work bounds: halvings of the 16 starting panels, and live panels per pass
+# work bounds: halvings of the 16 starting panels per pole, and live panels per pass
 _MAX_HALVINGS = 30
 _MAX_PANELS = 4096
 # largest relative gap between a spectral integral and its closed form
@@ -182,37 +182,39 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def integrate_line(f, scale: float, tol: float):
+def integrate_line(f, poles, tol: float):
     """Integral of a smooth f (taking a 1-d ndarray) over the real axis.
 
-    x = scale tan(u) turns the 1/x^2 spectral tails into a bounded
-    integrand on (-pi/2, pi/2), cut into 16 equal panels.  A panel is
-    accepted when its 8- and 16-node Gauss-Legendre rules agree within
-    tol * width / pi (QUADPACK's panel-pair estimate without the Kronrod
-    nodes; Piessens et al. 1983), and the others are halved; no node
-    lies on u = +-pi/2.  Past either work bound the rest is banked at
-    its 16-node value and reported as non-convergence.  Returns (value,
-    error_estimate, converged).  tol has a floor at the rounding of a
-    panel's sums, ~1e-16 of its value: a unit Lorentzian of width 1e-3
-    at x = 1.3, scale 10, tol 1e-10 ends unconverged, right to 7e-14.
+    poles holds a (centre c, half-width w) pair per feature of f.  The
+    stretch of the line nearer c than any other centre is mapped by x = c +
+    w tan(u), flat on that Lorentzian and bounded on 1/x^2 tails, and cut
+    into 16 equal panels in u.  A panel is accepted when its 8- and 16-node
+    Gauss-Legendre rules agree within tol * width / (pi * len(poles))
+    (QUADPACK's panel-pair estimate without the Kronrod nodes; Piessens et
+    al. 1983), and the others are halved.  Past either work bound the rest
+    is banked at its 16-node value and reported as non-convergence.
+    Returns (value, error_estimate, converged).
     """
     def panel_rule(nodes, weights):
-        u = lefts[:, None] + 0.5 * width * (1.0 + nodes)
-        mapped = f(scale * np.tan(u).ravel()).reshape(u.shape) * scale / np.cos(u) ** 2
-        return 0.5 * width * np.einsum("pn,n->p", mapped, weights)
+        u = lefts + 0.5 * width * (1.0 + nodes)
+        mapped = f((c + w * np.tan(u)).ravel()).reshape(u.shape) * w / np.cos(u) ** 2
+        return 0.5 * width[:, 0] * np.einsum("pn,n->p", mapped, weights)
 
-    lefts = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 17)[:-1]
-    width = math.pi / 16
+    c, w = np.array(sorted(poles)).T
+    gaps = np.r_[np.inf, 0.5 * np.diff(c), np.inf]  # from each centre to the cuts either side
+    lo, hi = -np.arctan(gaps[:-1] / w), np.arctan(gaps[1:] / w)
+    lefts = np.linspace(lo, hi, 17, axis=1)[:, :-1].reshape(-1, 1)
+    width, c, w = (np.repeat(a, 16)[:, None] for a in ((hi - lo) / 16, c, w))
     value, err = 0.0, 0.0
     for halvings in range(_MAX_HALVINGS + 1):
         coarse, fine = (panel_rule(*_gauss_legendre(n)) for n in (8, 16))
         gap = np.abs(fine - coarse)
-        done = gap <= tol * width / math.pi
+        done = gap <= tol * width[:, 0] / (len(poles) * math.pi)
         if done.all() or halvings == _MAX_HALVINGS or 2 * np.count_nonzero(~done) > _MAX_PANELS:
             break
         value, err = value + fine[done].sum(), err + gap[done].sum()
-        width *= 0.5
-        lefts = np.concatenate([lefts[~done], lefts[~done] + width])
+        lefts, width, c, w = (a[~done] for a in (lefts, 0.5 * width, c, w))
+        lefts, width, c, w = np.r_[lefts, lefts + width], *(np.r_[a, a] for a in (width, c, w))
     return float(value + fine.sum()), float(err + gap.sum()), bool(done.all())
 
 
@@ -246,14 +248,13 @@ class SumRuleReport:
 
 
 def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
-    """Check that the spectra integrate to their cross sections.
-
-    The inelastic scale follows the spectral features (Rabi sidebands,
-    detuning, instrumental width); the tan substitution supplies the
-    tails exactly.  The elastic Lorentzian is integrated at scale
-    gammatilde / 2, where the map makes it flat, so that no detector width
-    is too narrow to resolve; the total is that integral plus the
-    inelastic one.  ValueError where (gammatilde / 2)^2 underflows to 0.
+    """Check that the spectra integrate to their cross sections, each to 1e-7
+    of its closed form.  The inelastic panels centre on the drift's poles l:
+    det(Gtilde + 2ix) = prod (l + gammatilde + 2ix) puts a line at x = -Im l / 2
+    with half-width (Re l + gammatilde) / 2 (Mollow's central line and
+    sidebands).  The elastic Lorentzian has its own, (0, gammatilde / 2), so
+    that no detector width is too narrow to resolve; the total is the sum of
+    the two integrals.  ValueError where (gammatilde / 2)^2 underflows to 0.
     """
     if not _sq(0.5 * dc.gammatilde) > 0.0:
         raise ValueError("sum rules need (gammatilde / 2)^2 > 0 (a finite elastic line), "
@@ -261,11 +262,10 @@ def quad_sum_rules(sc: ScatteringScalars, dc: DriveConfig) -> SumRuleReport:
     inel_closed = sigma_inel(sc, dc)
     tot_closed = sigma_tot(sc, dc)
     el, gt = sigma_el(sc, dc), dc.gammatilde
-    scale = max(10.0, 2.0 * dc.eta + 2.0 * abs(dc.ztilde) + 10.0 * gt)
-    inel_tol = max(1e-12, 1e-7 * abs(inel_closed))
-    tot_tol = max(1e-12, 1e-7 * abs(tot_closed))
-    iv, ie, ic = integrate_line(lambda x: sigma_inel_x(sc, dc, x), scale, inel_tol)
-    ev, ee, ec = integrate_line(lambda x: elastic_lorentzian(el, gt, x), 0.5 * gt, tot_tol)
+    poles = [(-0.5 * p.imag, 0.5 * (p.real + gt)) for p in _drift_poles(reduced_scalars(sc, dc))]
+    iv, ie, ic = integrate_line(lambda x: sigma_inel_x(sc, dc, x), poles, 1e-7 * abs(inel_closed))
+    ev, ee, ec = integrate_line(lambda x: elastic_lorentzian(el, gt, x), [(0.0, 0.5 * gt)],
+                                1e-7 * abs(tot_closed))
     return SumRuleReport(
         inel_quadrature=iv, inel_closed=inel_closed,
         tot_quadrature=ev + iv, tot_closed=tot_closed,

@@ -4,7 +4,8 @@ import math
 
 from hypothesis import strategies as st
 
-from qsatom import DriveConfig, PhaseShiftTable, ScatteringScalars
+from qsatom import DriveConfig, PhaseShiftTable, ScatteringScalars, reduced_scalars
+from qsatom.bloch import _drift_poles
 
 
 def log_uniform(lo, hi):
@@ -44,3 +45,10 @@ def mirror(sc: ScatteringScalars, dc: DriveConfig):
                               sc.norm2_pg_plus, sc.norm2_pg_minus,
                               sc.norm2_pdg, -sc.eps_r),
             DriveConfig(dc.eta, -dc.ztilde, dc.gammatilde))
+
+
+def inelastic_poles(sc: ScatteringScalars, dc: DriveConfig) -> list:
+    """(centre, half-width) of each inelastic line, from the drift's poles l:
+    x = -Im l / 2 and (Re l + gammatilde) / 2, as integrate_line takes them."""
+    return [(-0.5 * lam.imag, 0.5 * (lam.real + dc.gammatilde))
+            for lam in _drift_poles(reduced_scalars(sc, dc))]

@@ -1002,6 +1002,19 @@ def test_verify_passes_at_a_narrow_detector_width(tmp_path, capsys, gammatilde):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+@pytest.mark.parametrize("doc", [
+    _fano_config(eta2=[1.0], ztilde=[1e5], gammatilde=0.5),
+    {**HARD_CORNERS, "eta2": [1e-6], "ztilde": [1e4], "gammatilde": 1e-3},
+], ids=["fano", "hard-corners"])
+def test_verify_sum_rules_find_the_far_detuned_sidebands(tmp_path, capsys, doc):
+    # the sidebands sit near x = +-ztilde / 2, far out on the tails of the
+    # central line; quadrature on one guessed scale missed them (gaps 0.98
+    # and 0.35) while both panel rules agreed
+    cfg = _write(tmp_path, "far.json", doc)
+    assert main(["verify", "--config", cfg]) == 0
+    assert "overall: PASS (12/12)" in capsys.readouterr().out
+
+
 def test_verify_json_names_its_draw_and_versions(capsys):
     assert main(["verify", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -91,10 +91,11 @@ def test_beam_overlaps_past_l_127_match_the_closed_legendre_integral():
     assert np.max(err) <= 1e-12, int(np.argmax(err))
 
 
-@_defect("the inelastic gap reads 0.9796: both panel rules miss the sidebands at "
-         "x ~ +-1e5 and agree, so the quadrature reports converged (item 5)")
-def test_sum_rules_find_the_far_sidebands():
-    report = quad_sum_rules(FANO, DriveConfig(1.0, 1e5, 0.5))
+# item 5's acceptance points: (eta2, ztilde, gammatilde)
+@pytest.mark.parametrize("eta2, ztilde, gammatilde", [
+    (1.0, 1e4, 0.5), (1.0, 1e5, 0.5), (1.0, -1e5, 0.5), (1.0, 1e6, 0.5), (10.0, -1e6, 0.6)])
+def test_sum_rules_find_the_far_sidebands(eta2, ztilde, gammatilde):
+    report = quad_sum_rules(FANO, DriveConfig(math.sqrt(eta2), ztilde, gammatilde))
     assert report.passed, (report.inel_rel_gap, report.tot_rel_gap, report.quad_converged)
 
 

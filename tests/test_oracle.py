@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import random_drive, random_scalars
+from helpers import inelastic_poles, random_drive, random_scalars
 from qsatom import (BlochVector, DriveConfig, MOLLOW_SCALARS, PhaseShiftTable,
                     ScatteringScalars, beam_overlaps, build_drift,
                     equilibrium, evolve, finite_beam_balance,
@@ -95,7 +95,7 @@ def test_time_domain_rejects_non_finite_inputs(fano_scalars, x):
 
 
 def test_integrate_line_gaussian():
-    value, _, ok = integrate_line(lambda x: np.exp(-x ** 2), scale=1.0, tol=1e-11)
+    value, _, ok = integrate_line(lambda x: np.exp(-x ** 2), [(0.0, 1.0)], tol=1e-11)
     assert ok and value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
@@ -109,7 +109,7 @@ def test_integrate_line_gaussian():
 ], ids=["divergent", "oscillating", "log-singular"])
 def test_integrate_line_reports_non_convergence_in_bounded_time(f):
     start = time.perf_counter()
-    value, _, ok = integrate_line(f, scale=1.0, tol=1e-9)
+    value, _, ok = integrate_line(f, [(0.0, 1.0)], tol=1e-9)
     assert not ok and math.isfinite(value)
     assert time.perf_counter() - start < 5.0
 
@@ -117,7 +117,7 @@ def test_integrate_line_reports_non_convergence_in_bounded_time(f):
 def test_integrate_line_lorentzian_mass():
     half = 0.3
     value, _, ok = integrate_line(
-        lambda x: (half / math.pi) / (x ** 2 + half ** 2), scale=5.0, tol=1e-10)
+        lambda x: (half / math.pi) / (x ** 2 + half ** 2), [(0.0, 5.0)], tol=1e-10)
     assert ok
     assert value == pytest.approx(1.0, rel=1e-8)
 
@@ -207,6 +207,19 @@ def test_quad_sum_rules_reference_set(fano_scalars):
     assert report.tot_closed == pytest.approx(sigma_tot(fano_scalars, dc), rel=1e-14)
 
 
+@pytest.mark.parametrize("sc, eta", [
+    (ScatteringScalars(-0.03, 0.13, 0.005, 0.005, 0.02, -0.001), 0.25),  # eta2 = 1/16
+    (MOLLOW_SCALARS, 1e-5),
+], ids=["fano-threshold", "mollow-weak"])
+def test_quad_sum_rules_where_two_drift_poles_nearly_meet(sc, eta):
+    # the poles near a double root come out only to sqrt(eps) (0.99999998956
+    # for 1 at the Mollow point), which moves where panels start, not the
+    # integral
+    report = quad_sum_rules(sc, DriveConfig(eta, 0.0, 0.6))
+    assert report.quad_converged
+    assert report.inel_rel_gap <= 1e-14 and report.tot_rel_gap <= 1e-14
+
+
 def _mp_line_integral(f, breaks) -> float:
     """Reference integral over the real line: mpmath.quad at 30 digits."""
     with mpmath.workdps(30):
@@ -221,8 +234,21 @@ def test_integrate_line_narrow_lorentzian_matches_mpmath():
         return (width / math.pi) / ((x - centre) ** 2 + width ** 2)
 
     ref = _mp_line_integral(lor, [centre - 1.0, centre, centre + 1.0])
-    value, _, ok = integrate_line(lor, scale=10.0, tol=1e-7 * ref)
+    value, _, ok = integrate_line(lor, [(0.0, 10.0)], tol=1e-7 * ref)
     assert ok and value == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("centre", [1.3, -2.1])
+def test_integrate_line_narrow_peak_on_its_own_pole_meets_a_tight_tolerance(centre):
+    # on a single pole at (0, 10) the per-panel share of tol = 1e-10 falls
+    # below the rounding of the panel sums and the loop runs out of panels
+    width = 1e-3
+
+    def lor(x):
+        return (width / math.pi) / ((x - centre) ** 2 + width ** 2)
+
+    value, _, ok = integrate_line(lor, [(centre, width)], tol=1e-10)
+    assert ok and value == pytest.approx(1.0, abs=1e-14)
 
 
 # The two drives of each verify-default benchmark seed on which the
@@ -274,8 +300,7 @@ def test_integrate_line_spectrum_matches_mpmath(density):
     # the first drive of seed 348, where the total spectrum was 5e-6 off
     sc, (dc, _) = _seed_case(348)
     ref = _mp_line_integral(lambda x: density(sc, dc, x), [-4.0, 0.0, 4.0])
-    scale = max(10.0, 2.0 * dc.eta + 2.0 * abs(dc.ztilde) + 10.0 * dc.gammatilde)
-    value, _, ok = integrate_line(lambda x: density(sc, dc, x), scale, 1e-7 * ref)
+    value, _, ok = integrate_line(lambda x: density(sc, dc, x), inelastic_poles(sc, dc), 1e-7 * ref)
     assert ok and value == pytest.approx(ref, rel=1e-9)
 
 

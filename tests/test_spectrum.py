@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import NORM, SHIFT, log_uniform, mirror, random_drive, random_scalars
+from helpers import (NORM, SHIFT, inelastic_poles, log_uniform, mirror, random_drive,
+                     random_scalars)
 from qsatom import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable, ScatteringScalars,
                     build_drift, cross_sections, local_maxima,
                     low_intensity_x, mollow_inel_x, mollow_xsections, reduced_scalars, resolvent,
@@ -217,7 +218,7 @@ def test_inelastic_spectrum_integrates_to_cross_section(fano_scalars):
     dc = DriveConfig(math.sqrt(18.0), 0.0, 0.6)
     closed = sigma_inel(fano_scalars, dc)
     value, _, converged = integrate_line(
-        lambda x: sigma_inel_x(fano_scalars, dc, x), 20.0, tol=1e-10)
+        lambda x: sigma_inel_x(fano_scalars, dc, x), [(0.0, 20.0)], tol=1e-10)
     assert converged
     assert value == pytest.approx(closed, rel=1e-6)
 
@@ -351,12 +352,14 @@ def test_angular_spectral_sum_rule():
     from qsatom import sigma_diff
     from qsatom.oracle import integrate_line
     dc = DriveConfig(2.0, 0.8, 0.6)
+    sc = scalars_from_phase_shifts(MIXED_TABLE)
+    poles = inelastic_poles(sc, dc) + [(0.0, 0.5 * dc.gammatilde)]  # and the elastic line
     for theta in (0.4, 1.2, 2.6):
         def density(xs):
             xs = np.atleast_1d(xs)
             return np.array([sum(spectral_diff(MIXED_TABLE, dc, theta, float(x)))
                              for x in xs])
-        value, _, converged = integrate_line(density, 15.0, tol=1e-10)
+        value, _, converged = integrate_line(density, poles, tol=1e-10)
         assert converged
         assert value == pytest.approx(sigma_diff(MIXED_TABLE, dc, theta), rel=1e-6)
 
