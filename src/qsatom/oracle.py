@@ -7,11 +7,9 @@ time-domain RK4 integration of the regression kernel against the
 resolvent spectrum, composite Gauss-Legendre quadrature centred on the
 drift's poles against the integral cross sections, and a raw
 operator-level rebuild of the finite-beam master equation against the
-collimated-limit closed forms via the photon balance identity.
-
-Both RK4 oracles integrate constant-coefficient linear systems, so each
-runs as RK4 as a step matrix squared to a power of two in ``bloch``'s BLAS-free
-loops: the same truncation error, and none of the machinery it checks.
+collimated-limit closed forms via the photon balance identity.  Both RK4
+oracles take their 2^k steps as one step matrix squared k times
+(:func:`_rk4_power`, in ``bloch``'s BLAS-free loops): RK4's own truncation error.
 
 The random points come from ``random.Random`` (MT19937) seeded afresh in
 each verification run, and the Gauss-Legendre rules are built by Newton's
@@ -50,31 +48,33 @@ DRAW = {"seed": 20250808, "generator": "mt19937"}  # verify's draw: random.Rando
 _RK4_STEP = 1e-3
 # largest ode_evolve span, so that its step count tau / _RK4_STEP stays finite
 _ODE_TAU_MAX = 1e305
-# time-domain stop: the Laplace tail dropped is of this order (tolerance 1e-6)
+# time-domain tail: the Laplace tail dropped is of this order (tolerance 1e-6)
 _KERNEL_TAIL = 1e-12
-_KERNEL_TAU_MAX = 500.0  # a kernel still above the tail at this tau raises
+_KERNEL_TAU_MAX = 500.0  # the time-domain horizon: a kernel still above the tail there raises
 
 
-def _rk4_step(m: np.ndarray, h: float) -> np.ndarray:
-    """One classic RK4 step of y' = m y as a matrix.
+def _rk4_power(m: np.ndarray, h: float, k: int) -> np.ndarray:
+    """2^k classic RK4 steps of y' = m y as one matrix, P^(2^k).
 
     For a constant-coefficient linear system the four stages collapse to
-    I + hm + (hm)^2/2 + (hm)^3/6 + (hm)^4/24, built here in Horner form.
+    P = I + hm + (hm)^2/2 + (hm)^3/6 + (hm)^4/24, in Horner form, squared k times.
     """
     a = h * m
     eye = np.eye(len(m))
-    return eye + _mul(a, eye + _mul(a, eye + _mul(a, eye + a / 4.0) / 3.0) / 2.0)
+    p = eye + _mul(a, eye + _mul(a, eye + _mul(a, eye + a / 4.0) / 3.0) / 2.0)
+    for _ in range(k):
+        p = _mul(p, p)
+    return p
 
 
 def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
-    """Classic fixed-step RK4 on the Bloch equation of ``rs`` (step <= 1e-3):
-    RK4 as a precomputed step matrix.
+    """Classic fixed-step RK4 on the Bloch equation of ``rs`` (step <= 1e-3).
 
     The inhomogeneous term (0, eta/2, eta/2) rides as a constant fourth
-    component, so n = 2^k steps (fewest with tau / n <= 1e-3) are k squarings of a 4x4 matrix.
-    Comparison baseline for the matrix-exponential propagator; never the
-    production path.  Raises ValueError unless 0 <= tau <= 1e305; past
-    that the step count tau / 1e-3 overflows.
+    component, so n = 2^k steps (fewest with tau / n <= 1e-3) are one 4x4
+    :func:`_rk4_power`.  Comparison baseline for the matrix-exponential
+    propagator; never the production path.  Raises ValueError unless
+    0 <= tau <= 1e305; past that the step count tau / 1e-3 overflows.
     """
     if not 0.0 <= tau <= _ODE_TAU_MAX:
         raise ValueError(f"tau must lie in [0, {_ODE_TAU_MAX:g}], got {tau}")
@@ -85,9 +85,7 @@ def ode_evolve(rs: ReducedScalars, x0: BlochVector, tau: float) -> BlochVector:
     aug = np.zeros((4, 4), dtype=complex)
     aug[0:3, 0:3] = -0.5 * build_drift(rs)
     aug[1:3, 3] = 0.5 * rs.eta
-    p = _rk4_step(aug, math.ldexp(tau, -k))
-    for _ in range(k):
-        p = _mul(p, p)
+    p = _rk4_power(aug, math.ldexp(tau, -k), k)
     v = _mul(p, np.append(x0.vector(), 1.0)[:, None])[:, 0]
     return BlochVector(float(v[0].real), complex(v[1]))
 
@@ -108,20 +106,20 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     """Inelastic spectral density by time-domain integration.
 
     Integrates the regression kernel: propagates the two right vectors
-    under d'(tau) = -(Gtilde + 2ix) d(tau) with fixed-step RK4 (RK4 as a
-    precomputed step matrix) and accumulates the Laplace integrals as
-    augmented components of the same RK4 state, until the kernel's column
-    1-norm drops below _KERNEL_TAIL.  The first stride is the step matrix P
-    squared five times, P^32, squared again after each failed decay check.
-    The step h = 1 / (sqrt(||A||_1) sqrt(||A||_inf)) <= 1 / ||A||_2 (Golub & Van
-    Loan, Matrix Computations, sec. 2.3; no SVD), its roots apart since their
-    product overflows from |x| ~ 1e154, puts every eigenvalue of -hA in the left
-    half of the unit disc, where the RK4 step contracts.  In exact arithmetic,
-    N steps give the integral rows L A^-1 (I - P^N) d(0), L their left vectors:
-    the step's truncation error cancels, and only the dropped tail and rounding
-    remain.  Raises ValueError for a non-finite ``x`` and RuntimeError when the
-    kernel has not decayed by tau = _KERNEL_TAU_MAX (the last stride, as long
-    as all before it plus 32 steps, ends before 2 _KERNEL_TAU_MAX + 32 h <= 1016).
+    under d'(tau) = -(Gtilde + 2ix) d(tau) with fixed-step RK4 and accumulates
+    the Laplace integrals, from zero, as augmented components of the same RK4
+    state, over the fewest 2^k steps that reach tau = _KERNEL_TAU_MAX: one
+    product with the :func:`_rk4_power` P^(2^k).  The step h = 1 /
+    (sqrt(||A||_1) sqrt(||A||_inf)) <= 1 / ||A||_2 (Golub & Van Loan, Matrix
+    Computations, sec. 2.3; no SVD), its roots apart since their product
+    overflows from |x| ~ 1e154, puts every eigenvalue of -hA in the left half
+    of the unit disc, where the RK4 step contracts; k comes from the exponents
+    of h and the horizon, whose ratio overflows from |x| ~ 3.6e305.  In exact
+    arithmetic, N steps give the integral rows L A^-1 (I - P^N) d(0), L their
+    left vectors: the step's truncation error cancels, and once P^N is below
+    the tail a longer horizon gives the same value.  Raises ValueError for a
+    non-finite ``x`` and RuntimeError when the kernel's column 1-norm at the
+    horizon is not below _KERNEL_TAIL.
     """
     if not math.isfinite(x):
         raise ValueError("x must be finite")
@@ -136,18 +134,10 @@ def spectrum_time_domain(sc: ScatteringScalars, dc: DriveConfig, x: float) -> fl
     big[0:3, 0:3] = -a
     big[3, 0:3] = np.conj(cprime)
     big[4, 0] = 1.0  # the left vector of the second bilinear is (1, 0, 0)
-    y = np.zeros((5, 2), dtype=complex)
-    y[0:3] = np.transpose([dprime, ddoubleprime])
-    tau, stride = 0.0, _rk4_step(big, h)
-    for _ in range(5):
-        stride = _mul(stride, stride)
-    while tau < _KERNEL_TAU_MAX:
-        y = _mul(stride, y)
-        tau = 2.0 * tau + 32.0 * h  # each stride spans all before it plus 32 steps
-        if np.abs(y[:3]).sum(axis=0).max() < _KERNEL_TAIL:
-            break
-        stride = _mul(stride, stride)
-    else:
+    (mh, eh), (mt, et) = math.frexp(h), math.frexp(_KERNEL_TAU_MAX)
+    k = max(0, et - eh + (mt > mh))  # the fewest squarings with 2^k h >= _KERNEL_TAU_MAX
+    y = _mul(_rk4_power(big, h, k)[:, 0:3], np.transpose([dprime, ddoubleprime]))
+    if not np.abs(y[:3]).sum(axis=0).max() < _KERNEL_TAIL:
         raise RuntimeError("time-domain kernel did not decay below the "
                            f"threshold within tau = {_KERNEL_TAU_MAX}")
     bilinear = y[3, 0] + sc.norm2_pdg * y[4, 1]

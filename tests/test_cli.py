@@ -207,7 +207,8 @@ def _fuzzed_config(draw):
 @given(command=st.sampled_from(("xsection",) * 4 + ("spectrum",) * 4 + ("verify",)),
        fmt=st.sampled_from(("csv", "json")), doc=_fuzzed_config())
 # two tracebacks the fuzz found in verify: the elastic line's (gammatilde / 2)^2
-# underflows to 0, and the time-domain kernel's strides overflow at |ztilde| 1e16
+# underflows to 0, and the time-domain kernel's strides overflowed at |ztilde| 1e16;
+# there its horizon is now 2^64 steps of 5e-17, and the row reads 7.0e-5, a FAIL (exit 1)
 @example(command="verify", fmt="csv", doc=_fano_config(gammatilde=1e-162))
 @example(command="verify", fmt="json", doc=_fano_config(ztilde=[-1e16, 0.0, 3.0]))
 def test_fuzzed_configs_exit_0_1_or_2_without_a_traceback(command, fmt, doc):

@@ -142,7 +142,7 @@ def test_sigma_inel_x_past_overflow_is_finite_or_refuses(eta2, ztilde, x):
     assert math.isfinite(value)
 
 
-@_defect("-2.483e-68, where sigma_inel_x gives 4.9e-102: the real part lies ~50 digits below "
+@_defect("-7.652e-69, where sigma_inel_x gives 4.9e-102: the real part lies ~50 digits below "
          "the bilinear's imaginary part, which no float64 route resolves (item 18)")
 def test_time_domain_spectrum_at_far_x_refuses():
     sc = scalars_from_phase_shifts(DEFAULT_TABLE)

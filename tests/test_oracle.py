@@ -60,13 +60,18 @@ def test_rk4_step_matrix_is_one_four_stage_step(dim):
     for h in (1e-3, 0.05, 0.3):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         y = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        k1 = m @ y
-        k2 = m @ (y + 0.5 * h * k1)
-        k3 = m @ (y + 0.5 * h * k2)
-        k4 = m @ (y + h * k3)
-        stages = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        got = oracle._rk4_step(m, h) @ y
-        assert np.linalg.norm(got - stages) <= 1e-14 * np.linalg.norm(stages)
+
+        def step(v):
+            k1 = m @ v
+            k2 = m @ (v + 0.5 * h * k1)
+            k3 = m @ (v + 0.5 * h * k2)
+            k4 = m @ (v + h * k3)
+            return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        # P against one explicit step, P^4 against four
+        for k, stages in ((0, step(y)), (2, step(step(step(step(y)))))):
+            got = oracle._rk4_power(m, h, k) @ y
+            assert np.linalg.norm(got - stages) <= 1e-14 * np.linalg.norm(stages)
 
 
 @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
@@ -164,8 +169,8 @@ def test_time_domain_matches_resolvent_hard_corners(fano_scalars, corner, x):
     assert a == pytest.approx(b, rel=1e-10, abs=0.0)
 
 
-# The stride doubles after every failed decay check, so a strong drive
-# costs a few more checks rather than ~|A|^(5/4) times the steps.
+# The horizon's 2^k steps of h ~ 1 / |A| are k squarings of one step matrix,
+# so a strong drive costs a few more squarings rather than ~|A|^(5/4) times the steps.
 @pytest.mark.parametrize("x", [0.0, 1.3, -2.7])
 @pytest.mark.parametrize("eta2", [1e3, 1e4])
 def test_time_domain_cost_is_flat_in_intensity(fano_scalars, eta2, x):
@@ -175,6 +180,26 @@ def test_time_domain_cost_is_flat_in_intensity(fano_scalars, eta2, x):
     elapsed = time.perf_counter() - start
     assert a == pytest.approx(sigma_inel_x(fano_scalars, dc, x), rel=1e-8, abs=0.0)
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("x", [0.0, 1.3, -7.0, 25.0])
+@pytest.mark.parametrize("corner", list(HARD_CORNERS))
+def test_time_domain_value_does_not_depend_on_a_horizon_past_the_decay(
+        fano_scalars, monkeypatch, corner, x):
+    # once P^N is below the tail, L A^-1 (I - P^N) d(0) no longer moves with N:
+    # what lets one fixed horizon serve every drive
+    sc, dc = HARD_CORNERS[corner]
+    sc = fano_scalars if sc is None else sc
+    a = spectrum_time_domain(sc, dc, x)
+    monkeypatch.setattr(oracle, "_KERNEL_TAU_MAX", 2.0 * oracle._KERNEL_TAU_MAX)
+    assert spectrum_time_domain(sc, dc, x) == pytest.approx(a, rel=1e-13, abs=0.0)
+
+
+# |x| 3.6e305 is where the horizon over the step, 500 lam, overflows
+@pytest.mark.parametrize("x", [1e200, 1e300, 1e306])
+def test_time_domain_at_far_x_is_finite(x):
+    sc = scalars_from_phase_shifts(oracle.DEFAULT_TABLE)
+    assert math.isfinite(spectrum_time_domain(sc, DriveConfig(2.0, 0.0, 0.6), x))
 
 
 def test_time_domain_signals_stalled_decay(fano_scalars, monkeypatch):
