@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import time
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -74,22 +75,43 @@ def test_rk4_step_matrix_is_one_four_stage_step(dim):
             assert np.linalg.norm(got - stages) <= 1e-14 * np.linalg.norm(stages)
 
 
-@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan, -1.0])
 def test_ode_evolve_rejects_non_finite_tau(fano_scalars, tau):
     rs = reduced_scalars(fano_scalars, DriveConfig(1.0, 0.0))
     with pytest.raises(ValueError, match="tau"):
         ode_evolve(rs, BlochVector(0.0, 0.0), tau)
 
 
-def test_ode_evolve_names_its_largest_span():
-    # past 1e305 the step count tau / 1e-3 overflows; math.ceil(inf) used
-    # to raise a bare OverflowError at tau = 1e306
-    rs = reduced_scalars(MOLLOW_SCALARS, DriveConfig(40.0, 0.0))
+@pytest.mark.parametrize("sc, dc", [(MOLLOW_SCALARS, DriveConfig(40.0, 0.0)),
+                                    (ScatteringScalars(-0.03, 0.13, 0.005, 0.005, 0.02, -0.001),
+                                     DriveConfig(2.0, 1.0))])
+@pytest.mark.parametrize("tau", [1e305, 1e306, sys.float_info.max])
+def test_ode_evolve_relaxes_at_any_finite_span(sc, dc, tau):
+    # the augmented constant row is exact, so P^(2^k) stays a state for any k
+    rs = reduced_scalars(sc, dc)
     eq = equilibrium(rs)
-    out = ode_evolve(rs, BlochVector(0.0, 0.0), 1e305)
+    out = ode_evolve(rs, BlochVector(0.0, 0.0), tau)
     assert abs(out.u - eq.u) <= 1e-12 and abs(out.v - eq.v) <= 1e-12
-    with pytest.raises(ValueError, match=r"tau must lie in \[0, 1e\+305\]"):
-        ode_evolve(rs, BlochVector(0.0, 0.0), 1e306)
+
+
+def test_ode_evolve_takes_the_fewest_squarings(fano_scalars, monkeypatch):
+    # k from the exponents of tau and the step: tau / 2^k is the largest step <= 1e-3
+    calls = []
+
+    def record(m, h, k):
+        calls.append((h, k))
+        return np.eye(len(m))
+
+    monkeypatch.setattr(oracle, "_rk4_power", record)
+    rs = reduced_scalars(fano_scalars, DriveConfig(1.0, 0.0))
+    edges = [math.ldexp(1e-3, m) for m in range(1034)]
+    spans = [t for e in edges for t in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+    spans += [20.0, 1e306, sys.float_info.max]
+    for tau in spans:
+        ode_evolve(rs, BlochVector(0.0, 0.0), tau)
+    assert len(calls) == len(spans)
+    for tau, (h, k) in zip(spans, calls):
+        assert math.ldexp(h, k) == tau and h <= 1e-3 < 2.0 * h, (tau, h, k)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

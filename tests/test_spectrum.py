@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import (NORM, SHIFT, inelastic_poles, log_uniform, mirror, random_drive,
                      random_scalars)
+from reference import scalars_reference
 from qsatom import (DriveConfig, MOLLOW_SCALARS, PhaseShiftTable, ScatteringScalars,
-                    build_drift, cross_sections, local_maxima,
+                    build_drift, cross_sections, equilibrium, local_maxima,
                     low_intensity_x, mollow_inel_x, mollow_xsections, reduced_scalars, resolvent,
                     scalars_from_phase_shifts, sigma_el, sigma_inel,
                     sigma_inel_x, sigma_tot, sigma_tot_x,
@@ -417,6 +418,21 @@ SIGMA_INEL_X_GOLDEN = (
 def test_sigma_inel_x_matches_recorded_values(fano_scalars, eta2, zt, gt, x, ref):
     got = sigma_inel_x(fano_scalars, DriveConfig(math.sqrt(eta2), zt, gt), x)
     assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_sigma_inel_x_and_equilibrium_match_the_master_equation_reference(fano_scalars):
+    # tests/reference.py: the scalars realisation at 50+ digits; (eta2, ztilde) -> x values
+    # at gammatilde 0.6, from a typical drive to far detuning and strong drive
+    points = {(4.0, 0.3): (0.0, 1.3, -2.7), (10.0, -1e8): (0.0,), (10.0, -1e12): (0.0, 1.3),
+              (1e8, 0.0): (0.0,), (1e10, 0.0): (1.3,)}
+    for (eta2, zt), xs in points.items():
+        dc = DriveConfig(math.sqrt(eta2), zt, 0.6)
+        u, v, ref = scalars_reference(fano_scalars, dc.eta, zt, 0.6, xs)
+        got = [sigma_inel_x(fano_scalars, dc, x) for x in xs]
+        gaps = [float(abs(g - r) / r) for g, r in zip(got, ref)]
+        assert max(gaps) <= 2e-15, (eta2, zt, gaps)
+        eq = equilibrium(reduced_scalars(fano_scalars, dc))
+        assert abs(eq.u - u) <= 1e-15 and abs(eq.v - v) <= 1e-15, (eta2, zt, eq, u, v)
 
 
 # A spectrum value must not depend on which other x values its grid
